@@ -1,7 +1,7 @@
 // Scenario CLI: a flag-driven simulation driver (the "ns-2 command line" of
 // this repository). Runs one scenario under any protocol and prints the full
 // metric set; optionally writes a per-event CSV trace and/or a JSON run
-// report (the same RunReport the benches embed — see docs/PROTOCOL.md).
+// report (the same run report the benches embed — see docs/PROTOCOL.md).
 //
 //   $ ./scenario_cli --protocol hlsrg --vehicles 500 --size 2000 --seed 42
 //   $ ./scenario_cli --workload poisson --no-rsus --trace out.csv
@@ -378,18 +378,20 @@ int main(int argc, char** argv) {
   }
 
   if (!out_path.empty()) {
-    RunReport report = make_run_report(protocol, cfg, metrics, engine);
-    report.observability = registry_to_json(observability);
-    if (!profile.empty()) report.profile = profile.to_json();
-    JsonValue doc = report.to_json();
+    Directions directions;
+    JsonValue doc = run_report_json(protocol_name(protocol), cfg, metrics,
+                                    engine, directions);
+    doc.set("observability", registry_to_json(observability));
+    if (!profile.empty()) doc.set("profile", profile.to_json());
     doc.set("schema", "hlsrg-run/v1");
     doc.set("replicas", replicas);
     doc.set("derived",
             derived_metrics_json(metrics, cfg.service.enabled,
-                                 static_cast<std::size_t>(replicas)));
+                                 static_cast<std::size_t>(replicas),
+                                 directions));
     JsonValue per_replica = JsonValue::array();
     for (const EngineStats& e : replica_engine) {
-      per_replica.push_back(engine_to_json(e));
+      per_replica.push_back(engine_to_json(e, directions));
     }
     doc.set("replica_engine", std::move(per_replica));
     // Per-replica end-state digests (hex), for re-baselining documentation:
@@ -402,6 +404,7 @@ int main(int argc, char** argv) {
       digest_array.push_back(JsonValue{std::string(hex)});
     }
     doc.set("digests", std::move(digest_array));
+    doc.set("directions", directions.json());
     std::string error;
     if (!write_json_file(doc, out_path, &error)) {
       std::fprintf(stderr, "%s\n", error.c_str());

@@ -8,110 +8,68 @@ Usage:
 
 Reads two files produced by the bench binaries (schema "hlsrg-bench/v1",
 see docs/PROTOCOL.md) or by scenario_cli --out ("hlsrg-run/v1"), pairs up
-every (section, row, protocol) result, and compares the numeric fields:
+every (section, row, protocol) result, and compares the numeric fields.
 
-  * "derived"  -- headline figures (update/query overhead, success rate,
-                  mean query delay and its percentiles); always compared.
+Which gate owns each field, and the direction in which it is better
+("higher", "lower", or "unchanged": any move counts against it), come from
+the top-level "directions" block of the NEW report. The report writers fill
+it next to the values; the metric and engine fields are the tables in
+src/sim/counters.h. A NEW report without that block, or with a numeric field
+it gives no direction, is a schema error. The direction groups, and the
+report object each covers:
+
+  * "derived"  -- headline figures (overheads, success rate, delay
+                  percentiles, ...); always compared.
   * "metrics"  -- raw protocol counters; always compared.
-  * "latency"  -- delay summary (mean/min/max and p50/p90/p95/p99);
-                  always compared, lower is better.
-  * "engine"   -- events_processed / peak_queue_depth, only with
-                  --include-engine (deterministic given identical code and
-                  seeds, but expected to move whenever the engine changes);
-                  wall_clock_sec / events_per_sec only with
-                  --include-timing (machine-dependent).
-  * "memory"   -- engine.peak_rss_bytes (process high-water mark; noisy
-                  across allocators/kernels, so give it a generous
-                  --threshold) and engine.table_bytes (protocol-table +
-                  registry heap, deterministic); both lower-is-better.
+  * "latency"  -- delay summary; always compared.
+  * "engine"   -- deterministic counts of the "engine" object (events
+                  processed, peak queue depth, ...), only with
+                  --include-engine (expected to move whenever the engine
+                  changes).
+  * "timing"   -- machine-dependent keys of the "engine" object (wall clock,
+                  events/sec, ...), only with --include-timing.
+  * "memory"   -- footprint keys of the "engine" object (peak RSS, which is
+                  noisy across allocators/kernels, so give it a generous
+                  --threshold; table bytes, which are deterministic).
                   Compared whenever "memory" is in --groups, independent of
                   --include-engine/--include-timing.
 
---groups restricts the comparison to a comma-separated subset of the five
-groups above (default "derived,metrics,latency,engine"). The CI perf-smoke
-job uses "--groups engine --include-engine --include-timing" to gate
-throughput alone: functional counters can drift across compilers/libm
-(Poisson workload timing goes through std::log) without being perf
-regressions, and they are already gated deterministically elsewhere. The
-memory gate runs as a separate invocation ("--groups memory") against the
-scale_map deep rows.
+--groups restricts the comparison to a comma-separated subset of
+derived,metrics,latency,engine,memory (default
+"derived,metrics,latency,engine"; "engine" admits both the engine and the
+timing groups). The CI perf-smoke job uses "--groups engine
+--include-engine --include-timing" to gate throughput alone: functional
+counters can drift across compilers/libm (Poisson workload timing goes
+through std::log) without being perf regressions, and they are already
+gated deterministically elsewhere. The memory gate runs as a separate
+invocation ("--groups memory") against the scale_map deep rows.
 
-A field regresses when it moves against its preferred direction by more
-than threshold (relative) AND more than abs-slack (absolute) -- the
-absolute slack keeps tiny counters (3 -> 4 packets) from tripping the
-relative gate. Improvements and sub-threshold drifts are reported in
---verbose mode only. Exit status: 0 = no regression, 1 = regression(s),
-2 = usage/schema error.
+A field regresses when it moves against its direction by more than
+threshold (relative) AND more than abs-slack (absolute) -- the absolute
+slack keeps tiny counters (3 -> 4 packets) from tripping the relative gate.
+Improvements and sub-threshold drifts are reported in --verbose mode only.
+Exit status: 0 = no regression, 1 = regression(s), 2 = usage/schema error.
 
 The nested "observability" object (counters / histograms / time series from
-trace/metrics.h) is carried through reports untouched and never compared —
-its fields duplicate information already gated via "metrics"/"latency" or
-are diagnostic time series with no stable baseline.
+trace/metrics.h) is carried through reports untouched and never compared.
 """
 
 import argparse
 import json
 import sys
 
-# Direction a metric should move: +1 = higher is better, -1 = lower is
-# better. Unlisted numeric fields are compared symmetrically (any move
-# beyond threshold counts).
-PREFERRED_DIRECTION = {
-    "success_rate": +1,
-    "queries_succeeded": +1,
-    "update_overhead": -1,
-    "query_overhead": -1,
-    "mean_query_latency_ms": -1,
-    "query_delay_p50_ms": -1,
-    "query_delay_p90_ms": -1,
-    "query_delay_p95_ms": -1,
-    "query_delay_p99_ms": -1,
-    "mean_ms": -1,
-    "max_ms": -1,
-    "p50_ms": -1,
-    "p90_ms": -1,
-    "p95_ms": -1,
-    "p99_ms": -1,
-    "queries_failed": -1,
-    "gpsr_failures": -1,
-    "radio_drops": -1,
-    "availability": +1,
-    "served_rate": +1,
-    "shed_rate": -1,
-    "cache_hit_rate": +1,
-    "queries_shed": -1,
-    "retries_shed": -1,
-    "peak_outstanding": -1,
-    "recovery_ms": -1,
-    "queries_stranded": -1,
-    "wired_drops": -1,
-    "trace_events_dropped": -1,
-    "trace_spans_dropped": -1,
-    "wall_clock_sec": -1,
-    "events_per_sec": +1,
-    "broadcasts_per_sec": +1,
-    "peak_rss_bytes": -1,
-    "table_bytes": -1,
-    # Region observatory (src/obs): hotter-than-mean regions and a wider
-    # spread of per-region load are both regressions.
-    "region_load_max_over_mean": -1,
-    "region_imbalance_cv": -1,
-    # Infrastructure churn (parked-cars-as-RSUs): losing handoffs, expiring
-    # records, or leaving roles vacant are regressions; delivering more of
-    # the shipped records and electing successors in place are improvements.
-    "handoffs_lost": -1,
-    "handoff_records_expired": -1,
-    "role_vacancies": -1,
-    "handoff_record_delivery_rate": +1,
-    "role_continuity": +1,
+SIGN = {"higher": +1, "lower": -1, "unchanged": 0}
+
+# Direction group -> (report object it covers, --groups entry it belongs to).
+GROUPS = {
+    "derived": ("derived", "derived"),
+    "metrics": ("metrics", "metrics"),
+    "latency": ("latency", "latency"),
+    "engine": ("engine", "engine"),
+    "timing": ("engine", "engine"),
+    "memory": ("engine", "memory"),
 }
-
-TIMING_FIELDS = {"wall_clock_sec", "events_per_sec", "broadcasts_per_sec",
-                 "sim_time_sec"}
-
-# Engine fields owned by the "memory" group; excluded from the "engine"
-# group so enabling both never double-compares them.
-MEMORY_FIELDS = {"peak_rss_bytes", "table_bytes"}
+SECTIONS = ("derived", "metrics", "latency", "engine")
 
 
 def fail(msg):
@@ -131,6 +89,22 @@ def load(path):
     return doc
 
 
+def load_directions(doc, path):
+    """Maps (report object, key) -> (direction group, sign)."""
+    block = doc.get("directions")
+    if not isinstance(block, dict):
+        fail(f"{path}: no 'directions' block (written by current builds)")
+    where = {}
+    for group, keys in block.items():
+        if group not in GROUPS:
+            fail(f"{path}: unknown direction group {group!r}")
+        for key, direction in keys.items():
+            if direction not in SIGN:
+                fail(f"{path}: {group}.{key} has direction {direction!r}")
+            where[(GROUPS[group][0], key)] = (group, SIGN[direction])
+    return where
+
+
 def iter_results(doc):
     """Yields ((section, row, protocol), result_dict) for both schemas."""
     if doc.get("schema", "").startswith("hlsrg-run/"):
@@ -144,30 +118,22 @@ def iter_results(doc):
                 yield key, result
 
 
-def numeric_fields(result, include_engine, include_timing, groups):
-    """Yields (field_path, value) pairs subject to comparison."""
-    for group in ["derived", "metrics", "latency"]:
-        if group not in groups:
-            continue
-        for name, value in result.get(group, {}).items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                yield f"{group}.{name}", float(value)
-    engine = result.get("engine", {})
-    for name, value in engine.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        if name in MEMORY_FIELDS:
-            if "memory" in groups:
-                yield f"engine.{name}", float(value)
-            continue
-        if "engine" not in groups:
-            continue
-        timing = name in TIMING_FIELDS
-        if timing and not include_timing:
-            continue
-        if not timing and not include_engine:
-            continue
-        yield f"engine.{name}", float(value)
+def numeric_fields(result, where, wanted, path, strict):
+    """Yields (field_path, value, sign) for the fields of the wanted
+    direction groups. With `strict`, a numeric field without a direction is
+    a schema error; otherwise it is skipped."""
+    for section in SECTIONS:
+        for name, value in result.get(section, {}).items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                continue
+            entry = where.get((section, name))
+            if entry is None:
+                if strict:
+                    fail(f"{path}: no direction for {section}.{name}")
+                continue
+            group, sign = entry
+            if group in wanted:
+                yield f"{section}.{name}", float(value), sign
 
 
 def main():
@@ -182,7 +148,7 @@ def main():
                     help="ignore absolute moves smaller than this "
                          "(default 2.0; shields tiny counters)")
     ap.add_argument("--include-engine", action="store_true",
-                    help="also gate on events_processed / peak_queue_depth")
+                    help="also gate on the engine's deterministic counts")
     ap.add_argument("--include-timing", action="store_true",
                     help="also gate on wall-clock and events/sec")
     ap.add_argument("--verbose", action="store_true",
@@ -193,11 +159,15 @@ def main():
                          "(default: derived,metrics,latency,engine)")
     args = ap.parse_args()
     groups = {g.strip() for g in args.groups.split(",") if g.strip()}
-    known = {"derived", "metrics", "latency", "engine", "memory"}
+    known = {entry for _, entry in GROUPS.values()}
     if not groups or not groups <= known:
         fail(f"--groups must name a subset of {sorted(known)}")
+    optional = {"engine": args.include_engine, "timing": args.include_timing}
+    wanted = {g for g, (_, entry) in GROUPS.items()
+              if entry in groups and optional.get(g, True)}
 
     old_doc, new_doc = load(args.old), load(args.new)
+    where = load_directions(new_doc, args.new)
     old_results = dict(iter_results(old_doc))
     new_results = dict(iter_results(new_doc))
 
@@ -212,19 +182,19 @@ def main():
     regressions = []
     compared = 0
     for key in shared:
-        old_fields = dict(numeric_fields(old_results[key], args.include_engine,
-                                         args.include_timing, groups))
-        new_fields = dict(numeric_fields(new_results[key], args.include_engine,
-                                         args.include_timing, groups))
+        old_fields = {f: v for f, v, _ in numeric_fields(
+            old_results[key], where, wanted, args.old, strict=False)}
+        new_fields = {f: (v, sign) for f, v, sign in numeric_fields(
+            new_results[key], where, wanted, args.new, strict=True)}
         for field in sorted(set(old_fields) & set(new_fields)):
-            old_v, new_v = old_fields[field], new_fields[field]
+            old_v = old_fields[field]
+            new_v, direction = new_fields[field]
             compared += 1
             delta = new_v - old_v
             rel = abs(delta) / abs(old_v) if old_v != 0 else (
                 0.0 if delta == 0 else float("inf"))
-            direction = PREFERRED_DIRECTION.get(field.split(".")[-1], 0)
-            # A move is only a regression when it goes against the metric's
-            # preferred direction (or any direction for neutral fields).
+            # A move is only a regression when it goes against the field's
+            # direction (or any move, for "unchanged" fields).
             against = (direction == 0 and delta != 0) or \
                       (direction > 0 and delta < 0) or \
                       (direction < 0 and delta > 0)

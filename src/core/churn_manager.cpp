@@ -269,7 +269,6 @@ void ChurnManager::fill_sweep() {
     ++m.role_fills;
     count_migration(svc_->sim(), svc_->rsus()->rsu(role).pos);
     install_host(role, host);
-    svc_->sim().observability().add("churn.role_fills");
   }
 }
 

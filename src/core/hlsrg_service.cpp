@@ -155,13 +155,6 @@ ServiceStats HlsrgService::service_stats() const {
                      agent.full_table().bytes();
   }
   s.table_bytes += registry_->bytes();
-  const RunMetrics& m = sim_->metrics();
-  s.cache_hits = m.cache_hits;
-  s.cache_misses = m.cache_misses;
-  s.cache_invalidations = m.cache_invalidations;
-  s.batched_queries = m.batched_queries;
-  s.batch_flushes = m.batch_flushes;
-  s.shed_queries = m.queries_shed + m.retries_shed;
   return s;
 }
 

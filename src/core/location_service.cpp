@@ -31,7 +31,6 @@ void QueryTracker::succeed(QueryId id) {
   r.completed = sim_->now();
   sim_->metrics().queries_succeeded++;
   sim_->metrics().query_latency.add(sim_->now() - r.issued);
-  delay_hist_->record((sim_->now() - r.issued).us());
   if (TraceLog* trace = sim_->trace()) {
     trace->end_open_spans_for_query(id, sim_->now(), SpanStatus::kOk);
   }

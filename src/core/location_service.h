@@ -22,9 +22,7 @@ struct ServiceTierConfig;
 // Tracks outstanding queries and settles them into RunMetrics exactly once.
 class QueryTracker {
  public:
-  explicit QueryTracker(Simulator& sim)
-      : sim_(&sim),
-        delay_hist_(sim.observability().histogram("query.delay_us")) {}
+  explicit QueryTracker(Simulator& sim) : sim_(&sim) {}
 
   using QueryId = std::uint32_t;
 
@@ -72,7 +70,6 @@ class QueryTracker {
     SpanId span = kNoSpan;
   };
   Simulator* sim_;
-  Histogram* delay_hist_;  // always-on "query.delay_us"
   std::vector<Record> records_;
   // outstanding() is on the admission hot path (every submit under load), so
   // settles are counted as they happen instead of rescanning records_.
@@ -80,10 +77,8 @@ class QueryTracker {
   std::size_t peak_outstanding_ = 0;
 };
 
-// Structured observability snapshot of a LocationService: table occupancy
-// plus the service-tier counters. One value type instead of the old
-// table_records() grab-bag so adding a field is a compile-visible change at
-// every sampler, not a silently-zero default.
+// Table occupancy of a LocationService. The service-tier counters live in
+// RunMetrics (Simulator::metrics()), not here.
 struct ServiceStats {
   // Location-table entries currently held across the protocol's servers
   // (vehicles + RSUs); 0 for protocols that keep no tables.
@@ -93,15 +88,6 @@ struct ServiceStats {
   // overhead). Feeds the bytes-per-vehicle memory gate in the bench
   // pipeline; process peak RSS is tracked separately by the runner.
   std::size_t table_bytes = 0;
-  // Hot-destination cache traffic (HLSRG RSU tier; 0 elsewhere).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_invalidations = 0;
-  // Batching-window traffic.
-  std::uint64_t batched_queries = 0;
-  std::uint64_t batch_flushes = 0;
-  // Queries and retries refused by admission control.
-  std::uint64_t shed_queries = 0;
 };
 
 // The public face of a location service protocol.
@@ -119,8 +105,8 @@ class LocationService {
 
   [[nodiscard]] virtual QueryTracker& tracker() = 0;
 
-  // Observability snapshot: table occupancy plus service-tier counters.
-  // Sampled periodically by the World; the default reports an empty service.
+  // Table occupancy snapshot, sampled periodically by the World; the default
+  // reports an empty service.
   [[nodiscard]] virtual ServiceStats service_stats() const { return {}; }
 
   // Current position of a vehicle as the protocol sees it; region telemetry

@@ -57,8 +57,6 @@ ServiceStats FloodService::service_stats() const {
     s.table_bytes += agent.cache_bytes();
   }
   s.table_bytes += registry_->bytes();
-  // FLOOD has no serving tier; only admission shedding can apply.
-  s.shed_queries = sim_->metrics().queries_shed + sim_->metrics().retries_shed;
   return s;
 }
 

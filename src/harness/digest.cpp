@@ -40,27 +40,16 @@ class Fnv {
   std::uint64_t hash_ = 14695981039346656037ULL;
 };
 
+// Mixes the RunMetrics counters of one digest group, in table order.
+void mix_group(Fnv& f, const RunMetrics& m, DigestGroup group) {
+  RunMetrics::for_each_field(
+      [&](const MetricSpec& spec, std::uint64_t RunMetrics::*field) {
+        if (spec.digest == group) f.mix_u64(m.*field);
+      });
+}
+
 void mix_metrics(Fnv& f, const RunMetrics& m) {
-  f.mix_u64(m.update_packets_originated);
-  f.mix_u64(m.update_transmissions);
-  f.mix_u64(m.aggregation_packets);
-  f.mix_u64(m.aggregation_transmissions);
-  f.mix_u64(m.queries_issued);
-  f.mix_u64(m.queries_succeeded);
-  f.mix_u64(m.queries_failed);
-  f.mix_u64(m.query_packets_originated);
-  f.mix_u64(m.query_transmissions);
-  f.mix_u64(m.server_lookup_hits);
-  f.mix_u64(m.server_lookup_misses);
-  f.mix_u64(m.rsu_lookup_hits);
-  f.mix_u64(m.rsu_lookup_misses);
-  f.mix_u64(m.notifications_sent);
-  f.mix_u64(m.acks_sent);
-  f.mix_u64(m.radio_broadcasts);
-  f.mix_u64(m.radio_unicasts);
-  f.mix_u64(m.radio_drops);
-  f.mix_u64(m.wired_messages);
-  f.mix_u64(m.gpsr_failures);
+  mix_group(f, m, DigestGroup::kAlways);
   f.mix_u64(m.channel.total_offered());
   f.mix_u64(m.channel.total_delivered());
   f.mix_u64(m.channel.total_dropped());
@@ -70,28 +59,12 @@ void mix_metrics(Fnv& f, const RunMetrics& m) {
   // a zero-fault run must hash byte-identically to a fault-unaware build.
   if (m.fault_plan_digest != 0) {
     f.mix_u64(m.fault_plan_digest);
-    f.mix_u64(m.wired_drops);
-    f.mix_u64(m.rsu_suppressed);
-    f.mix_u64(m.query_retries);
-    f.mix_u64(m.query_failovers);
+    mix_group(f, m, DigestGroup::kFault);
   }
   // Same gating idea for infrastructure churn: the counter block only joins
   // the hash when a ChurnManager was constructed, so zero-churn runs stay
   // byte-identical to pre-churn builds.
-  if (m.churn_active != 0) {
-    f.mix_u64(m.role_departures);
-    f.mix_u64(m.role_elections);
-    f.mix_u64(m.role_vacancies);
-    f.mix_u64(m.role_fills);
-    f.mix_u64(m.handoffs_sent);
-    f.mix_u64(m.handoffs_delivered);
-    f.mix_u64(m.handoffs_lost);
-    f.mix_u64(m.handoff_records_sent);
-    f.mix_u64(m.handoff_records_delivered);
-    f.mix_u64(m.handoff_records_expired);
-    f.mix_u64(m.handoff_records_in_flight);
-    f.mix_u64(m.records_at_departure);
-  }
+  if (m.churn_active != 0) mix_group(f, m, DigestGroup::kChurn);
 }
 
 // Tables are hashed through snapshot() — the canonical key-sorted view —

@@ -159,12 +159,9 @@ class World {
   // Post-run fault bookkeeping: per-query availability split, stranded-query
   // count, and time-to-recovery per finite window end (see counters.h).
   void finalize_fault_summary();
-  // Post-run service-tier gauges (offered/shed/cache/batch counters); no-op
-  // when the tier is disabled.
-  void finalize_service_summary();
   // Post-run churn settlement: expires handoff records still in flight at
-  // the horizon (closing the conservation law exactly) and publishes the
-  // churn gauges. No-op unless parked-RSU hosting is on.
+  // the horizon (closing the conservation law exactly). No-op unless
+  // parked-RSU hosting is on.
   void finalize_churn_summary();
 
   ScenarioConfig cfg_;

@@ -31,25 +31,28 @@ void BenchReport::add_result(const std::string& label,
     row = &section.rows.back();
   }
 
-  Result result;
-  result.report.protocol = protocol;
-  result.report.config = cfg;
-  result.report.metrics = set.merged;
-  result.report.latency = LatencySummary::from(set.merged.query_latency);
-  result.report.engine = set.engine_total;
-  result.report.observability = registry_to_json(set.observability);
-  if (!set.profile.empty()) result.report.profile = set.profile.to_json();
-  result.replica_engine = set.engine;
-  result.derived = derived_metrics_json(set.merged, cfg.service.enabled,
-                                      set.replicas.size());
+  JsonValue entry = run_report_json(protocol, cfg, set.merged,
+                                    set.engine_total, directions_);
+  entry.set("observability", registry_to_json(set.observability));
+  if (!set.profile.empty()) entry.set("profile", set.profile.to_json());
+  JsonValue per_replica = JsonValue::array();
+  for (const EngineStats& e : set.engine) {
+    per_replica.push_back(engine_to_json(e, directions_));
+  }
+  entry.set("replica_engine", std::move(per_replica));
+  JsonValue derived = derived_metrics_json(set.merged, cfg.service.enabled,
+                                           set.replicas.size(), directions_);
   if (set.regions.configured()) {
     // Region load-imbalance summary (obs/region_telemetry.h): how unevenly
     // the merged delivery load spread over the L3 regions.
     const RegionTelemetry::Imbalance imb = set.regions.load_imbalance();
-    result.derived.set("region_load_max_over_mean", imb.max_over_mean);
-    result.derived.set("region_imbalance_cv", imb.cv);
+    directions_.set(derived, "derived", "region_load_max_over_mean",
+                    imb.max_over_mean, Better::kLower);
+    directions_.set(derived, "derived", "region_imbalance_cv", imb.cv,
+                    Better::kLower);
   }
-  row->results.push_back(std::move(result));
+  entry.set("derived", std::move(derived));
+  row->results.push_back(std::move(entry));
 }
 
 JsonValue BenchReport::to_json() const {
@@ -67,16 +70,7 @@ JsonValue BenchReport::to_json() const {
       JsonValue r = JsonValue::object();
       r.set("label", row.label);
       JsonValue results = JsonValue::array();
-      for (const Result& result : row.results) {
-        JsonValue entry = result.report.to_json();
-        JsonValue per_replica = JsonValue::array();
-        for (const EngineStats& e : result.replica_engine) {
-          per_replica.push_back(engine_to_json(e));
-        }
-        entry.set("replica_engine", std::move(per_replica));
-        entry.set("derived", result.derived);
-        results.push_back(std::move(entry));
-      }
+      for (const JsonValue& result : row.results) results.push_back(result);
       r.set("results", std::move(results));
       rows.push_back(std::move(r));
     }
@@ -84,6 +78,7 @@ JsonValue BenchReport::to_json() const {
     sections.push_back(std::move(s));
   }
   doc.set("sections", std::move(sections));
+  doc.set("directions", directions_.json());
   return doc;
 }
 

@@ -15,10 +15,12 @@
 //             "results": [
 //               { "protocol": "HLSRG", "config": {...}, "metrics": {...},
 //                 "latency": {...}, "engine": {...},
+//                 "observability": {...},
 //                 "replica_engine": [ {...}, ... ], "derived": {...} },
 //               ... ] },
 //           ... ] },
-//       ... ]
+//       ... ],
+//     "directions": { "metrics": {...}, "latency": {...}, ... }
 //   }
 #pragma once
 
@@ -50,15 +52,9 @@ class BenchReport {
   bool write(const std::string& path, std::string* error = nullptr) const;
 
  private:
-  struct Result {
-    RunReport report;  // report.protocol names the protocol/variant
-
-    std::vector<EngineStats> replica_engine;
-    JsonValue derived;
-  };
   struct Row {
     std::string label;
-    std::vector<Result> results;
+    std::vector<JsonValue> results;  // one written result per protocol
   };
   struct Section {
     std::string title;
@@ -69,6 +65,7 @@ class BenchReport {
   std::string bench_;
   int replicas_;
   std::vector<Section> sections_;
+  Directions directions_;
 };
 
 }  // namespace hlsrg

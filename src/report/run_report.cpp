@@ -1,5 +1,8 @@
 #include "report/run_report.h"
 
+#include <functional>
+#include <utility>
+
 namespace hlsrg {
 
 namespace {
@@ -16,25 +19,28 @@ const char* workload_name(ScenarioConfig::WorkloadKind kind) {
   return "oneshot";
 }
 
-ScenarioConfig::WorkloadKind workload_from_name(const std::string& name) {
-  if (name == "poisson") return ScenarioConfig::WorkloadKind::kPoisson;
-  if (name == "hotspot") return ScenarioConfig::WorkloadKind::kHotspot;
-  return ScenarioConfig::WorkloadKind::kOneShot;
+const char* better_name(Better better) {
+  switch (better) {
+    case Better::kHigher:
+      return "higher";
+    case Better::kLower:
+      return "lower";
+    case Better::kUnchanged:
+      return "unchanged";
+  }
+  return "unchanged";
 }
 
-}  // namespace
-
-LatencySummary LatencySummary::from(const LatencyStat& stat) {
-  LatencySummary s;
-  s.count = stat.count();
-  s.mean_ms = stat.mean_ms();
-  s.min_ms = stat.min_ms();
-  s.max_ms = stat.max_ms();
-  s.p50_ms = stat.p50_ms();
-  s.p90_ms = stat.p90_ms();
-  s.p95_ms = stat.p95_ms();
-  s.p99_ms = stat.p99_ms();
-  return s;
+const char* gate_group(EngineGate gate) {
+  switch (gate) {
+    case EngineGate::kEngine:
+      return "engine";
+    case EngineGate::kTiming:
+      return "timing";
+    case EngineGate::kMemory:
+      return "memory";
+  }
+  return "engine";
 }
 
 JsonValue scenario_to_json(const ScenarioConfig& cfg) {
@@ -103,443 +109,119 @@ JsonValue scenario_to_json(const ScenarioConfig& cfg) {
   return o;
 }
 
-void scenario_from_json(const JsonValue& v, ScenarioConfig* cfg) {
-  if (v.contains("seed")) cfg->seed = v.at("seed").as_uint64();
-  if (v.contains("vehicles")) cfg->vehicles = v.at("vehicles").as_int();
-  if (v.contains("map_size_m")) cfg->map.size_m = v.at("map_size_m").as_double();
-  if (v.contains("map_irregular")) {
-    cfg->map.irregular = v.at("map_irregular").as_bool();
-  }
-  if (v.contains("map_file")) cfg->map_file = v.at("map_file").as_string();
-  if (v.contains("partition_target_m")) {
-    cfg->partition.target_size = v.at("partition_target_m").as_double();
-  }
-  if (v.contains("radio_range_m")) {
-    cfg->radio.range_m = v.at("radio_range_m").as_double();
-  }
-  if (v.contains("workload")) {
-    cfg->workload = workload_from_name(v.at("workload").as_string());
-  }
-  if (v.contains("source_fraction")) {
-    cfg->source_fraction = v.at("source_fraction").as_double();
-  }
-  if (v.contains("poisson_rate_per_sec")) {
-    cfg->poisson_rate_per_sec = v.at("poisson_rate_per_sec").as_double();
-  }
-  if (v.contains("hotspot_targets")) {
-    cfg->hotspot_targets = v.at("hotspot_targets").as_int();
-  }
-  if (v.contains("warmup_sec")) {
-    cfg->warmup = SimTime::from_sec(v.at("warmup_sec").as_double());
-  }
-  if (v.contains("query_window_sec")) {
-    cfg->query_window = SimTime::from_sec(v.at("query_window_sec").as_double());
-  }
-  if (v.contains("grace_sec")) {
-    cfg->grace = SimTime::from_sec(v.at("grace_sec").as_double());
-  }
-  if (v.contains("sample_interval_sec")) {
-    cfg->sample_interval =
-        SimTime::from_sec(v.at("sample_interval_sec").as_double());
-  }
-  if (v.contains("profile")) cfg->profile = v.at("profile").as_bool();
-  if (v.contains("parked_fraction")) {
-    cfg->mobility.parked_fraction = v.at("parked_fraction").as_double();
-  }
-  if (v.contains("use_rsus")) cfg->hlsrg.use_rsus = v.at("use_rsus").as_bool();
-  if (v.contains("suppress_artery_updates")) {
-    cfg->hlsrg.suppress_artery_updates =
-        v.at("suppress_artery_updates").as_bool();
-  }
-  if (v.contains("naive_every_crossing")) {
-    cfg->hlsrg.naive_every_crossing = v.at("naive_every_crossing").as_bool();
-  }
-  if (v.contains("l1_expiry_sec")) {
-    cfg->hlsrg.l1_expiry = SimTime::from_sec(v.at("l1_expiry_sec").as_double());
-  }
-  if (v.contains("l2_expiry_sec")) {
-    cfg->hlsrg.l2_expiry = SimTime::from_sec(v.at("l2_expiry_sec").as_double());
-  }
-  if (v.contains("l3_expiry_sec")) {
-    cfg->hlsrg.l3_expiry = SimTime::from_sec(v.at("l3_expiry_sec").as_double());
-  }
-  if (v.contains("beacons_enabled")) {
-    cfg->beacons.enabled = v.at("beacons_enabled").as_bool();
-  }
-  if (v.contains("beacon_interval_sec")) {
-    cfg->beacons.interval_sec = v.at("beacon_interval_sec").as_double();
-  }
-  if (v.contains("fault_plan_file")) {
-    cfg->fault_plan_file = v.at("fault_plan_file").as_string();
-  }
-  if (v.contains("fault_seed")) {
-    cfg->fault_seed = v.at("fault_seed").as_uint64();
-  }
-  if (v.contains("parked_rsu_hosting")) {
-    cfg->hlsrg.parked_rsu_hosting = v.at("parked_rsu_hosting").as_bool();
-    if (v.contains("host_radius_m")) {
-      cfg->hlsrg.host_radius_m = v.at("host_radius_m").as_double();
-    }
-    if (v.contains("enable_handoff")) {
-      cfg->hlsrg.enable_handoff = v.at("enable_handoff").as_bool();
-    }
-    if (v.contains("role_fill_delay_sec")) {
-      cfg->hlsrg.role_fill_delay =
-          SimTime::from_sec(v.at("role_fill_delay_sec").as_double());
-    }
-    if (v.contains("churn_detect_delay_sec")) {
-      cfg->hlsrg.churn_detect_delay =
-          SimTime::from_sec(v.at("churn_detect_delay_sec").as_double());
-    }
-  }
-  if (v.contains("churn_enabled")) {
-    cfg->mobility.churn.enabled = v.at("churn_enabled").as_bool();
-    if (v.contains("park_rate_per_sec")) {
-      cfg->mobility.churn.park_rate_per_sec =
-          v.at("park_rate_per_sec").as_double();
-    }
-    if (v.contains("dwell_mean_sec")) {
-      cfg->mobility.churn.dwell_mean_sec = v.at("dwell_mean_sec").as_double();
-    }
-    if (v.contains("min_dwell_sec")) {
-      cfg->mobility.churn.min_dwell_sec = v.at("min_dwell_sec").as_double();
-    }
-  }
-  if (v.contains("service_enabled")) {
-    cfg->service.enabled = v.at("service_enabled").as_bool();
-    if (v.contains("open_loop_rate_per_sec")) {
-      cfg->service.open_loop_rate_per_sec =
-          v.at("open_loop_rate_per_sec").as_double();
-    }
-    if (v.contains("open_loop_ramp_per_sec2")) {
-      cfg->service.open_loop_ramp_per_sec2 =
-          v.at("open_loop_ramp_per_sec2").as_double();
-    }
-    if (v.contains("hotspot_fraction")) {
-      cfg->service.hotspot_fraction = v.at("hotspot_fraction").as_double();
-    }
-    if (v.contains("rsu_lookup_sec")) {
-      cfg->service.rsu_lookup_time =
-          SimTime::from_sec(v.at("rsu_lookup_sec").as_double());
-    }
-    if (v.contains("max_outstanding")) {
-      cfg->service.max_outstanding = v.at("max_outstanding").as_int();
-    }
-    if (v.contains("shed_retries")) {
-      cfg->service.shed_retries = v.at("shed_retries").as_bool();
-    }
-    if (v.contains("batching")) {
-      cfg->service.batching = v.at("batching").as_bool();
-    }
-    if (v.contains("batch_window_sec")) {
-      cfg->service.batch_window =
-          SimTime::from_sec(v.at("batch_window_sec").as_double());
-    }
-    if (v.contains("max_batch")) {
-      cfg->service.max_batch = v.at("max_batch").as_int();
-    }
-    if (v.contains("caching")) {
-      cfg->service.caching = v.at("caching").as_bool();
-    }
-    if (v.contains("cache_ttl_sec")) {
-      cfg->service.cache_ttl =
-          SimTime::from_sec(v.at("cache_ttl_sec").as_double());
-    }
-    if (v.contains("cache_capacity")) {
-      cfg->service.cache_capacity = v.at("cache_capacity").as_int();
-    }
-  }
-}
-
-JsonValue metrics_to_json(const RunMetrics& m) {
+// The delay summary over the pooled successful-query samples.
+JsonValue latency_to_json(const LatencyStat& l, Directions& directions) {
   JsonValue o = JsonValue::object();
-  o.set("update_packets_originated", m.update_packets_originated);
-  o.set("update_transmissions", m.update_transmissions);
-  o.set("aggregation_packets", m.aggregation_packets);
-  o.set("aggregation_transmissions", m.aggregation_transmissions);
-  o.set("queries_issued", m.queries_issued);
-  o.set("queries_succeeded", m.queries_succeeded);
-  o.set("queries_failed", m.queries_failed);
-  o.set("query_packets_originated", m.query_packets_originated);
-  o.set("query_transmissions", m.query_transmissions);
-  o.set("server_lookup_hits", m.server_lookup_hits);
-  o.set("server_lookup_misses", m.server_lookup_misses);
-  o.set("rsu_lookup_hits", m.rsu_lookup_hits);
-  o.set("rsu_lookup_misses", m.rsu_lookup_misses);
-  o.set("notifications_sent", m.notifications_sent);
-  o.set("acks_sent", m.acks_sent);
-  o.set("radio_broadcasts", m.radio_broadcasts);
-  o.set("radio_unicasts", m.radio_unicasts);
-  o.set("radio_drops", m.radio_drops);
-  o.set("wired_messages", m.wired_messages);
-  o.set("gpsr_failures", m.gpsr_failures);
-  o.set("wired_drops", m.wired_drops);
-  o.set("rsu_suppressed", m.rsu_suppressed);
-  o.set("query_retries", m.query_retries);
-  o.set("query_failovers", m.query_failovers);
-  o.set("queries_stranded", m.queries_stranded);
-  o.set("fault_queries_issued", m.fault_queries_issued);
-  o.set("fault_queries_ok", m.fault_queries_ok);
-  o.set("recovery_time_us", m.recovery_time_us);
-  o.set("recovery_windows", m.recovery_windows);
-  o.set("fault_plan_digest", m.fault_plan_digest);
-  o.set("queries_offered", m.queries_offered);
-  o.set("queries_shed", m.queries_shed);
-  o.set("retries_shed", m.retries_shed);
-  o.set("cache_hits", m.cache_hits);
-  o.set("cache_misses", m.cache_misses);
-  o.set("cache_invalidations", m.cache_invalidations);
-  o.set("batched_queries", m.batched_queries);
-  o.set("batch_flushes", m.batch_flushes);
-  o.set("peak_outstanding", m.peak_outstanding);
-  o.set("role_departures", m.role_departures);
-  o.set("role_elections", m.role_elections);
-  o.set("role_vacancies", m.role_vacancies);
-  o.set("role_fills", m.role_fills);
-  o.set("handoffs_sent", m.handoffs_sent);
-  o.set("handoffs_delivered", m.handoffs_delivered);
-  o.set("handoffs_lost", m.handoffs_lost);
-  o.set("handoff_records_sent", m.handoff_records_sent);
-  o.set("handoff_records_delivered", m.handoff_records_delivered);
-  o.set("handoff_records_expired", m.handoff_records_expired);
-  o.set("handoff_records_in_flight", m.handoff_records_in_flight);
-  o.set("records_at_departure", m.records_at_departure);
-  o.set("churn_active", m.churn_active);
+  const auto put = [&](const char* key, JsonValue value, Better better) {
+    directions.set(o, "latency", key, std::move(value), better);
+  };
+  put("count", l.count(), Better::kUnchanged);
+  put("mean_ms", l.mean_ms(), Better::kLower);
+  put("min_ms", l.min_ms(), Better::kUnchanged);
+  put("max_ms", l.max_ms(), Better::kLower);
+  put("p50_ms", l.p50_ms(), Better::kLower);
+  put("p90_ms", l.p90_ms(), Better::kLower);
+  put("p95_ms", l.p95_ms(), Better::kLower);
+  put("p99_ms", l.p99_ms(), Better::kLower);
   return o;
 }
 
-void metrics_from_json(const JsonValue& v, RunMetrics* m) {
-  m->update_packets_originated = v.at("update_packets_originated").as_uint64();
-  m->update_transmissions = v.at("update_transmissions").as_uint64();
-  m->aggregation_packets = v.at("aggregation_packets").as_uint64();
-  m->aggregation_transmissions = v.at("aggregation_transmissions").as_uint64();
-  m->queries_issued = v.at("queries_issued").as_uint64();
-  m->queries_succeeded = v.at("queries_succeeded").as_uint64();
-  m->queries_failed = v.at("queries_failed").as_uint64();
-  m->query_packets_originated = v.at("query_packets_originated").as_uint64();
-  m->query_transmissions = v.at("query_transmissions").as_uint64();
-  m->server_lookup_hits = v.at("server_lookup_hits").as_uint64();
-  m->server_lookup_misses = v.at("server_lookup_misses").as_uint64();
-  m->rsu_lookup_hits = v.at("rsu_lookup_hits").as_uint64();
-  m->rsu_lookup_misses = v.at("rsu_lookup_misses").as_uint64();
-  m->notifications_sent = v.at("notifications_sent").as_uint64();
-  m->acks_sent = v.at("acks_sent").as_uint64();
-  m->radio_broadcasts = v.at("radio_broadcasts").as_uint64();
-  m->radio_unicasts = v.at("radio_unicasts").as_uint64();
-  m->radio_drops = v.at("radio_drops").as_uint64();
-  m->wired_messages = v.at("wired_messages").as_uint64();
-  m->gpsr_failures = v.at("gpsr_failures").as_uint64();
-  // Fault fields arrived after v1 reports shipped; absent in older files
-  // (at() yields null and the typed reads fall back to 0).
-  m->wired_drops = v.at("wired_drops").as_uint64();
-  m->rsu_suppressed = v.at("rsu_suppressed").as_uint64();
-  m->query_retries = v.at("query_retries").as_uint64();
-  m->query_failovers = v.at("query_failovers").as_uint64();
-  m->queries_stranded = v.at("queries_stranded").as_uint64();
-  m->fault_queries_issued = v.at("fault_queries_issued").as_uint64();
-  m->fault_queries_ok = v.at("fault_queries_ok").as_uint64();
-  m->recovery_time_us = v.at("recovery_time_us").as_uint64();
-  m->recovery_windows = v.at("recovery_windows").as_uint64();
-  m->fault_plan_digest = v.at("fault_plan_digest").as_uint64();
-  // Service-tier fields arrived after the fault fields; same null-fallback.
-  m->queries_offered = v.at("queries_offered").as_uint64();
-  m->queries_shed = v.at("queries_shed").as_uint64();
-  m->retries_shed = v.at("retries_shed").as_uint64();
-  m->cache_hits = v.at("cache_hits").as_uint64();
-  m->cache_misses = v.at("cache_misses").as_uint64();
-  m->cache_invalidations = v.at("cache_invalidations").as_uint64();
-  m->batched_queries = v.at("batched_queries").as_uint64();
-  m->batch_flushes = v.at("batch_flushes").as_uint64();
-  m->peak_outstanding = v.at("peak_outstanding").as_uint64();
-  // Churn fields arrived after the service-tier fields; same null-fallback.
-  m->role_departures = v.at("role_departures").as_uint64();
-  m->role_elections = v.at("role_elections").as_uint64();
-  m->role_vacancies = v.at("role_vacancies").as_uint64();
-  m->role_fills = v.at("role_fills").as_uint64();
-  m->handoffs_sent = v.at("handoffs_sent").as_uint64();
-  m->handoffs_delivered = v.at("handoffs_delivered").as_uint64();
-  m->handoffs_lost = v.at("handoffs_lost").as_uint64();
-  m->handoff_records_sent = v.at("handoff_records_sent").as_uint64();
-  m->handoff_records_delivered =
-      v.at("handoff_records_delivered").as_uint64();
-  m->handoff_records_expired = v.at("handoff_records_expired").as_uint64();
-  m->handoff_records_in_flight =
-      v.at("handoff_records_in_flight").as_uint64();
-  m->records_at_departure = v.at("records_at_departure").as_uint64();
-  m->churn_active = v.at("churn_active").as_uint64();
+}  // namespace
+
+void Directions::set(JsonValue& object, const char* group,
+                     const std::string& key, JsonValue value, Better better) {
+  object.set(key, std::move(value));
+  if (groups_.at(group).contains(key)) return;
+  JsonValue keys = groups_.at(group);
+  keys.set(key, better_name(better));
+  groups_.set(group, std::move(keys));
 }
 
-JsonValue latency_to_json(const LatencySummary& l) {
+JsonValue metrics_to_json(const RunMetrics& m, Directions& directions) {
   JsonValue o = JsonValue::object();
-  o.set("count", l.count);
-  o.set("mean_ms", l.mean_ms);
-  o.set("min_ms", l.min_ms);
-  o.set("max_ms", l.max_ms);
-  o.set("p50_ms", l.p50_ms);
-  o.set("p90_ms", l.p90_ms);
-  o.set("p95_ms", l.p95_ms);
-  o.set("p99_ms", l.p99_ms);
+  RunMetrics::for_each_field(
+      [&](const MetricSpec& spec, std::uint64_t RunMetrics::*field) {
+        directions.set(o, "metrics", spec.name, m.*field, spec.better);
+      });
   return o;
 }
 
-void latency_from_json(const JsonValue& v, LatencySummary* l) {
-  l->count = v.at("count").as_uint64();
-  l->mean_ms = v.at("mean_ms").as_double();
-  l->min_ms = v.at("min_ms").as_double();
-  l->max_ms = v.at("max_ms").as_double();
-  l->p50_ms = v.at("p50_ms").as_double();
-  // Added after v1 reports shipped; absent in older files.
-  if (v.contains("p90_ms")) l->p90_ms = v.at("p90_ms").as_double();
-  l->p95_ms = v.at("p95_ms").as_double();
-  l->p99_ms = v.at("p99_ms").as_double();
-}
-
-JsonValue engine_to_json(const EngineStats& e) {
+JsonValue engine_to_json(const EngineStats& e, Directions& directions) {
   JsonValue o = JsonValue::object();
-  o.set("events_processed", e.events_processed);
-  o.set("events_scheduled", e.events_scheduled);
-  o.set("peak_queue_depth", e.peak_queue_depth);
-  o.set("sim_time_sec", e.sim_time_sec);
-  o.set("wall_clock_sec", e.wall_clock_sec);
-  o.set("events_per_sec", e.events_per_sec());
-  o.set("broadcasts", e.broadcasts);
-  o.set("broadcasts_per_sec", e.broadcasts_per_sec());
-  o.set("peak_rss_bytes", e.peak_rss_bytes);
-  o.set("table_bytes", e.table_bytes);
-  o.set("trace_events_dropped", e.trace_events_dropped);
-  o.set("trace_spans_dropped", e.trace_spans_dropped);
-  o.set("peak_outstanding_queries", e.peak_outstanding_queries);
+  EngineStats::for_each_key([&](const EngineSpec& spec, auto key) {
+    directions.set(o, gate_group(spec.gate), spec.name, std::invoke(key, e),
+                   spec.better);
+  });
   return o;
-}
-
-void engine_from_json(const JsonValue& v, EngineStats* e) {
-  e->events_processed = v.at("events_processed").as_uint64();
-  e->events_scheduled = v.at("events_scheduled").as_uint64();
-  e->peak_queue_depth = v.at("peak_queue_depth").as_uint64();
-  e->sim_time_sec = v.at("sim_time_sec").as_double();
-  e->wall_clock_sec = v.at("wall_clock_sec").as_double();
-  if (v.contains("trace_events_dropped")) {
-    e->trace_events_dropped = v.at("trace_events_dropped").as_uint64();
-  }
-  if (v.contains("trace_spans_dropped")) {
-    e->trace_spans_dropped = v.at("trace_spans_dropped").as_uint64();
-  }
-  // Added after v1 reports shipped; absent in older files.
-  if (v.contains("broadcasts")) {
-    e->broadcasts = v.at("broadcasts").as_uint64();
-  }
-  if (v.contains("peak_rss_bytes")) {
-    e->peak_rss_bytes = v.at("peak_rss_bytes").as_uint64();
-  }
-  if (v.contains("table_bytes")) {
-    e->table_bytes = v.at("table_bytes").as_uint64();
-  }
-  if (v.contains("peak_outstanding_queries")) {
-    e->peak_outstanding_queries =
-        v.at("peak_outstanding_queries").as_uint64();
-  }
 }
 
 JsonValue derived_metrics_json(const RunMetrics& merged, bool service_tier,
-                               std::size_t replicas) {
+                               std::size_t replicas, Directions& directions) {
   const double n = replicas == 0 ? 1.0 : static_cast<double>(replicas);
   JsonValue o = JsonValue::object();
-  o.set("update_overhead",
-        static_cast<double>(merged.total_update_overhead()) / n);
-  o.set("query_overhead",
-        static_cast<double>(merged.total_query_overhead()) / n);
-  o.set("success_rate", merged.success_rate());
-  o.set("mean_query_latency_ms", merged.query_latency.mean_ms());
-  o.set("query_delay_p50_ms", merged.query_latency.p50_ms());
-  o.set("query_delay_p90_ms", merged.query_latency.p90_ms());
-  o.set("query_delay_p95_ms", merged.query_latency.p95_ms());
-  o.set("query_delay_p99_ms", merged.query_latency.p99_ms());
+  const auto put = [&](const char* key, double value, Better better) {
+    directions.set(o, "derived", key, value, better);
+  };
+  put("update_overhead",
+      static_cast<double>(merged.total_update_overhead()) / n, Better::kLower);
+  put("query_overhead", static_cast<double>(merged.total_query_overhead()) / n,
+      Better::kLower);
+  put("success_rate", merged.success_rate(), Better::kHigher);
+  put("mean_query_latency_ms", merged.query_latency.mean_ms(), Better::kLower);
+  put("query_delay_p50_ms", merged.query_latency.p50_ms(), Better::kLower);
+  put("query_delay_p90_ms", merged.query_latency.p90_ms(), Better::kLower);
+  put("query_delay_p95_ms", merged.query_latency.p95_ms(), Better::kLower);
+  put("query_delay_p99_ms", merged.query_latency.p99_ms(), Better::kLower);
   if (merged.fault_plan_digest != 0) {
     // Fault-run derived block: only present when a fault plan ran, so
     // fault-free reports are byte-identical to pre-fault builds.
-    o.set("availability", merged.availability());
-    o.set("recovery_ms", merged.recovery_ms());
-    o.set("queries_stranded", static_cast<double>(merged.queries_stranded) / n);
+    put("availability", merged.availability(), Better::kHigher);
+    put("recovery_ms", merged.recovery_ms(), Better::kLower);
+    put("queries_stranded", static_cast<double>(merged.queries_stranded) / n,
+        Better::kLower);
   }
   if (merged.churn_active != 0) {
     // Churn derived block: only present when parked hosting ran, so
     // churn-free reports are byte-identical to pre-churn builds.
-    o.set("handoff_record_delivery_rate",
-          merged.handoff_record_delivery_rate());
-    o.set("role_departures", static_cast<double>(merged.role_departures) / n);
-    o.set("role_continuity",
-          merged.role_departures == 0
-              ? 1.0
-              : static_cast<double>(merged.role_elections) /
-                    static_cast<double>(merged.role_departures));
+    put("handoff_record_delivery_rate", merged.handoff_record_delivery_rate(),
+        Better::kHigher);
+    put("role_departures", static_cast<double>(merged.role_departures) / n,
+        Better::kUnchanged);
+    put("role_continuity",
+        merged.role_departures == 0
+            ? 1.0
+            : static_cast<double>(merged.role_elections) /
+                  static_cast<double>(merged.role_departures),
+        Better::kHigher);
   }
   if (service_tier && merged.queries_offered > 0) {
     // Service-tier derived block: only present when the tier ran, so
     // tier-free reports stay byte-identical to pre-tier builds.
-    o.set("served_rate", merged.served_rate());
-    o.set("shed_rate", static_cast<double>(merged.queries_shed) /
-                           static_cast<double>(merged.queries_offered));
-    o.set("cache_hit_rate",
-          merged.cache_hits + merged.cache_misses == 0
-              ? 0.0
-              : static_cast<double>(merged.cache_hits) /
-                    static_cast<double>(merged.cache_hits +
-                                        merged.cache_misses));
+    put("served_rate", merged.served_rate(), Better::kHigher);
+    put("shed_rate",
+        static_cast<double>(merged.queries_shed) /
+            static_cast<double>(merged.queries_offered),
+        Better::kLower);
+    put("cache_hit_rate",
+        merged.cache_hits + merged.cache_misses == 0
+            ? 0.0
+            : static_cast<double>(merged.cache_hits) /
+                  static_cast<double>(merged.cache_hits + merged.cache_misses),
+        Better::kHigher);
   }
   return o;
 }
 
-JsonValue RunReport::to_json() const {
+JsonValue run_report_json(const std::string& protocol,
+                          const ScenarioConfig& cfg, const RunMetrics& metrics,
+                          const EngineStats& engine, Directions& directions) {
   JsonValue o = JsonValue::object();
   o.set("protocol", protocol);
-  o.set("config", scenario_to_json(config));
-  o.set("metrics", metrics_to_json(metrics));
-  o.set("latency", latency_to_json(latency));
-  o.set("engine", engine_to_json(engine));
-  if (!observability.is_null()) o.set("observability", observability);
-  if (!profile.is_null()) o.set("profile", profile);
+  o.set("config", scenario_to_json(cfg));
+  o.set("metrics", metrics_to_json(metrics, directions));
+  o.set("latency", latency_to_json(metrics.query_latency, directions));
+  o.set("engine", engine_to_json(engine, directions));
   return o;
-}
-
-bool RunReport::from_json(const JsonValue& v, RunReport* out,
-                          std::string* error) {
-  if (!v.is_object()) {
-    if (error != nullptr) *error = "run report is not a JSON object";
-    return false;
-  }
-  for (const char* key : {"protocol", "config", "metrics", "latency", "engine"}) {
-    if (!v.contains(key)) {
-      if (error != nullptr) {
-        *error = std::string("run report missing field '") + key + "'";
-      }
-      return false;
-    }
-  }
-  if (!v.at("config").is_object() || !v.at("metrics").is_object() ||
-      !v.at("latency").is_object() || !v.at("engine").is_object()) {
-    if (error != nullptr) *error = "run report field has wrong type";
-    return false;
-  }
-  *out = RunReport{};
-  out->protocol = v.at("protocol").as_string();
-  scenario_from_json(v.at("config"), &out->config);
-  metrics_from_json(v.at("metrics"), &out->metrics);
-  latency_from_json(v.at("latency"), &out->latency);
-  engine_from_json(v.at("engine"), &out->engine);
-  if (v.contains("observability")) out->observability = v.at("observability");
-  if (v.contains("profile")) out->profile = v.at("profile");
-  return true;
-}
-
-RunReport make_run_report(Protocol protocol, const ScenarioConfig& cfg,
-                          const RunMetrics& metrics, const EngineStats& engine) {
-  RunReport r;
-  r.protocol = protocol_name(protocol);
-  r.config = cfg;
-  r.metrics = metrics;
-  r.latency = LatencySummary::from(metrics.query_latency);
-  r.engine = engine;
-  return r;
 }
 
 }  // namespace hlsrg

@@ -1,11 +1,14 @@
-// RunReport: the machine-readable record of one measured run — scenario
-// configuration, protocol metrics, latency summary, and engine statistics.
-// Every bench emits these inside its BENCH_<name>.json; scenario_cli emits
-// one per invocation. The schema is documented in docs/PROTOCOL.md
-// ("Bench report JSON schema") and versioned via kBenchSchema.
+// Run report writers: the machine-readable record of one measured run —
+// scenario configuration, protocol metrics, latency summary, engine
+// statistics and derived headline figures — plus the `directions` block that
+// tells scripts/bench_compare.py which way each key is better. Every bench
+// emits these inside its BENCH_<name>.json; scenario_cli emits one per
+// invocation. The schema is documented in docs/PROTOCOL.md ("Bench JSON
+// reports") and versioned via kBenchSchema; the metric and engine fields
+// are the tables in sim/counters.h.
 #pragma once
 
-#include <optional>
+#include <cstddef>
 #include <string>
 
 #include "harness/scenario.h"
@@ -18,58 +21,35 @@ namespace hlsrg {
 // backward compatible and do not bump it.
 inline constexpr const char* kBenchSchema = "hlsrg-bench/v1";
 
-// Compact latency digest (LatencyStat keeps raw samples; reports keep the
-// order statistics the figures use).
-struct LatencySummary {
-  std::uint64_t count = 0;
-  double mean_ms = 0.0;
-  double min_ms = 0.0;
-  double max_ms = 0.0;
-  double p50_ms = 0.0;
-  double p90_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
+// The `directions` block of a report. Its groups are the report objects
+// "metrics", "latency", "engine" and "derived", plus "timing" and "memory",
+// which hold the keys of the "engine" object that bench_compare.py gates
+// separately. Each group maps a key to "higher", "lower" or "unchanged".
+class Directions {
+ public:
+  // Sets object[key] = value and records the key's direction in `group`.
+  void set(JsonValue& object, const char* group, const std::string& key,
+           JsonValue value, Better better);
 
-  [[nodiscard]] static LatencySummary from(const LatencyStat& stat);
+  [[nodiscard]] const JsonValue& json() const { return groups_; }
+
+ private:
+  JsonValue groups_ = JsonValue::object();
 };
 
-struct RunReport {
-  std::string protocol;    // "HLSRG" / "RLSMP" / "FLOOD"
-  ScenarioConfig config;   // the serialized subset round-trips; see to_json
-  RunMetrics metrics;      // counters only; latency lives in `latency`
-  LatencySummary latency;
-  EngineStats engine;
-  // Optional observability payload (trace/metrics.h registry_to_json):
-  // counters, gauges, latency histograms, and time series. Null when the run
-  // produced none; carried through to_json/from_json verbatim.
-  JsonValue observability;
-  // Optional wall-clock phase profile (obs/profiler.h to_json). Null unless
-  // the run profiled; carried through verbatim like `observability`.
-  JsonValue profile;
-
-  [[nodiscard]] JsonValue to_json() const;
-  // Inverse of to_json for the serialized field set; unknown fields are
-  // ignored, missing fields keep their defaults. Returns false (and fills
-  // *error) when `v` is not an object or a field has the wrong type shape.
-  static bool from_json(const JsonValue& v, RunReport* out,
-                        std::string* error = nullptr);
-};
-
-// Builds a report from one finished measurement.
-[[nodiscard]] RunReport make_run_report(Protocol protocol,
+// One measured run: protocol, config, metrics, latency (from
+// metrics.query_latency) and engine. Callers append observability, profile
+// and their own keys.
+[[nodiscard]] JsonValue run_report_json(const std::string& protocol,
                                         const ScenarioConfig& cfg,
                                         const RunMetrics& metrics,
-                                        const EngineStats& engine);
+                                        const EngineStats& engine,
+                                        Directions& directions);
 
-// --- serialization pieces (shared by RunReport and the bench driver) --------
-[[nodiscard]] JsonValue scenario_to_json(const ScenarioConfig& cfg);
-void scenario_from_json(const JsonValue& v, ScenarioConfig* cfg);
-[[nodiscard]] JsonValue metrics_to_json(const RunMetrics& m);
-void metrics_from_json(const JsonValue& v, RunMetrics* m);
-[[nodiscard]] JsonValue latency_to_json(const LatencySummary& l);
-void latency_from_json(const JsonValue& v, LatencySummary* l);
-[[nodiscard]] JsonValue engine_to_json(const EngineStats& e);
-void engine_from_json(const JsonValue& v, EngineStats* e);
+[[nodiscard]] JsonValue metrics_to_json(const RunMetrics& m,
+                                        Directions& directions);
+[[nodiscard]] JsonValue engine_to_json(const EngineStats& e,
+                                       Directions& directions);
 
 // The headline derived metrics every figure plots, as a JSON object:
 // update_overhead, query_overhead, success_rate, mean_query_latency_ms.
@@ -78,6 +58,7 @@ void engine_from_json(const JsonValue& v, EngineStats* e);
 // the counter) decides whether tier fields appear in the report.
 [[nodiscard]] JsonValue derived_metrics_json(const RunMetrics& merged,
                                              bool service_tier,
-                                             std::size_t replicas);
+                                             std::size_t replicas,
+                                             Directions& directions);
 
 }  // namespace hlsrg

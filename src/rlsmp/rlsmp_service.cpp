@@ -74,8 +74,6 @@ ServiceStats RlsmpService::service_stats() const {
     s.table_bytes += agent.table_bytes();
   }
   s.table_bytes += registry_->bytes();
-  // RLSMP has no RSU serving tier; only admission shedding can apply.
-  s.shed_queries = sim_->metrics().queries_shed + sim_->metrics().retries_shed;
   return s;
 }
 

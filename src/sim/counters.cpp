@@ -2,9 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <type_traits>
 
 namespace hlsrg {
+
+namespace {
+
+template <typename T>
+void merge_value(MergeRule rule, T& into, T from) {
+  into = rule == MergeRule::kMax ? std::max(into, from) : into + from;
+}
+
+}  // namespace
 
 void LatencyStat::add(SimTime sample) {
   const std::int64_t us = sample.us();
@@ -64,92 +73,21 @@ void LatencyStat::merge(const LatencyStat& other) {
 }
 
 void EngineStats::merge(const EngineStats& other) {
-  events_processed += other.events_processed;
-  events_scheduled += other.events_scheduled;
-  peak_queue_depth = std::max(peak_queue_depth, other.peak_queue_depth);
-  broadcasts += other.broadcasts;
-  peak_rss_bytes = std::max(peak_rss_bytes, other.peak_rss_bytes);
-  // Replicas each hold a full copy of the world; the max is the footprint a
-  // single replica needs, which is what the memory gate compares.
-  table_bytes = std::max(table_bytes, other.table_bytes);
-  trace_events_dropped += other.trace_events_dropped;
-  trace_spans_dropped += other.trace_spans_dropped;
-  peak_outstanding_queries =
-      std::max(peak_outstanding_queries, other.peak_outstanding_queries);
-  sim_time_sec += other.sim_time_sec;
-  wall_clock_sec += other.wall_clock_sec;
+  for_each_key([&](const EngineSpec& spec, auto key) {
+    // Rates are member functions of the merged fields, not merged.
+    if constexpr (std::is_member_object_pointer_v<decltype(key)>) {
+      merge_value(spec.merge, this->*key, other.*key);
+    }
+  });
 }
 
 void RunMetrics::merge(const RunMetrics& other) {
-  update_packets_originated += other.update_packets_originated;
-  update_transmissions += other.update_transmissions;
-  aggregation_packets += other.aggregation_packets;
-  aggregation_transmissions += other.aggregation_transmissions;
-  queries_issued += other.queries_issued;
-  queries_succeeded += other.queries_succeeded;
-  queries_failed += other.queries_failed;
-  query_packets_originated += other.query_packets_originated;
-  query_transmissions += other.query_transmissions;
-  server_lookup_hits += other.server_lookup_hits;
-  server_lookup_misses += other.server_lookup_misses;
-  rsu_lookup_hits += other.rsu_lookup_hits;
-  rsu_lookup_misses += other.rsu_lookup_misses;
-  notifications_sent += other.notifications_sent;
-  acks_sent += other.acks_sent;
-  radio_broadcasts += other.radio_broadcasts;
-  radio_unicasts += other.radio_unicasts;
-  radio_drops += other.radio_drops;
-  wired_messages += other.wired_messages;
-  gpsr_failures += other.gpsr_failures;
-  wired_drops += other.wired_drops;
-  rsu_suppressed += other.rsu_suppressed;
-  query_retries += other.query_retries;
-  query_failovers += other.query_failovers;
-  queries_stranded += other.queries_stranded;
-  fault_queries_issued += other.fault_queries_issued;
-  fault_queries_ok += other.fault_queries_ok;
-  recovery_time_us += other.recovery_time_us;
-  recovery_windows += other.recovery_windows;
-  // Replicas of one sweep share a plan; keep the (common) nonzero digest.
-  fault_plan_digest = std::max(fault_plan_digest, other.fault_plan_digest);
-  queries_offered += other.queries_offered;
-  queries_shed += other.queries_shed;
-  retries_shed += other.retries_shed;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_invalidations += other.cache_invalidations;
-  batched_queries += other.batched_queries;
-  batch_flushes += other.batch_flushes;
-  // Replicas run in separate worlds; the fleet-wide peak is the worst one.
-  peak_outstanding = std::max(peak_outstanding, other.peak_outstanding);
-  role_departures += other.role_departures;
-  role_elections += other.role_elections;
-  role_vacancies += other.role_vacancies;
-  role_fills += other.role_fills;
-  handoffs_sent += other.handoffs_sent;
-  handoffs_delivered += other.handoffs_delivered;
-  handoffs_lost += other.handoffs_lost;
-  handoff_records_sent += other.handoff_records_sent;
-  handoff_records_delivered += other.handoff_records_delivered;
-  handoff_records_expired += other.handoff_records_expired;
-  handoff_records_in_flight += other.handoff_records_in_flight;
-  records_at_departure += other.records_at_departure;
-  // Like fault_plan_digest: a common marker across replicas of one sweep.
-  churn_active = std::max(churn_active, other.churn_active);
+  for_each_field(
+      [&](const MetricSpec& spec, std::uint64_t RunMetrics::*field) {
+        merge_value(spec.merge, this->*field, other.*field);
+      });
   channel.merge(other.channel);
   query_latency.merge(other.query_latency);
-}
-
-std::string RunMetrics::summary() const {
-  std::ostringstream os;
-  os << "updates=" << update_packets_originated
-     << " (tx=" << update_transmissions << ")"
-     << " aggregation=" << aggregation_packets
-     << " queries=" << queries_issued << " ok=" << queries_succeeded
-     << " fail=" << queries_failed << " query_tx=" << query_transmissions
-     << " wired=" << wired_messages
-     << " mean_query_ms=" << query_latency.mean_ms();
-  return os.str();
 }
 
 }  // namespace hlsrg

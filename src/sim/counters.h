@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/time.h"
@@ -113,138 +112,249 @@ class LatencyStat {
   mutable bool sorted_ = false;
 };
 
-// Engine-level execution statistics for one run: how much work the
-// discrete-event core did and how fast the host executed it. Protocol
-// metrics (RunMetrics) describe the simulated world; EngineStats describe
-// the simulator itself — the bench reports emit both so perf PRs are
-// measurable.
-struct EngineStats {
-  std::uint64_t events_processed = 0;   // events dispatched by the queue
-  std::uint64_t events_scheduled = 0;   // events ever scheduled
-  std::uint64_t peak_queue_depth = 0;   // pending-event high-water mark
-  std::uint64_t broadcasts = 0;         // radio broadcast transmissions
-  std::uint64_t peak_rss_bytes = 0;     // process RSS high-water mark
-  std::uint64_t table_bytes = 0;        // protocol-table + registry heap
-                                        // bytes at end of run
-  std::uint64_t trace_events_dropped = 0;  // trace records past the cap
-  std::uint64_t trace_spans_dropped = 0;   // spans past the cap
-  std::uint64_t peak_outstanding_queries = 0;  // unsettled-query high-water
-                                               // mark (admission pressure)
-  double sim_time_sec = 0.0;            // simulated horizon covered
-  double wall_clock_sec = 0.0;          // host time spent running the replica
+// --- the metric field tables --------------------------------------------------
+// Every RunMetrics and EngineStats field is declared once, in the two tables
+// below. Each row names the field and carries what every consumer needs: how
+// replicas merge it, when the determinism digest mixes it, and in which
+// direction a regression gate calls it better. The struct members, the
+// merge functions, the digest mix (harness/digest.cpp), the report JSON and
+// its `directions` block (report/run_report.cpp) all derive from the rows.
+// Row order is the report key order and, within a digest group, the mixing
+// order, so reordering rows changes both.
 
-  // Host throughput; 0 when wall-clock was not captured.
-  [[nodiscard]] double events_per_sec() const {
-    return wall_clock_sec > 0.0
-               ? static_cast<double>(events_processed) / wall_clock_sec
-               : 0.0;
-  }
-  [[nodiscard]] double broadcasts_per_sec() const {
-    return wall_clock_sec > 0.0
-               ? static_cast<double>(broadcasts) / wall_clock_sec
-               : 0.0;
-  }
-
-  // Aggregates replicas: counts and times sum, peaks take the max (replicas
-  // run concurrently, so depths never stack in one queue, and RSS is a
-  // process-wide high-water mark to begin with).
-  void merge(const EngineStats& other);
+// How a field combines across replicas.
+enum class MergeRule : std::uint8_t {
+  kSum,      // counts and times add up
+  kMax,      // peaks and per-sweep markers keep the largest replica's value
+  kDerived,  // an EngineStats rate, recomputed from the merged fields
 };
 
-// All metrics for one simulation run. Semantics:
+// The direction in which a value is better, for regression gates
+// (scripts/bench_compare.py). kUnchanged: a move either way counts against.
+enum class Better : std::uint8_t { kHigher, kLower, kUnchanged };
+
+// When a RunMetrics field joins the determinism digest.
+enum class DigestGroup : std::uint8_t {
+  kAlways,  // in every run
+  kFault,   // only when a fault plan ran (fault_plan_digest != 0)
+  kChurn,   // only when the churn subsystem ran (churn_active != 0)
+  kNone,    // never (fault_plan_digest is mixed by hand, first in kFault)
+};
+
+// Which bench_compare.py gate owns an EngineStats key.
+enum class EngineGate : std::uint8_t {
+  kEngine,  // deterministic engine counts (--include-engine)
+  kTiming,  // host-time measurements (--include-timing)
+  kMemory,  // footprint (the "memory" group)
+};
+
+struct MetricSpec {
+  const char* name;
+  MergeRule merge;
+  DigestGroup digest;
+  Better better;
+};
+
+struct EngineSpec {
+  const char* name;
+  MergeRule merge;
+  EngineGate gate;
+  Better better;
+};
+
+// EngineStats keys. F(type, name, merge, gate, better) declares a field;
+// R(name, numerator) declares a host rate, numerator per wall-clock second
+// (0 when the wall clock was not captured), reported where it is listed.
+// Rates are timing-gated and higher is better. Peaks take the max: replicas
+// run in separate queues, RSS is a process-wide high-water mark to begin
+// with, and each replica holds a full copy of the world, so the largest
+// table_bytes is the footprint one replica needs (what the memory gate
+// compares).
+#define HLSRG_ENGINE_STATS(F, R)                                         \
+  /* events dispatched by the queue */                                   \
+  F(std::uint64_t, events_processed, kSum, kEngine, kUnchanged)          \
+  /* events ever scheduled */                                            \
+  F(std::uint64_t, events_scheduled, kSum, kEngine, kUnchanged)          \
+  /* pending-event high-water mark */                                    \
+  F(std::uint64_t, peak_queue_depth, kMax, kEngine, kUnchanged)          \
+  /* simulated horizon covered */                                        \
+  F(double, sim_time_sec, kSum, kTiming, kUnchanged)                     \
+  /* host time spent running the replica */                              \
+  F(double, wall_clock_sec, kSum, kTiming, kLower)                       \
+  R(events_per_sec, events_processed)                                    \
+  /* radio broadcast transmissions */                                    \
+  F(std::uint64_t, broadcasts, kSum, kEngine, kUnchanged)                \
+  R(broadcasts_per_sec, broadcasts)                                      \
+  /* process RSS high-water mark */                                      \
+  F(std::uint64_t, peak_rss_bytes, kMax, kMemory, kLower)                \
+  /* protocol-table + registry heap bytes at end of run */               \
+  F(std::uint64_t, table_bytes, kMax, kMemory, kLower)                   \
+  /* trace records past the cap */                                       \
+  F(std::uint64_t, trace_events_dropped, kSum, kEngine, kLower)          \
+  /* spans past the cap */                                               \
+  F(std::uint64_t, trace_spans_dropped, kSum, kEngine, kLower)           \
+  /* unsettled-query high-water mark (admission pressure) */             \
+  F(std::uint64_t, peak_outstanding_queries, kMax, kEngine, kUnchanged)
+
+// RunMetrics counters: X(name, merge, digest, better). Semantics:
 //   *_originated : packets created by their source (what the paper counts as
 //                  "number of location update packets").
 //   *_transmissions : every radio transmission, including forwards/rebroadcasts
 //                  (overhead in airtime terms).
+// Churn conservation laws (ChurnAuditor), holding at every instant:
+//   records_at_departure == handoff_records_delivered
+//                           + handoff_records_expired
+//                           + handoff_records_in_flight
+//   role_departures == role_elections + role_vacancies
+// In-flight records settle when their handoff packet is delivered (merged),
+// suppressed at a crashed receiver, or lost after MAC retries.
+#define HLSRG_RUN_METRICS(X)                                             \
+  /* --- location update traffic --- */                                  \
+  X(update_packets_originated, kSum, kAlways, kUnchanged)                \
+  X(update_transmissions, kSum, kAlways, kUnchanged)                     \
+  /* hierarchy maintenance: L1 table handoffs/pushes, L2->L3 merges */   \
+  /* (HLSRG); leader->LSC aggregation (RLSMP) */                         \
+  X(aggregation_packets, kSum, kAlways, kUnchanged)                      \
+  X(aggregation_transmissions, kSum, kAlways, kUnchanged)                \
+  /* --- query traffic --- */                                            \
+  X(queries_issued, kSum, kAlways, kUnchanged)                           \
+  X(queries_succeeded, kSum, kAlways, kHigher)                           \
+  X(queries_failed, kSum, kAlways, kLower)                               \
+  /* request + notification + ACK; all hops of those */                  \
+  X(query_packets_originated, kSum, kAlways, kUnchanged)                 \
+  X(query_transmissions, kSum, kAlways, kUnchanged)                      \
+  /* --- protocol-event accounting (diagnosis + tests) --- */            \
+  /* L1 center / LSC table hit; miss = forwarded up / spiral */          \
+  X(server_lookup_hits, kSum, kAlways, kUnchanged)                       \
+  X(server_lookup_misses, kSum, kAlways, kUnchanged)                     \
+  /* L2/L3 RSU table hit / miss */                                       \
+  X(rsu_lookup_hits, kSum, kAlways, kUnchanged)                          \
+  X(rsu_lookup_misses, kSum, kAlways, kUnchanged)                        \
+  /* geocasts toward Dv; Dv answered */                                  \
+  X(notifications_sent, kSum, kAlways, kUnchanged)                       \
+  X(acks_sent, kSum, kAlways, kUnchanged)                                \
+  /* --- radio-level accounting --- */                                   \
+  /* one-hop broadcast transmissions; GPSR hop transmissions */          \
+  X(radio_broadcasts, kSum, kAlways, kUnchanged)                         \
+  X(radio_unicasts, kSum, kAlways, kUnchanged)                           \
+  /* receptions lost to the channel */                                   \
+  X(radio_drops, kSum, kAlways, kLower)                                  \
+  /* RSU backhaul messages */                                            \
+  X(wired_messages, kSum, kAlways, kUnchanged)                           \
+  /* unicast abandoned (no route) */                                     \
+  X(gpsr_failures, kSum, kAlways, kLower)                                \
+  /* --- fault + degradation accounting (src/fault) --- */               \
+  /* wired sends lost: no path, cut link, or down endpoint */            \
+  X(wired_drops, kSum, kFault, kLower)                                   \
+  /* packets arriving at a crashed RSU */                                \
+  X(rsu_suppressed, kSum, kFault, kUnchanged)                            \
+  /* request re-issues (attempt > 1) */                                  \
+  X(query_retries, kSum, kFault, kUnchanged)                             \
+  /* sends escalated around a dead component (RSU / wired path) */       \
+  X(query_failovers, kSum, kFault, kUnchanged)                           \
+  /* unsettled at the run horizon */                                     \
+  X(queries_stranded, kSum, kNone, kLower)                               \
+  /* issued during a fault window; of those, succeeded */                \
+  X(fault_queries_issued, kSum, kNone, kUnchanged)                       \
+  X(fault_queries_ok, kSum, kNone, kUnchanged)                           \
+  /* sum of fault-clear -> first-success gaps over recovered windows */  \
+  X(recovery_time_us, kSum, kNone, kUnchanged)                           \
+  /* finite fault windows with a post-clearance success */               \
+  X(recovery_windows, kSum, kNone, kUnchanged)                           \
+  /* FNV digest of the active fault schedule, 0 = no faults; common */   \
+  /* to the replicas of one sweep. Nonzero, it is mixed first and */     \
+  /* gates the kFault block, so zero-fault runs hash byte-identically */ \
+  /* with fault-unaware builds. */                                       \
+  X(fault_plan_digest, kMax, kNone, kUnchanged)                          \
+  /* --- service-tier accounting (src/service) --- */                    \
+  /* submissions seen by QueryAdmission */                               \
+  X(queries_offered, kSum, kNone, kUnchanged)                            \
+  /* new queries refused under overload */                               \
+  X(queries_shed, kSum, kNone, kLower)                                   \
+  /* retry attempts refused (the query then fails, never hangs) */       \
+  X(retries_shed, kSum, kNone, kLower)                                   \
+  /* RSU hot-destination cache answered; probed, no fresh entry */       \
+  X(cache_hits, kSum, kNone, kUnchanged)                                 \
+  X(cache_misses, kSum, kNone, kUnchanged)                               \
+  /* cache entries evicted by a fresher update */                        \
+  X(cache_invalidations, kSum, kNone, kUnchanged)                        \
+  /* queries that rode a batch flush; wired batch lookups sent */        \
+  X(batched_queries, kSum, kNone, kUnchanged)                            \
+  X(batch_flushes, kSum, kNone, kUnchanged)                              \
+  /* unsettled-query high-water mark; fleet-wide, the worst replica */   \
+  X(peak_outstanding, kMax, kNone, kLower)                               \
+  /* --- infrastructure churn (parked-cars-as-RSUs, src/core) --- */     \
+  /* hosts that left an L2/L3 role */                                    \
+  X(role_departures, kSum, kChurn, kUnchanged)                           \
+  /* successor bound at departure time */                                \
+  X(role_elections, kSum, kChurn, kUnchanged)                            \
+  /* departures that left the role down */                               \
+  X(role_vacancies, kSum, kChurn, kLower)                                \
+  /* vacant roles re-staffed later */                                    \
+  X(role_fills, kSum, kChurn, kUnchanged)                                \
+  /* kRoleHandoff packets sent; merged by the receiver; lost, */         \
+  /* suppressed or unreachable */                                        \
+  X(handoffs_sent, kSum, kChurn, kUnchanged)                             \
+  X(handoffs_delivered, kSum, kChurn, kUnchanged)                        \
+  X(handoffs_lost, kSum, kChurn, kLower)                                 \
+  /* records riding a handoff; merged at the receiver */                 \
+  X(handoff_records_sent, kSum, kChurn, kUnchanged)                      \
+  X(handoff_records_delivered, kSum, kChurn, kUnchanged)                 \
+  /* records ledger-accounted as expired (abrupt departure, lost */      \
+  /* packet, no absorber) */                                             \
+  X(handoff_records_expired, kSum, kChurn, kLower)                       \
+  /* sent, not settled */                                                \
+  X(handoff_records_in_flight, kSum, kChurn, kUnchanged)                 \
+  /* records held by leaving hosts */                                    \
+  X(records_at_departure, kSum, kChurn, kUnchanged)                      \
+  /* nonzero when the churn subsystem ran (ChurnManager constructed); */ \
+  /* gates the kChurn block as fault_plan_digest gates kFault */         \
+  X(churn_active, kMax, kNone, kUnchanged)
+
+// Engine-level execution statistics for one run: how much work the
+// discrete-event core did and how fast the host executed it. Protocol
+// metrics (RunMetrics) describe the simulated world; EngineStats describe
+// the simulator itself — the bench reports emit both so perf PRs are
+// measurable. The members are the rows of HLSRG_ENGINE_STATS.
+struct EngineStats {
+#define HLSRG_ENGINE_FIELD(type, name, merge, gate, better) type name = 0;
+#define HLSRG_ENGINE_RATE(name, numerator)                        \
+  [[nodiscard]] double name() const {                             \
+    return wall_clock_sec > 0.0                                   \
+               ? static_cast<double>(numerator) / wall_clock_sec  \
+               : 0.0;                                             \
+  }
+  HLSRG_ENGINE_STATS(HLSRG_ENGINE_FIELD, HLSRG_ENGINE_RATE)
+#undef HLSRG_ENGINE_FIELD
+#undef HLSRG_ENGINE_RATE
+
+  // Calls f(spec, key) for every row in report order. `key` points to the
+  // data member of a field or to the member function of a rate;
+  // std::invoke(key, stats) reads either.
+  template <typename F>
+  static void for_each_key(F&& f) {
+#define HLSRG_ENGINE_FIELD(type, name, merge, gate, better)                \
+  f(EngineSpec{#name, MergeRule::merge, EngineGate::gate, Better::better}, \
+    &EngineStats::name);
+#define HLSRG_ENGINE_RATE(name, numerator)                         \
+  f(EngineSpec{#name, MergeRule::kDerived, EngineGate::kTiming,    \
+               Better::kHigher},                                   \
+    &EngineStats::name);
+    HLSRG_ENGINE_STATS(HLSRG_ENGINE_FIELD, HLSRG_ENGINE_RATE)
+#undef HLSRG_ENGINE_FIELD
+#undef HLSRG_ENGINE_RATE
+  }
+
+  // Aggregates replicas, each field by its merge rule.
+  void merge(const EngineStats& other);
+};
+
+// All metrics for one simulation run: the HLSRG_RUN_METRICS counters, the
+// channel ledger and the query latency samples.
 struct RunMetrics {
-  // --- location update traffic ---
-  std::uint64_t update_packets_originated = 0;
-  std::uint64_t update_transmissions = 0;
-  // Hierarchy maintenance: L1 table handoffs/pushes, L2->L3 merges (HLSRG);
-  // leader->LSC aggregation (RLSMP).
-  std::uint64_t aggregation_packets = 0;
-  std::uint64_t aggregation_transmissions = 0;
-
-  // --- query traffic ---
-  std::uint64_t queries_issued = 0;
-  std::uint64_t queries_succeeded = 0;
-  std::uint64_t queries_failed = 0;
-  std::uint64_t query_packets_originated = 0;  // request + notification + ACK
-  std::uint64_t query_transmissions = 0;       // all hops of the above
-
-  // --- protocol-event accounting (diagnosis + tests) ---
-  std::uint64_t server_lookup_hits = 0;    // L1 center / LSC table hit
-  std::uint64_t server_lookup_misses = 0;  // ... miss (forwarded up / spiral)
-  std::uint64_t rsu_lookup_hits = 0;       // L2/L3 RSU table hit
-  std::uint64_t rsu_lookup_misses = 0;
-  std::uint64_t notifications_sent = 0;    // geocasts toward Dv
-  std::uint64_t acks_sent = 0;             // Dv answered
-
-  // --- radio-level accounting ---
-  std::uint64_t radio_broadcasts = 0;   // one-hop broadcast transmissions
-  std::uint64_t radio_unicasts = 0;     // GPSR hop transmissions
-  std::uint64_t radio_drops = 0;        // receptions lost to the channel
-  std::uint64_t wired_messages = 0;     // RSU backhaul messages
-  std::uint64_t gpsr_failures = 0;      // unicast abandoned (no route)
-
-  // --- fault + degradation accounting (src/fault) ---
-  std::uint64_t wired_drops = 0;        // wired sends lost: no path, cut
-                                        // link, or down endpoint
-  std::uint64_t rsu_suppressed = 0;     // packets arriving at a crashed RSU
-  std::uint64_t query_retries = 0;      // request re-issues (attempt > 1)
-  std::uint64_t query_failovers = 0;    // sends escalated around a dead
-                                        // component (RSU / wired path)
-  std::uint64_t queries_stranded = 0;   // unsettled at the run horizon
-  std::uint64_t fault_queries_issued = 0;  // issued during a fault window
-  std::uint64_t fault_queries_ok = 0;      // ... of those, succeeded
-  std::uint64_t recovery_time_us = 0;   // sum of fault-clear -> first-success
-                                        // gaps over recovered windows
-  std::uint64_t recovery_windows = 0;   // finite fault windows with a
-                                        // post-clearance success
-  // FNV digest of the active fault schedule; 0 = no faults scheduled. Folded
-  // into the determinism digest only when nonzero, so zero-fault runs stay
-  // byte-identical with fault-unaware builds.
-  std::uint64_t fault_plan_digest = 0;
-
-  // --- service-tier accounting (src/service) ---
-  std::uint64_t queries_offered = 0;    // submissions seen by QueryAdmission
-  std::uint64_t queries_shed = 0;       // new queries refused under overload
-  std::uint64_t retries_shed = 0;       // retry attempts refused (the query
-                                        // then fails, never hangs silently)
-  std::uint64_t cache_hits = 0;         // RSU hot-destination cache answered
-  std::uint64_t cache_misses = 0;       // cache probed, no fresh entry
-  std::uint64_t cache_invalidations = 0;  // entries evicted by fresher update
-  std::uint64_t batched_queries = 0;    // queries that rode a batch flush
-  std::uint64_t batch_flushes = 0;      // wired batch lookups sent
-  std::uint64_t peak_outstanding = 0;   // unsettled-query high-water mark
-
-  // --- infrastructure-churn accounting (parked-cars-as-RSUs, src/core) ---
-  // Record conservation law (ChurnAuditor):
-  //   records_at_departure == handoff_records_delivered
-  //                           + handoff_records_expired
-  //                           + handoff_records_in_flight
-  // holds at every instant — in-flight records settle when their handoff
-  // packet is delivered (merged), suppressed at a crashed receiver, or lost
-  // after MAC retries. Role law: role_departures == role_elections +
-  // role_vacancies.
-  std::uint64_t role_departures = 0;    // hosts that left an L2/L3 role
-  std::uint64_t role_elections = 0;     // successor bound at departure time
-  std::uint64_t role_vacancies = 0;     // departures that left the role down
-  std::uint64_t role_fills = 0;         // vacant roles re-staffed later
-  std::uint64_t handoffs_sent = 0;      // kRoleHandoff packets sent
-  std::uint64_t handoffs_delivered = 0; // ... merged by the receiver
-  std::uint64_t handoffs_lost = 0;      // ... lost / suppressed / unreachable
-  std::uint64_t handoff_records_sent = 0;       // records riding a handoff
-  std::uint64_t handoff_records_delivered = 0;  // ... merged at the receiver
-  std::uint64_t handoff_records_expired = 0;    // records ledger-accounted as
-                                                // expired (abrupt departure,
-                                                // lost packet, no absorber)
-  std::uint64_t handoff_records_in_flight = 0;  // gauge: sent, not settled
-  std::uint64_t records_at_departure = 0;       // records held by leaving hosts
-  // Nonzero when the churn subsystem ran (ChurnManager constructed). Gates
-  // the determinism-digest mix of the counters above so zero-churn runs stay
-  // byte-identical with churn-unaware builds (mirrors fault_plan_digest).
-  std::uint64_t churn_active = 0;
+#define HLSRG_RUN_METRIC(name, merge, digest, better) std::uint64_t name = 0;
+  HLSRG_RUN_METRICS(HLSRG_RUN_METRIC)
+#undef HLSRG_RUN_METRIC
 
   // Per-kind channel conservation ledger (offered == delivered + dropped),
   // fed by the radio broadcast/unicast and wired paths that carry a Packet.
@@ -252,6 +362,19 @@ struct RunMetrics {
 
   LatencyStat query_latency;
 
+  // Calls f(spec, field) for every counter in report order; `field` is a
+  // `std::uint64_t RunMetrics::*`.
+  template <typename F>
+  static void for_each_field(F&& f) {
+#define HLSRG_RUN_METRIC(name, merge, digest, better)                          \
+  f(MetricSpec{#name, MergeRule::merge, DigestGroup::digest, Better::better}, \
+    &RunMetrics::name);
+    HLSRG_RUN_METRICS(HLSRG_RUN_METRIC)
+#undef HLSRG_RUN_METRIC
+  }
+
+  // Aggregates replicas: each counter by its merge rule; the ledger and the
+  // latency samples pool.
   void merge(const RunMetrics& other);
 
   // Total control transmissions attributable to updates (Fig 3.2's metric).
@@ -301,8 +424,6 @@ struct RunMetrics {
                : static_cast<double>(handoff_records_delivered) /
                      static_cast<double>(handoff_records_sent);
   }
-
-  [[nodiscard]] std::string summary() const;
 };
 
 }  // namespace hlsrg

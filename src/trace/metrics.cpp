@@ -49,14 +49,6 @@ void Histogram::merge(const Histogram& other) {
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, v] : other.counters_) counters_[name] += v;
-  for (const auto& [name, v] : other.gauges_) {
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-      gauges_[name] = v;
-    } else {
-      it->second = std::max(it->second, v);
-    }
-  }
   for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
   for (const auto& [name, s] : other.series_) {
     series_.emplace(name, s);  // keep-first: no-op when already present
@@ -94,10 +86,6 @@ JsonValue registry_to_json(const MetricsRegistry& reg) {
   JsonValue counters = JsonValue::object();
   for (const auto& [name, v] : reg.counters()) counters.set(name, v);
   out.set("counters", std::move(counters));
-
-  JsonValue gauges = JsonValue::object();
-  for (const auto& [name, v] : reg.gauges()) gauges.set(name, v);
-  out.set("gauges", std::move(gauges));
 
   JsonValue hists = JsonValue::object();
   for (const auto& [name, h] : reg.histograms()) {

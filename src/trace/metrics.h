@@ -1,11 +1,11 @@
-// Named metrics: counters, gauges, log-bucketed latency histograms, and
-// periodic time series.
+// Named metrics: counters, log-bucketed histograms, and periodic time
+// series. Figures RunMetrics already carries are not mirrored here.
 //
 // The registry is the always-on companion to the optional TraceLog: feeding
 // it draws no randomness and allocates only on first use of a name, so it is
 // safe to populate unconditionally without perturbing determinism digests.
 // Names use a dotted lowercase scheme, "<subsystem>.<quantity>[_<unit>]"
-// (e.g. "query.delay_us", "gpsr.route_hops", "world.live_queries") — see
+// (e.g. "gpsr.route_hops", "wired.message_hops", "world.live_queries") — see
 // DESIGN.md §8. Storage is std::map so iteration (and therefore JSON
 // serialization) is sorted and deterministic, and node addresses are stable:
 // hot paths cache the Histogram* once instead of re-hashing the name per
@@ -96,9 +96,6 @@ class MetricsRegistry {
     counters_[name] += delta;
   }
 
-  // Last-write-wins named gauge.
-  void set_gauge(const std::string& name, double v) { gauges_[name] = v; }
-
   // Named histogram; the returned pointer stays valid for the registry's
   // lifetime (std::map nodes don't move) — cache it on hot paths.
   Histogram* histogram(const std::string& name) { return &histograms_[name]; }
@@ -111,9 +108,6 @@ class MetricsRegistry {
   [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const {
     return counters_;
   }
-  [[nodiscard]] const std::map<std::string, double>& gauges() const {
-    return gauges_;
-  }
   [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
@@ -121,19 +115,18 @@ class MetricsRegistry {
     return series_;
   }
 
-  // Cross-replica fold: counters sum, gauges keep the max, histograms merge
-  // bucket-wise, series keep the first replica's samples (per-replica time
-  // axes don't concatenate meaningfully).
+  // Cross-replica fold: counters sum, histograms merge bucket-wise, series
+  // keep the first replica's samples (per-replica time axes don't
+  // concatenate meaningfully).
   void merge(const MetricsRegistry& other);
 
  private:
   std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, TimeSeries> series_;
 };
 
-// JSON shape (report/json.h): {"counters": {...}, "gauges": {...},
+// JSON shape (report/json.h): {"counters": {...},
 // "histograms": {name: {count,mean,min,max,p50,p90,p95,p99,buckets}},
 // "series": {name: {"t_sec": [...], "v": [...]}}.
 [[nodiscard]] JsonValue registry_to_json(const MetricsRegistry& reg);

@@ -452,6 +452,33 @@ TEST(DigestTest, DetectsInjectedSeedReuse) {
   EXPECT_EQ(first_digest_mismatch(good.digests, buggy), 1u);
 }
 
+// Pins state_digest to recorded values: two runs of one build would agree
+// even if the metric mix were reordered or regrouped. The HLSRG world runs a
+// fault plan and churn, so both gated blocks mix. The values were recorded
+// with glibc's libm; positions are hashed bit-exact, so another libm may
+// shift them.
+TEST(DigestTest, PinnedDigestsForFaultChurnAndRlsmpWorlds) {
+  ScenarioConfig cfg = churn_scenario(47);
+  FaultWindow crash;
+  crash.kind = FaultKind::kRsuCrash;
+  crash.begin = SimTime::from_sec(60.0);
+  crash.end = SimTime::from_sec(75.0);
+  crash.level = 3;
+  crash.col = -1;
+  cfg.fault_plan.windows.push_back(crash);
+  World hlsrg(cfg, Protocol::kHlsrg);
+  const RunMetrics& m = hlsrg.run();
+  ASSERT_NE(m.fault_plan_digest, 0u);
+  ASSERT_EQ(m.churn_active, 1u);
+  EXPECT_GT(m.rsu_suppressed + m.query_retries, 0u);
+  EXPECT_GT(m.role_departures, 0u);
+  EXPECT_EQ(state_digest(hlsrg), 0x8b0f01f75f549891ULL);
+
+  World rlsmp(small_scenario(9), Protocol::kRlsmp);
+  rlsmp.run();
+  EXPECT_EQ(state_digest(rlsmp), 0x23569e9b06cb92c3ULL);
+}
+
 TEST(DigestTest, MismatchReportsLengthDifference) {
   const std::vector<std::uint64_t> a{1, 2, 3};
   const std::vector<std::uint64_t> b{1, 2};

@@ -95,15 +95,12 @@ TEST(MetricsRegistryTest, MergeSemantics) {
   MetricsRegistry a, b;
   a.add("x.count", 2);
   b.add("x.count", 3);
-  a.set_gauge("x.gauge", 1.0);
-  b.set_gauge("x.gauge", 4.0);
   a.histogram("x.h")->record(10);
   b.histogram("x.h")->record(20);
   a.sample("x.s", 1.0, 5.0);
   b.sample("x.s", 1.0, 9.0);
   a.merge(b);
   EXPECT_EQ(a.counters().at("x.count"), 5u);
-  EXPECT_EQ(a.gauges().at("x.gauge"), 4.0);       // max wins
   EXPECT_EQ(a.histograms().at("x.h").count(), 2u);  // pooled
   EXPECT_EQ(a.series().at("x.s").values.size(), 1u);  // first replica kept
   EXPECT_EQ(a.series().at("x.s").values[0], 5.0);
@@ -112,13 +109,12 @@ TEST(MetricsRegistryTest, MergeSemantics) {
 TEST(MetricsRegistryTest, JsonShape) {
   MetricsRegistry reg;
   reg.add("a.count", 7);
-  reg.set_gauge("a.gauge", 2.5);
   reg.histogram("a.delay_us")->record(100);
   reg.sample("a.series", 5.0, 3.0);
   const JsonValue v = registry_to_json(reg);
   ASSERT_TRUE(v.is_object());
   EXPECT_EQ(v.at("counters").at("a.count").as_uint64(), 7u);
-  EXPECT_EQ(v.at("gauges").at("a.gauge").as_double(), 2.5);
+  EXPECT_FALSE(v.contains("gauges"));
   const JsonValue& h = v.at("histograms").at("a.delay_us");
   EXPECT_EQ(h.at("count").as_uint64(), 1u);
   EXPECT_EQ(h.at("p50").as_double(), 100.0);
@@ -285,19 +281,16 @@ TEST_F(SpanRunTest, RlsmpAndFloodSpanTreeInvariants) {
   }
 }
 
-TEST_F(SpanRunTest, QueryDelayHistogramMatchesLatencyStat) {
+TEST_F(SpanRunTest, QueryDelayLivesOnlyInLatencyStat) {
   ScenarioConfig cfg = paper_scenario(200, 72);
   World world(cfg, Protocol::kHlsrg);
   const RunMetrics& m = world.run();
+  // One percentile path: the delay is recorded once, in LatencyStat, with
+  // one sample per success; the registry carries no copy of it.
+  EXPECT_EQ(m.query_latency.count(), m.queries_succeeded);
   const auto& hists = world.sim().observability().histograms();
-  ASSERT_TRUE(hists.count("query.delay_us"));
-  const Histogram& h = hists.at("query.delay_us");
-  EXPECT_EQ(h.count(), m.queries_succeeded);
-  if (h.count() > 0) {
-    EXPECT_NEAR(h.mean() / 1000.0, m.query_latency.mean_ms(),
-                0.01 * m.query_latency.mean_ms() + 0.01);
-  }
-  // Route-hop histograms populate too.
+  EXPECT_FALSE(hists.count("query.delay_us"));
+  // Route-hop histograms, which nothing else records, populate.
   ASSERT_TRUE(hists.count("gpsr.route_hops"));
   EXPECT_GT(hists.at("gpsr.route_hops").count(), 0u);
 }
@@ -395,29 +388,30 @@ TEST(ObservabilityReportTest, RunReportCarriesObservabilityAndPercentiles) {
     EXPECT_GE(p.end_sec, p.begin_sec);
   }
 
-  RunReport report =
-      make_run_report(Protocol::kHlsrg, cfg, set.merged, set.engine_total);
-  report.observability = registry_to_json(set.observability);
-  const JsonValue doc = report.to_json();
-  ASSERT_TRUE(doc.contains("observability"));
-  EXPECT_TRUE(
-      doc.at("observability").at("histograms").contains("query.delay_us"));
-  EXPECT_TRUE(doc.at("latency").contains("p90_ms"));
+  Directions directions;
+  JsonValue doc = run_report_json(protocol_name(Protocol::kHlsrg), cfg,
+                                  set.merged, set.engine_total, directions);
+  doc.set("observability", registry_to_json(set.observability));
+  // The registry carries no mirror of a RunMetrics figure: no gauges, and
+  // no second copy of the query delay.
+  const JsonValue& obs = doc.at("observability");
+  EXPECT_FALSE(obs.contains("gauges"));
+  EXPECT_FALSE(obs.at("histograms").contains("query.delay_us"));
+  EXPECT_TRUE(obs.at("histograms").contains("gpsr.route_hops"));
+  EXPECT_DOUBLE_EQ(doc.at("latency").at("p90_ms").as_double(),
+                   set.merged.query_latency.p90_ms());
+  EXPECT_EQ(doc.at("latency").at("count").as_uint64(),
+            set.merged.queries_succeeded);
   EXPECT_TRUE(doc.at("engine").contains("trace_events_dropped"));
 
-  // Round trip.
-  RunReport back;
-  std::string error;
-  ASSERT_TRUE(RunReport::from_json(doc, &back, &error)) << error;
-  EXPECT_FALSE(back.observability.is_null());
-  EXPECT_EQ(back.latency.p90_ms, report.latency.p90_ms);
-
   // Derived metrics expose the delay percentiles the figures want.
-  const JsonValue derived = derived_metrics_json(set.merged, false, 2);
+  const JsonValue derived =
+      derived_metrics_json(set.merged, false, 2, directions);
   for (const char* key : {"query_delay_p50_ms", "query_delay_p90_ms",
                           "query_delay_p95_ms", "query_delay_p99_ms"}) {
     ASSERT_TRUE(derived.contains(key)) << key;
     EXPECT_GE(derived.at(key).as_double(), 0.0);
+    EXPECT_EQ(directions.json().at("derived").at(key).as_string(), "lower");
   }
 }
 

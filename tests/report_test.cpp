@@ -1,6 +1,9 @@
 // Tests for the report subsystem: the JSON document model (writer + parser)
-// and the RunReport serializer round trip.
+// and the run/bench report writers.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <type_traits>
 
 #include "fault/fault_plan.h"
 #include "report/bench_report.h"
@@ -85,27 +88,79 @@ RunMetrics sample_metrics() {
   m.update_packets_originated = 553;
   m.update_transmissions = 1200;
   m.aggregation_packets = 77;
-  m.aggregation_transmissions = 91;
   m.queries_issued = 30;
   m.queries_succeeded = 24;
   m.queries_failed = 6;
-  m.query_packets_originated = 60;
   m.query_transmissions = 2055;
-  m.server_lookup_hits = 18;
-  m.server_lookup_misses = 12;
-  m.rsu_lookup_hits = 9;
-  m.rsu_lookup_misses = 3;
-  m.notifications_sent = 24;
-  m.acks_sent = 24;
-  m.radio_broadcasts = 4000;
-  m.radio_unicasts = 900;
-  m.radio_drops = 55;
   m.wired_messages = 140;
-  m.gpsr_failures = 4;
   m.query_latency.add(SimTime::from_ms(120.0));
   m.query_latency.add(SimTime::from_ms(80.0));
   m.query_latency.add(SimTime::from_ms(500.0));
   return m;
+}
+
+// The field tables of sim/counters.h drive merge, the report JSON and the
+// directions block: every field, set to its own value, is written under its
+// name, merges by its rule, and carries a direction.
+TEST(RunReportTest, FieldTablesDriveMergeJsonAndDirections) {
+  RunMetrics a, b;
+  std::uint64_t next = 1;
+  RunMetrics::for_each_field(
+      [&](const MetricSpec&, std::uint64_t RunMetrics::*field) {
+        a.*field = next;
+        b.*field = 1000 + next;
+        ++next;
+      });
+  RunMetrics merged = a;
+  merged.merge(b);
+  Directions directions;
+  const JsonValue metrics = metrics_to_json(a, directions);
+  std::size_t fields = 0;
+  RunMetrics::for_each_field(
+      [&](const MetricSpec& spec, std::uint64_t RunMetrics::*field) {
+        ++fields;
+        EXPECT_EQ(metrics.at(spec.name).as_uint64(), a.*field) << spec.name;
+        const std::uint64_t want =
+            spec.merge == MergeRule::kMax ? b.*field : a.*field + b.*field;
+        EXPECT_EQ(merged.*field, want) << spec.name;
+        EXPECT_TRUE(directions.json().at("metrics").at(spec.name).is_string())
+            << spec.name;
+      });
+  EXPECT_EQ(metrics.size(), fields);  // no key outside the table
+
+  EngineStats x, y;
+  double value = 1.0;
+  EngineStats::for_each_key([&](const EngineSpec&, auto key) {
+    if constexpr (std::is_member_object_pointer_v<decltype(key)>) {
+      using T = std::remove_reference_t<decltype(x.*key)>;
+      x.*key = static_cast<T>(value);
+      y.*key = static_cast<T>(1000.0 + value);
+      value += 1.0;
+    }
+  });
+  EngineStats total = x;
+  total.merge(y);
+  const JsonValue engine = engine_to_json(x, directions);
+  std::size_t keys = 0;
+  EngineStats::for_each_key([&](const EngineSpec& spec, auto key) {
+    ++keys;
+    EXPECT_DOUBLE_EQ(engine.at(spec.name).as_double(),
+                     static_cast<double>(std::invoke(key, x)))
+        << spec.name;
+    if constexpr (std::is_member_object_pointer_v<decltype(key)>) {
+      const auto want =
+          spec.merge == MergeRule::kMax ? y.*key : x.*key + y.*key;
+      EXPECT_EQ(total.*key, want) << spec.name;
+    } else {
+      EXPECT_EQ(spec.merge, MergeRule::kDerived) << spec.name;
+    }
+    const char* group = spec.gate == EngineGate::kTiming   ? "timing"
+                        : spec.gate == EngineGate::kMemory ? "memory"
+                                                           : "engine";
+    EXPECT_TRUE(directions.json().at(group).at(spec.name).is_string())
+        << spec.name;
+  });
+  EXPECT_EQ(engine.size(), keys);
 }
 
 TEST(RunReportTest, JsonRoundTripFieldEquality) {
@@ -134,91 +189,71 @@ TEST(RunReportTest, JsonRoundTripFieldEquality) {
   engine.peak_rss_bytes = 123456789;
   engine.table_bytes = 424242;
 
-  const RunReport report =
-      make_run_report(Protocol::kHlsrg, cfg, sample_metrics(), engine);
-
-  // Serialize, re-parse the text, deserialize, and compare every field.
+  const RunMetrics metrics = sample_metrics();
+  Directions directions;
+  // Write, serialize, re-parse the text, and compare every field with the
+  // value it was written from.
   std::string error;
-  const auto doc = JsonValue::parse(report.to_json().dump(2), &error);
+  const auto doc = JsonValue::parse(
+      run_report_json("HLSRG", cfg, metrics, engine, directions).dump(2),
+      &error);
   ASSERT_TRUE(doc.has_value()) << error;
-  RunReport back;
-  ASSERT_TRUE(RunReport::from_json(*doc, &back, &error)) << error;
-
-  EXPECT_EQ(back.protocol, "HLSRG");
+  EXPECT_EQ(doc->at("protocol").as_string(), "HLSRG");
 
   // Scenario config subset.
-  EXPECT_EQ(back.config.seed, cfg.seed);
-  EXPECT_EQ(back.config.vehicles, cfg.vehicles);
-  EXPECT_DOUBLE_EQ(back.config.map.size_m, cfg.map.size_m);
-  EXPECT_EQ(back.config.map.irregular, cfg.map.irregular);
-  EXPECT_DOUBLE_EQ(back.config.partition.target_size,
+  const JsonValue& c = doc->at("config");
+  EXPECT_EQ(c.at("seed").as_uint64(), cfg.seed);
+  EXPECT_EQ(c.at("vehicles").as_int(), cfg.vehicles);
+  EXPECT_DOUBLE_EQ(c.at("map_size_m").as_double(), cfg.map.size_m);
+  EXPECT_EQ(c.at("map_irregular").as_bool(), cfg.map.irregular);
+  EXPECT_DOUBLE_EQ(c.at("partition_target_m").as_double(),
                    cfg.partition.target_size);
-  EXPECT_DOUBLE_EQ(back.config.radio.range_m, cfg.radio.range_m);
-  EXPECT_EQ(back.config.workload, cfg.workload);
-  EXPECT_DOUBLE_EQ(back.config.source_fraction, cfg.source_fraction);
-  EXPECT_DOUBLE_EQ(back.config.poisson_rate_per_sec, cfg.poisson_rate_per_sec);
-  EXPECT_EQ(back.config.hotspot_targets, cfg.hotspot_targets);
-  EXPECT_EQ(back.config.warmup, cfg.warmup);
-  EXPECT_EQ(back.config.query_window, cfg.query_window);
-  EXPECT_EQ(back.config.grace, cfg.grace);
-  EXPECT_DOUBLE_EQ(back.config.mobility.parked_fraction,
+  EXPECT_DOUBLE_EQ(c.at("radio_range_m").as_double(), cfg.radio.range_m);
+  EXPECT_EQ(c.at("workload").as_string(), "hotspot");
+  EXPECT_DOUBLE_EQ(c.at("source_fraction").as_double(), cfg.source_fraction);
+  EXPECT_DOUBLE_EQ(c.at("poisson_rate_per_sec").as_double(),
+                   cfg.poisson_rate_per_sec);
+  EXPECT_EQ(c.at("hotspot_targets").as_int(), cfg.hotspot_targets);
+  EXPECT_DOUBLE_EQ(c.at("warmup_sec").as_double(), cfg.warmup.sec());
+  EXPECT_DOUBLE_EQ(c.at("query_window_sec").as_double(),
+                   cfg.query_window.sec());
+  EXPECT_DOUBLE_EQ(c.at("grace_sec").as_double(), cfg.grace.sec());
+  EXPECT_DOUBLE_EQ(c.at("parked_fraction").as_double(),
                    cfg.mobility.parked_fraction);
-  EXPECT_EQ(back.config.hlsrg.use_rsus, cfg.hlsrg.use_rsus);
-  EXPECT_EQ(back.config.hlsrg.suppress_artery_updates,
+  EXPECT_EQ(c.at("use_rsus").as_bool(), cfg.hlsrg.use_rsus);
+  EXPECT_EQ(c.at("suppress_artery_updates").as_bool(),
             cfg.hlsrg.suppress_artery_updates);
-  EXPECT_EQ(back.config.hlsrg.l1_expiry, cfg.hlsrg.l1_expiry);
+  EXPECT_DOUBLE_EQ(c.at("l1_expiry_sec").as_double(),
+                   cfg.hlsrg.l1_expiry.sec());
 
-  // Counters.
-  const RunMetrics& a = report.metrics;
-  const RunMetrics& b = back.metrics;
-  EXPECT_EQ(b.update_packets_originated, a.update_packets_originated);
-  EXPECT_EQ(b.update_transmissions, a.update_transmissions);
-  EXPECT_EQ(b.aggregation_packets, a.aggregation_packets);
-  EXPECT_EQ(b.aggregation_transmissions, a.aggregation_transmissions);
-  EXPECT_EQ(b.queries_issued, a.queries_issued);
-  EXPECT_EQ(b.queries_succeeded, a.queries_succeeded);
-  EXPECT_EQ(b.queries_failed, a.queries_failed);
-  EXPECT_EQ(b.query_packets_originated, a.query_packets_originated);
-  EXPECT_EQ(b.query_transmissions, a.query_transmissions);
-  EXPECT_EQ(b.server_lookup_hits, a.server_lookup_hits);
-  EXPECT_EQ(b.server_lookup_misses, a.server_lookup_misses);
-  EXPECT_EQ(b.rsu_lookup_hits, a.rsu_lookup_hits);
-  EXPECT_EQ(b.rsu_lookup_misses, a.rsu_lookup_misses);
-  EXPECT_EQ(b.notifications_sent, a.notifications_sent);
-  EXPECT_EQ(b.acks_sent, a.acks_sent);
-  EXPECT_EQ(b.radio_broadcasts, a.radio_broadcasts);
-  EXPECT_EQ(b.radio_unicasts, a.radio_unicasts);
-  EXPECT_EQ(b.radio_drops, a.radio_drops);
-  EXPECT_EQ(b.wired_messages, a.wired_messages);
-  EXPECT_EQ(b.gpsr_failures, a.gpsr_failures);
+  // Counters are exact integers.
+  EXPECT_EQ(doc->at("metrics").at("query_transmissions").as_uint64(), 2055u);
 
-  // Latency digest.
-  EXPECT_EQ(back.latency.count, report.latency.count);
-  EXPECT_DOUBLE_EQ(back.latency.mean_ms, report.latency.mean_ms);
-  EXPECT_DOUBLE_EQ(back.latency.min_ms, report.latency.min_ms);
-  EXPECT_DOUBLE_EQ(back.latency.max_ms, report.latency.max_ms);
-  EXPECT_DOUBLE_EQ(back.latency.p50_ms, report.latency.p50_ms);
-  EXPECT_DOUBLE_EQ(back.latency.p95_ms, report.latency.p95_ms);
-  EXPECT_DOUBLE_EQ(back.latency.p99_ms, report.latency.p99_ms);
+  // Latency digest, written straight from the LatencyStat.
+  const JsonValue& l = doc->at("latency");
+  const LatencyStat& stat = metrics.query_latency;
+  EXPECT_EQ(l.at("count").as_uint64(), stat.count());
+  EXPECT_DOUBLE_EQ(l.at("mean_ms").as_double(), stat.mean_ms());
+  EXPECT_DOUBLE_EQ(l.at("min_ms").as_double(), stat.min_ms());
+  EXPECT_DOUBLE_EQ(l.at("max_ms").as_double(), stat.max_ms());
+  EXPECT_DOUBLE_EQ(l.at("p50_ms").as_double(), stat.p50_ms());
+  EXPECT_DOUBLE_EQ(l.at("p90_ms").as_double(), stat.p90_ms());
+  EXPECT_DOUBLE_EQ(l.at("p95_ms").as_double(), stat.p95_ms());
+  EXPECT_DOUBLE_EQ(l.at("p99_ms").as_double(), stat.p99_ms());
+  for (const auto& [key, v] : l.members()) {
+    EXPECT_TRUE(directions.json().at("latency").contains(key)) << key;
+  }
 
   // Engine stats.
-  EXPECT_EQ(back.engine.events_processed, engine.events_processed);
-  EXPECT_EQ(back.engine.events_scheduled, engine.events_scheduled);
-  EXPECT_EQ(back.engine.peak_queue_depth, engine.peak_queue_depth);
-  EXPECT_DOUBLE_EQ(back.engine.sim_time_sec, engine.sim_time_sec);
-  EXPECT_DOUBLE_EQ(back.engine.wall_clock_sec, engine.wall_clock_sec);
-  EXPECT_EQ(back.engine.peak_rss_bytes, engine.peak_rss_bytes);
-  EXPECT_EQ(back.engine.table_bytes, engine.table_bytes);
-}
-
-TEST(RunReportTest, FromJsonRejectsMalformed) {
-  RunReport out;
-  std::string error;
-  EXPECT_FALSE(RunReport::from_json(JsonValue(3.0), &out, &error));
-  JsonValue incomplete = JsonValue::object();
-  incomplete.set("protocol", "HLSRG");
-  EXPECT_FALSE(RunReport::from_json(incomplete, &out, &error));
-  EXPECT_NE(error.find("missing"), std::string::npos);
+  const JsonValue& e = doc->at("engine");
+  EXPECT_EQ(e.at("events_processed").as_uint64(), engine.events_processed);
+  EXPECT_EQ(e.at("events_scheduled").as_uint64(), engine.events_scheduled);
+  EXPECT_EQ(e.at("peak_queue_depth").as_uint64(), engine.peak_queue_depth);
+  EXPECT_DOUBLE_EQ(e.at("sim_time_sec").as_double(), engine.sim_time_sec);
+  EXPECT_DOUBLE_EQ(e.at("wall_clock_sec").as_double(), engine.wall_clock_sec);
+  EXPECT_DOUBLE_EQ(e.at("events_per_sec").as_double(), 46121.0 / 0.0625);
+  EXPECT_EQ(e.at("peak_rss_bytes").as_uint64(), engine.peak_rss_bytes);
+  EXPECT_EQ(e.at("table_bytes").as_uint64(), engine.table_bytes);
 }
 
 TEST(BenchReportTest, SectionsRowsAndResults) {
@@ -259,6 +294,22 @@ TEST(BenchReportTest, SectionsRowsAndResults) {
   EXPECT_DOUBLE_EQ(first.at("derived").at("update_overhead").as_double(),
                    553.0 / 2.0);
 
+  // One directions block for the document, naming the way each key is
+  // better, in the group bench_compare.py gates it under.
+  const JsonValue& directions = doc.at("directions");
+  EXPECT_EQ(directions.at("derived").at("update_overhead").as_string(),
+            "lower");
+  EXPECT_EQ(directions.at("derived").at("success_rate").as_string(), "higher");
+  EXPECT_EQ(directions.at("metrics").at("queries_issued").as_string(),
+            "unchanged");
+  EXPECT_EQ(directions.at("latency").at("p99_ms").as_string(), "lower");
+  EXPECT_EQ(directions.at("engine").at("events_processed").as_string(),
+            "unchanged");
+  EXPECT_EQ(directions.at("timing").at("events_per_sec").as_string(),
+            "higher");
+  EXPECT_EQ(directions.at("memory").at("peak_rss_bytes").as_string(),
+            "lower");
+
   // The whole document survives a text round trip.
   const auto parsed = JsonValue::parse(doc.dump(2));
   ASSERT_TRUE(parsed.has_value());
@@ -292,38 +343,44 @@ TEST(FaultPlanReportTest, PlanSurvivesAFileRoundTrip) {
 }
 
 TEST(FaultPlanReportTest, RunReportRoundTripsFaultMetrics) {
-  RunReport report;
-  report.protocol = "HLSRG";
-  report.config = paper_scenario(100, 3);
-  report.config.fault_plan_file = "plans/chaos.json";
-  report.config.fault_seed = 7;
-  report.metrics.queries_issued = 10;
-  report.metrics.wired_drops = 4;
-  report.metrics.rsu_suppressed = 6;
-  report.metrics.query_retries = 5;
-  report.metrics.query_failovers = 2;
-  report.metrics.queries_stranded = 1;
-  report.metrics.fault_queries_issued = 8;
-  report.metrics.fault_queries_ok = 6;
-  report.metrics.recovery_time_us = 1500000;
-  report.metrics.recovery_windows = 2;
-  report.metrics.fault_plan_digest = 0xabcdef;
+  ScenarioConfig cfg = paper_scenario(100, 3);
+  cfg.fault_plan_file = "plans/chaos.json";
+  cfg.fault_seed = 7;
+  RunMetrics m;
+  m.queries_issued = 10;
+  m.wired_drops = 4;
+  m.rsu_suppressed = 6;
+  m.query_retries = 5;
+  m.query_failovers = 2;
+  m.queries_stranded = 1;
+  m.fault_queries_issued = 8;
+  m.fault_queries_ok = 6;
+  m.recovery_time_us = 1500000;
+  m.recovery_windows = 2;
+  m.fault_plan_digest = 0xabcdef;
 
-  RunReport back;
-  std::string error;
-  ASSERT_TRUE(RunReport::from_json(report.to_json(), &back, &error)) << error;
-  EXPECT_EQ(back.config.fault_plan_file, "plans/chaos.json");
-  EXPECT_EQ(back.config.fault_seed, 7u);
-  EXPECT_EQ(back.metrics.wired_drops, 4u);
-  EXPECT_EQ(back.metrics.rsu_suppressed, 6u);
-  EXPECT_EQ(back.metrics.query_retries, 5u);
-  EXPECT_EQ(back.metrics.query_failovers, 2u);
-  EXPECT_EQ(back.metrics.queries_stranded, 1u);
-  EXPECT_EQ(back.metrics.fault_queries_issued, 8u);
-  EXPECT_EQ(back.metrics.fault_queries_ok, 6u);
-  EXPECT_EQ(back.metrics.fault_plan_digest, 0xabcdefu);
-  EXPECT_DOUBLE_EQ(back.metrics.availability(), 6.0 / 8.0);
-  EXPECT_DOUBLE_EQ(back.metrics.recovery_ms(), 750.0);
+  Directions directions;
+  const auto doc = JsonValue::parse(
+      run_report_json("HLSRG", cfg, m, EngineStats{}, directions).dump());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->at("config").at("fault_plan_file").as_string(),
+            "plans/chaos.json");
+  EXPECT_EQ(doc->at("config").at("fault_seed").as_uint64(), 7u);
+  const JsonValue& w = doc->at("metrics");
+  EXPECT_EQ(w.at("wired_drops").as_uint64(), 4u);
+  EXPECT_EQ(w.at("rsu_suppressed").as_uint64(), 6u);
+  EXPECT_EQ(w.at("query_retries").as_uint64(), 5u);
+  EXPECT_EQ(w.at("query_failovers").as_uint64(), 2u);
+  EXPECT_EQ(w.at("queries_stranded").as_uint64(), 1u);
+  EXPECT_EQ(w.at("fault_queries_issued").as_uint64(), 8u);
+  EXPECT_EQ(w.at("fault_queries_ok").as_uint64(), 6u);
+  EXPECT_EQ(w.at("fault_plan_digest").as_uint64(), 0xabcdefu);
+
+  const JsonValue derived = derived_metrics_json(m, false, 1, directions);
+  EXPECT_DOUBLE_EQ(derived.at("availability").as_double(), 6.0 / 8.0);
+  EXPECT_DOUBLE_EQ(derived.at("recovery_ms").as_double(), 750.0);
+  EXPECT_EQ(directions.json().at("derived").at("availability").as_string(),
+            "higher");
 }
 
 }  // namespace
