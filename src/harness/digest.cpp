@@ -50,11 +50,14 @@ void mix_group(Fnv& f, const RunMetrics& m, DigestGroup group) {
 
 void mix_metrics(Fnv& f, const RunMetrics& m) {
   mix_group(f, m, DigestGroup::kAlways);
-  f.mix_u64(m.channel.total_offered());
-  f.mix_u64(m.channel.total_delivered());
-  f.mix_u64(m.channel.total_dropped());
+  for (int k = 0; k < static_cast<int>(PacketLedger::kSlots); ++k) {
+    f.mix_u64(m.channel.offered(k));
+    f.mix_u64(m.channel.delivered(k));
+    f.mix_u64(m.channel.dropped(k));
+    f.mix_u64(m.channel.shed(k));
+  }
   f.mix_u64(m.query_latency.count());
-  f.mix_double(m.query_latency.mean_ms());
+  for (std::int64_t us : m.query_latency.samples_us()) f.mix_i64(us);
   // Fault accounting joins the digest only when a fault schedule is active:
   // a zero-fault run must hash byte-identically to a fault-unaware build.
   if (m.fault_plan_digest != 0) {
@@ -116,10 +119,6 @@ std::uint64_t state_digest(World& world) {
 
   const Simulator& sim = world.sim();
   f.mix_time(sim.now());
-  f.mix_u64(sim.queue().events_scheduled());
-  f.mix_u64(sim.queue().events_dispatched());
-  f.mix_u64(sim.queue().events_cancelled());
-  f.mix_u64(sim.queue().size());
 
   const MobilityModel& mobility = world.mobility();
   f.mix_u64(mobility.vehicle_count());

@@ -4,9 +4,12 @@
 // simulation state regardless of how many host threads ran the replica set —
 // replicas share no mutable state, so thread count can only change digests
 // if something leaks between them (a shared RNG, a global, a data race). The
-// digest walks deterministic state only: simulation clock and event-queue
-// counters, per-vehicle kinematic state, protocol metrics, and (for HLSRG)
-// every location table. Host-side measurements like wall-clock time are
+// digest walks simulated behaviour only: the simulation clock, per-vehicle
+// kinematic state, the protocol metrics with every per-kind ledger row and
+// every query latency sample, and (for HLSRG) every location table. Engine
+// bookkeeping (events scheduled, dispatched, cancelled or pending) is left
+// out, so a change to how work is scheduled keeps the digest; EngineStats
+// reports those counts. Host-side measurements like wall-clock time are
 // excluded by construction.
 #pragma once
 

@@ -29,18 +29,23 @@ void LatencyStat::add(SimTime sample) {
   sorted_ = false;
 }
 
-double LatencyStat::percentile_ms(double q) const {
-  if (samples_us_.empty()) return 0.0;
+const std::vector<std::int64_t>& LatencyStat::samples_us() const {
   if (!sorted_) {
     std::sort(samples_us_.begin(), samples_us_.end());
     sorted_ = true;
   }
+  return samples_us_;
+}
+
+double LatencyStat::percentile_ms(double q) const {
+  const std::vector<std::int64_t>& sorted = samples_us();
+  if (sorted.empty()) return 0.0;
   q = std::min(std::max(q, 0.0), 1.0);
   // Nearest-rank: ceil(q*n), 1-based.
   const std::size_t rank = std::max<std::size_t>(
       1, static_cast<std::size_t>(
-             std::ceil(q * static_cast<double>(samples_us_.size()))));
-  return static_cast<double>(samples_us_[rank - 1]) * 1e-3;
+             std::ceil(q * static_cast<double>(sorted.size()))));
+  return static_cast<double>(sorted[rank - 1]) * 1e-3;
 }
 
 double LatencyStat::mean_ms() const {

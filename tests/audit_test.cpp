@@ -453,8 +453,10 @@ TEST(DigestTest, DetectsInjectedSeedReuse) {
 }
 
 // Pins state_digest to recorded values: two runs of one build would agree
-// even if the metric mix were reordered or regrouped. The HLSRG world runs a
-// fault plan and churn, so both gated blocks mix. The values were recorded
+// even if the metric mix were reordered or regrouped. The first HLSRG world
+// runs a fault plan and churn, so both gated blocks mix; the RLSMP, FLOOD and
+// beacons-on HLSRG worlds cover the other protocols and the HELLO traffic,
+// whose deliveries reach callbacks rather than sinks. The values were recorded
 // with glibc's libm; positions are hashed bit-exact, so another libm may
 // shift them.
 TEST(DigestTest, PinnedDigestsForFaultChurnAndRlsmpWorlds) {
@@ -472,11 +474,21 @@ TEST(DigestTest, PinnedDigestsForFaultChurnAndRlsmpWorlds) {
   ASSERT_EQ(m.churn_active, 1u);
   EXPECT_GT(m.rsu_suppressed + m.query_retries, 0u);
   EXPECT_GT(m.role_departures, 0u);
-  EXPECT_EQ(state_digest(hlsrg), 0x8b0f01f75f549891ULL);
+  EXPECT_EQ(state_digest(hlsrg), 0x85d0b6cf6d53728aULL);
 
   World rlsmp(small_scenario(9), Protocol::kRlsmp);
   rlsmp.run();
-  EXPECT_EQ(state_digest(rlsmp), 0x23569e9b06cb92c3ULL);
+  EXPECT_EQ(state_digest(rlsmp), 0x653bb5ebc93b235aULL);
+
+  World flood(small_scenario(11), Protocol::kFlood);
+  flood.run();
+  EXPECT_EQ(state_digest(flood), 0x863e1906195c68acULL);
+
+  ScenarioConfig beacon_cfg = small_scenario(13);
+  beacon_cfg.beacons.enabled = true;
+  World beacons(beacon_cfg, Protocol::kHlsrg);
+  beacons.run();
+  EXPECT_EQ(state_digest(beacons), 0xa33c3f71ce86845cULL);
 }
 
 TEST(DigestTest, MismatchReportsLengthDifference) {
