@@ -48,64 +48,30 @@ int RadioMedium::density_at(NodeId rx) {
   return index_.local_density(rx);
 }
 
-void RadioMedium::deliver(NodeId to, std::shared_ptr<const Packet> pkt,
-                          NodeId from, SimTime delay, SpanId ctx,
-                          SpanId span_to_end, std::int32_t value) {
-  sim_->schedule_after(delay, [this, to, pkt = std::move(pkt), from, ctx,
-                               span_to_end, value] {
-    sim_->end_span(span_to_end, SpanStatus::kOk, registry_->position(to),
-                   value);
-    SpanScope scope(*sim_, ctx);
-    if (PacketSink* sink = registry_->sink(to)) sink->on_receive(*pkt, from);
-  });
+bool RadioMedium::offer(PacketKind kind, Vec2 rx_pos, bool lost) {
+  RunMetrics& m = sim_->metrics();
+  const int k = static_cast<int>(kind);
+  m.channel.add_offered(k);
+  if (lost) {
+    ++m.radio_drops;
+    m.channel.add_dropped(k);
+  } else {
+    m.channel.add_delivered(k);
+  }
+  if (RegionTelemetry* regions = sim_->regions()) {
+    RegionCounters& r = regions->at(regions->region_of(rx_pos));
+    ++(lost ? r.radio_dropped : r.radio_delivered);
+  }
+  return !lost;
 }
 
 int RadioMedium::broadcast(NodeId sender, const Packet& pkt) {
-  ProfileScope profile(sim_->profiler(), "radio_broadcast");
-  index_.refresh(sim_->now(), sim_->profiler());
-  scratch_.clear();
-  density_scratch_.clear();
-  const Vec2 sp = registry_->position(sender);
-  if (reference_density_) {
-    index_.query(sp, cfg_.range_m, sender, &scratch_);
-    for (NodeId rx : scratch_) density_scratch_.push_back(density_at(rx));
-  } else {
-    index_.query_with_density(sp, cfg_.range_m, sender, &scratch_,
-                              &density_scratch_);
-  }
-  sim_->metrics().radio_broadcasts++;
-  RegionTelemetry* regions = sim_->regions();
-  if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_broadcasts;
-  const SimTime delay = hop_delay();
-  const int kind = static_cast<int>(pkt.kind);
-  const SpanId ctx = sim_->active_span();
-  // One immutable copy shared by every surviving receiver's delivery
-  // closure; the per-delivery state is just (to, from, ctx).
-  std::shared_ptr<const Packet> shared;
-  for (std::size_t i = 0; i < scratch_.size(); ++i) {
-    const NodeId rx = scratch_[i];
-    sim_->metrics().channel.add_offered(kind);
-    const Vec2 rp = registry_->position(rx);
-    if (sim_->radio_rng().chance(
-            loss_probability(distance(sp, rp), density_scratch_[i], rp))) {
-      sim_->metrics().radio_drops++;
-      sim_->metrics().channel.add_dropped(kind);
-      if (regions != nullptr) {
-        ++regions->at(regions->region_of(rp)).radio_dropped;
-      }
-      continue;
-    }
-    sim_->metrics().channel.add_delivered(kind);
-    if (regions != nullptr) {
-      ++regions->at(regions->region_of(rp)).radio_delivered;
-    }
-    if (shared == nullptr) shared = std::make_shared<const Packet>(pkt);
-    deliver(rx, shared, sender, delay, ctx);
-  }
-  return static_cast<int>(scratch_.size());
+  return broadcast_each(sender, pkt.kind, [this, sender, pkt](NodeId rx) {
+    if (PacketSink* sink = registry_->sink(rx)) sink->on_receive(pkt, sender);
+  });
 }
 
-int RadioMedium::broadcast_each(NodeId sender, PacketKind pkt_kind,
+int RadioMedium::broadcast_each(NodeId sender, PacketKind kind,
                                 std::function<void(NodeId)> on_deliver) {
   HLSRG_CHECK(on_deliver != nullptr);
   ProfileScope profile(sim_->profiler(), "radio_broadcast");
@@ -124,38 +90,57 @@ int RadioMedium::broadcast_each(NodeId sender, PacketKind pkt_kind,
   RegionTelemetry* regions = sim_->regions();
   if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_broadcasts;
   const SimTime delay = hop_delay();
-  const int kind = static_cast<int>(pkt_kind);
-  const SpanId ctx = sim_->active_span();
-  auto shared_deliver =
-      std::make_shared<std::function<void(NodeId)>>(std::move(on_deliver));
+  std::vector<NodeId> survivors;
+  survivors.reserve(scratch_.size());
   for (std::size_t i = 0; i < scratch_.size(); ++i) {
     const NodeId rx = scratch_[i];
-    sim_->metrics().channel.add_offered(kind);
     const Vec2 rp = registry_->position(rx);
-    if (sim_->radio_rng().chance(
-            loss_probability(distance(sp, rp), density_scratch_[i], rp))) {
-      sim_->metrics().radio_drops++;
-      sim_->metrics().channel.add_dropped(kind);
-      if (regions != nullptr) {
-        ++regions->at(regions->region_of(rp)).radio_dropped;
-      }
-      continue;
-    }
-    sim_->metrics().channel.add_delivered(kind);
-    if (regions != nullptr) {
-      ++regions->at(regions->region_of(rp)).radio_delivered;
-    }
-    sim_->schedule_after(delay, [this, shared_deliver, rx, ctx] {
-      SpanScope scope(sim(), ctx);
-      (*shared_deliver)(rx);
-    });
+    const bool lost = sim_->radio_rng().chance(
+        loss_probability(distance(sp, rp), density_scratch_[i], rp));
+    if (offer(kind, rp, lost)) survivors.push_back(rx);
+  }
+  if (!survivors.empty()) {
+    sim_->schedule_after(
+        delay, [this, survivors = std::move(survivors),
+                on_deliver = std::move(on_deliver), ctx = sim_->active_span()] {
+          for (NodeId rx : survivors) {
+            SpanScope scope(*sim_, ctx);
+            on_deliver(rx);
+          }
+        });
   }
   return static_cast<int>(scratch_.size());
 }
 
-void RadioMedium::try_unicast(NodeId sender, NodeId target,
-                              std::shared_ptr<const Packet> pkt,
+void RadioMedium::unicast(NodeId sender, NodeId target, const Packet& pkt,
+                          std::function<void()> on_lost) {
+  unicast_frame(
+      sender, target, pkt.kind,
+      [this, sender, target, pkt] {
+        if (PacketSink* sink = registry_->sink(target)) {
+          sink->on_receive(pkt, sender);
+        }
+      },
+      std::move(on_lost));
+}
+
+void RadioMedium::unicast_frame(NodeId sender, NodeId target, PacketKind kind,
+                                std::function<void()> on_delivered,
+                                std::function<void()> on_lost) {
+  HLSRG_CHECK(on_delivered != nullptr);
+  // One hop span covering every MAC retry; ends at reception or abandon.
+  const SpanId ctx = sim_->active_span();
+  const SpanId span =
+      sim_->begin_span(SpanKind::kRadioHop, sender.value(), target.value(),
+                       registry_->position(sender), kNoQuery, -1,
+                       packet_kind_name(kind));
+  try_unicast(sender, target, kind, cfg_.unicast_retries,
+              std::move(on_delivered), std::move(on_lost), span, ctx);
+}
+
+void RadioMedium::try_unicast(NodeId sender, NodeId target, PacketKind kind,
                               int attempts_left,
+                              std::function<void()> on_delivered,
                               std::function<void()> on_lost, SpanId span,
                               SpanId ctx) {
   ProfileScope profile(sim_->profiler(), "radio_unicast");
@@ -166,99 +151,29 @@ void RadioMedium::try_unicast(NodeId sender, NodeId target,
   sim_->metrics().radio_unicasts++;
   RegionTelemetry* regions = sim_->regions();
   if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_unicasts;
-  const int kind = static_cast<int>(pkt->kind);
-  sim_->metrics().channel.add_offered(kind);
   const std::int32_t retries_used = cfg_.unicast_retries - attempts_left;
-  if (d <= cfg_.range_m) {
-    const int density = density_at(target);
-    if (!sim_->radio_rng().chance(loss_probability(d, density, tp))) {
-      sim_->metrics().channel.add_delivered(kind);
-      if (regions != nullptr) {
-        ++regions->at(regions->region_of(tp)).radio_delivered;
-      }
-      deliver(target, std::move(pkt), sender, hop_delay(), ctx, span,
-              retries_used);
-      return;
-    }
-  }
-  sim_->metrics().radio_drops++;
-  sim_->metrics().channel.add_dropped(kind);
-  if (regions != nullptr) ++regions->at(regions->region_of(tp)).radio_dropped;
-  if (attempts_left > 0) {
-    sim_->schedule_after(
-        SimTime::from_ms(cfg_.retry_delay_ms),
-        [this, sender, target, pkt = std::move(pkt), attempts_left,
-         on_lost = std::move(on_lost), span, ctx]() mutable {
-          try_unicast(sender, target, std::move(pkt), attempts_left - 1,
-                      std::move(on_lost), span, ctx);
-        });
-  } else {
-    sim_->end_span(span, SpanStatus::kFailed, tp, retries_used);
-    if (on_lost) {
+  // Out of range is lost without a loss draw.
+  const bool lost =
+      d > cfg_.range_m ||
+      sim_->radio_rng().chance(loss_probability(d, density_at(target), tp));
+  if (offer(kind, tp, lost)) {
+    sim_->schedule_after(hop_delay(), [this, target, span, ctx, retries_used,
+                                       cb = std::move(on_delivered)] {
+      sim_->end_span(span, SpanStatus::kOk, registry_->position(target),
+                     retries_used);
       SpanScope scope(*sim_, ctx);
-      on_lost();
-    }
+      cb();
+    });
+    return;
   }
-}
-
-void RadioMedium::unicast(NodeId sender, NodeId target, const Packet& pkt,
-                          std::function<void()> on_lost) {
-  // One hop span covering every MAC retry; ends at reception or abandon.
-  const SpanId ctx = sim_->active_span();
-  const SpanId span =
-      sim_->begin_span(SpanKind::kRadioHop, sender.value(), target.value(),
-                       registry_->position(sender), kNoQuery, -1,
-                       packet_kind_name(pkt.kind));
-  // One immutable copy shared across the whole retry chain.
-  try_unicast(sender, target, std::make_shared<const Packet>(pkt),
-              cfg_.unicast_retries, std::move(on_lost), span, ctx);
-}
-
-void RadioMedium::try_unicast_frame(NodeId sender, NodeId target,
-                                    PacketKind pkt_kind, int attempts_left,
-                                    std::function<void()> on_delivered,
-                                    std::function<void()> on_lost, SpanId span,
-                                    SpanId ctx) {
-  ProfileScope profile(sim_->profiler(), "radio_unicast");
-  index_.refresh(sim_->now(), sim_->profiler());
-  const Vec2 sp = registry_->position(sender);
-  const Vec2 tp = registry_->position(target);
-  const double d = distance(sp, tp);
-  sim_->metrics().radio_unicasts++;
-  RegionTelemetry* regions = sim_->regions();
-  if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_unicasts;
-  const int kind = static_cast<int>(pkt_kind);
-  sim_->metrics().channel.add_offered(kind);
-  const std::int32_t retries_used = cfg_.unicast_retries - attempts_left;
-  if (d <= cfg_.range_m) {
-    const int density = density_at(target);
-    if (!sim_->radio_rng().chance(loss_probability(d, density, tp))) {
-      sim_->metrics().channel.add_delivered(kind);
-      if (regions != nullptr) {
-        ++regions->at(regions->region_of(tp)).radio_delivered;
-      }
-      sim_->schedule_after(
-          hop_delay(), [this, cb = std::move(on_delivered), tp, span, ctx,
-                        retries_used] {
-            sim_->end_span(span, SpanStatus::kOk, tp, retries_used);
-            SpanScope scope(*sim_, ctx);
-            cb();
-          });
-      return;
-    }
-  }
-  sim_->metrics().radio_drops++;
-  sim_->metrics().channel.add_dropped(kind);
-  if (regions != nullptr) ++regions->at(regions->region_of(tp)).radio_dropped;
   if (attempts_left > 0) {
     sim_->schedule_after(
         SimTime::from_ms(cfg_.retry_delay_ms),
-        [this, sender, target, pkt_kind, attempts_left,
+        [this, sender, target, kind, attempts_left,
          on_delivered = std::move(on_delivered),
          on_lost = std::move(on_lost), span, ctx]() mutable {
-          try_unicast_frame(sender, target, pkt_kind, attempts_left - 1,
-                            std::move(on_delivered), std::move(on_lost), span,
-                            ctx);
+          try_unicast(sender, target, kind, attempts_left - 1,
+                      std::move(on_delivered), std::move(on_lost), span, ctx);
         });
   } else {
     sim_->end_span(span, SpanStatus::kFailed, tp, retries_used);
@@ -267,18 +182,6 @@ void RadioMedium::try_unicast_frame(NodeId sender, NodeId target,
       on_lost();
     }
   }
-}
-
-void RadioMedium::unicast_frame(NodeId sender, NodeId target, PacketKind kind,
-                                std::function<void()> on_delivered,
-                                std::function<void()> on_lost) {
-  HLSRG_CHECK(on_delivered != nullptr);
-  const SpanId ctx = sim_->active_span();
-  const SpanId span =
-      sim_->begin_span(SpanKind::kRadioHop, sender.value(), target.value(),
-                       registry_->position(sender));
-  try_unicast_frame(sender, target, kind, cfg_.unicast_retries,
-                    std::move(on_delivered), std::move(on_lost), span, ctx);
 }
 
 void RadioMedium::neighbors_of(NodeId node, std::vector<NodeId>* out) {

@@ -11,14 +11,19 @@
 //
 // Hot-path shape: a broadcast does ONE index walk (query_with_density
 // returns receivers and their cached contention densities together), draws
-// per-receiver loss in a single pass over that batch, and shares one
-// immutable Packet copy across every per-receiver delivery closure instead
-// of copying the Packet into each.
+// per-receiver loss in a single pass over that batch, and schedules ONE
+// event that hands the frame to every survivor in walk order. All receptions
+// of a broadcast share one hop delay, so per-receiver events would have held
+// contiguous sequence numbers at one timestamp; anything a handler schedules
+// gets a later sequence number either way, so dispatch order is unchanged.
+//
+// Every offer of a frame to a receiver, broadcast or unicast, settles through
+// one helper (offer) that books it in RunMetrics, the per-kind ledger and the
+// receiver's region together.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "geom/aabb.h"
@@ -69,10 +74,10 @@ class RadioMedium {
 
   // One-hop broadcast delivering to a callback instead of node sinks; the
   // geocast layer uses this to run region-limited floods with its own
-  // duplicate suppression. Loss/delay semantics match broadcast(). The
-  // callback fires at reception time, once per surviving receiver. `kind`
-  // feeds the per-kind channel ledger (the frame carries no Packet, but the
-  // conservation auditor still covers it).
+  // duplicate suppression. broadcast() is this with a sink-delivering
+  // callback. The callback fires at reception time, once per surviving
+  // receiver. `kind` feeds the per-kind channel ledger (the frame carries no
+  // Packet, but the conservation auditor still covers it).
   int broadcast_each(NodeId sender, PacketKind kind,
                      std::function<void(NodeId)> on_deliver);
 
@@ -85,7 +90,8 @@ class RadioMedium {
   // retries, delay) without sink delivery. Routing layers use this for
   // intermediate hops so forwarders do not consume the packet; exactly one
   // of the callbacks fires, at delivery/abandon time. `kind` is the packet
-  // kind the frame is carrying, for the channel ledger.
+  // kind the frame is carrying, for the channel ledger. unicast() is this
+  // with a sink-delivering callback.
   void unicast_frame(NodeId sender, NodeId target, PacketKind kind,
                      std::function<void()> on_delivered,
                      std::function<void()> on_lost = {});
@@ -125,21 +131,14 @@ class RadioMedium {
 
  private:
   [[nodiscard]] SimTime hop_delay();
-  // Schedules sink delivery of the shared packet. `ctx` is the span context
-  // re-established around on_receive (so receivers inherit the sender's
-  // query context across the event-queue hop); `span_to_end` is closed kOk
-  // at reception time with `value` (MAC retries used).
-  void deliver(NodeId to, std::shared_ptr<const Packet> pkt, NodeId from,
-               SimTime delay, SpanId ctx = kNoSpan,
-               SpanId span_to_end = kNoSpan, std::int32_t value = -1);
-  void try_unicast(NodeId sender, NodeId target,
-                   std::shared_ptr<const Packet> pkt, int attempts_left,
+  // Books one offer of a `kind` frame to the receiver at `rx_pos`, and
+  // whether the channel lost it, in RunMetrics, the per-kind ledger and the
+  // receiver's region. Returns true when the frame is delivered.
+  bool offer(PacketKind kind, Vec2 rx_pos, bool lost);
+  // One MAC attempt of unicast_frame; schedules the next on loss.
+  void try_unicast(NodeId sender, NodeId target, PacketKind kind,
+                   int attempts_left, std::function<void()> on_delivered,
                    std::function<void()> on_lost, SpanId span, SpanId ctx);
-  void try_unicast_frame(NodeId sender, NodeId target, PacketKind kind,
-                         int attempts_left,
-                         std::function<void()> on_delivered,
-                         std::function<void()> on_lost, SpanId span,
-                         SpanId ctx);
   // Receiver-side contention density for the loss model: the cached batched
   // value normally, the exact recount under the reference seam.
   [[nodiscard]] int density_at(NodeId rx);

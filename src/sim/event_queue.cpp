@@ -9,39 +9,43 @@ namespace hlsrg {
 
 std::uint32_t EventQueue::acquire_slot() {
   if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
+    const std::uint32_t i = free_slots_.back();
     free_slots_.pop_back();
-    return slot;
+    return i;
   }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  if (slot_count_ % kChunkSlots == 0) {
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  }
+  return slot_count_++;
 }
 
-void EventQueue::release_slot(std::uint32_t slot) {
-  slots_[slot].seq = 0;
-  slots_[slot].action.reset();
-  free_slots_.push_back(slot);
+void EventQueue::release_slot(std::uint32_t i) {
+  Slot& s = slot(i);
+  s.seq = 0;
+  s.action.reset();
+  free_slots_.push_back(i);
 }
 
 EventHandle EventQueue::schedule_at(SimTime when, Action action) {
   HLSRG_CHECK_MSG(when >= now_, "cannot schedule into the past");
   HLSRG_CHECK(action != nullptr);
   const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].seq = seq;
-  slots_[slot].action = std::move(action);
-  heap_.push(Entry{when, seq, slot});
+  const std::uint32_t i = acquire_slot();
+  Slot& s = slot(i);
+  s.seq = seq;
+  s.action = std::move(action);
+  heap_.push(Entry{when, seq, i});
   ++live_;
   peak_depth_ = std::max(peak_depth_, live_);
-  return EventHandle{seq, slot};
+  return EventHandle{seq, i};
 }
 
 bool EventQueue::cancel(EventHandle handle) {
   if (!handle.valid()) return false;
-  if (handle.slot_ >= slots_.size()) return false;
+  if (handle.slot_ >= slot_count_) return false;
   // The slot may have been recycled for a newer event; the seq match proves
   // the handle's event is the one still pending.
-  if (slots_[handle.slot_].seq != handle.seq_) return false;
+  if (slot(handle.slot_).seq != handle.seq_) return false;
   release_slot(handle.slot_);
   --live_;
   ++events_cancelled_;
@@ -49,7 +53,7 @@ bool EventQueue::cancel(EventHandle handle) {
 }
 
 void EventQueue::drop_cancelled() const {
-  while (!heap_.empty() && slots_[heap_.top().slot].seq != heap_.top().seq) {
+  while (!heap_.empty() && slot(heap_.top().slot).seq != heap_.top().seq) {
     heap_.pop();
   }
 }
@@ -64,16 +68,18 @@ bool EventQueue::run_one() {
   if (heap_.empty()) return false;
   const Entry entry = heap_.top();
   heap_.pop();
-  HLSRG_DCHECK(slots_[entry.slot].seq == entry.seq);
-  // Move the action out before running: the action may schedule new events,
-  // growing `slots_` and recycling this very slot.
-  Action action = std::move(slots_[entry.slot].action);
-  release_slot(entry.slot);
+  Slot& s = slot(entry.slot);
+  HLSRG_DCHECK(s.seq == entry.seq);
+  // The action runs in place: chunks never move, and the slot joins the
+  // freelist only afterwards, so nothing the action schedules reuses it.
+  // Clearing seq first makes a cancel of the running event a no-op.
+  s.seq = 0;
   --live_;
   HLSRG_CHECK(entry.when >= now_);
   now_ = entry.when;
   ++events_dispatched_;
-  action();
+  s.action();
+  release_slot(entry.slot);
   return true;
 }
 

@@ -191,75 +191,92 @@ TEST(SlabEventQueueTest, ActionsMayScheduleAndCancelReentrantly) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// One round of random schedule/cancel/run against the reference model: events
+// as (time, seq) pairs in a plain vector, dispatched in ascending (time, seq)
+// order over the uncancelled ones. New events land up to `schedule_span_us`
+// ahead; each run advances up to `run_span_us`. Returns the queue's peak
+// depth.
+std::size_t fuzz_round_against_model(Rng& rng, int ops,
+                                     std::int64_t schedule_span_us,
+                                     std::int64_t run_span_us) {
+  EventQueue q;
+  struct ModelEvent {
+    std::int64_t time_us;
+    std::uint64_t seq;
+    bool cancelled = false;
+    bool dispatched = false;
+  };
+  std::vector<ModelEvent> model;
+  std::vector<EventHandle> handles;
+  std::vector<std::uint64_t> real_order;
+  std::vector<std::uint64_t> expect_order;
+  std::uint64_t next_seq = 1;
+  std::int64_t now_us = 0;
+
+  const auto model_run_until = [&](std::int64_t until_us) {
+    while (true) {
+      ModelEvent* best = nullptr;
+      for (ModelEvent& e : model) {
+        if (e.cancelled || e.dispatched || e.time_us > until_us) continue;
+        if (best == nullptr || e.time_us < best->time_us ||
+            (e.time_us == best->time_us && e.seq < best->seq)) {
+          best = &e;
+        }
+      }
+      if (best == nullptr) break;
+      best->dispatched = true;
+      expect_order.push_back(best->seq);
+    }
+    now_us = until_us;
+  };
+
+  for (int op = 0; op < ops; ++op) {
+    const std::int64_t roll = rng.uniform_int(0, 9);
+    if (roll < 6) {
+      const std::int64_t when = now_us + rng.uniform_int(0, schedule_span_us);
+      const std::uint64_t seq = next_seq++;
+      handles.push_back(q.schedule_at(
+          SimTime::from_us(when),
+          [&real_order, seq] { real_order.push_back(seq); }));
+      model.push_back({when, seq});
+    } else if (roll < 8 && !handles.empty()) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+      const bool ok = q.cancel(handles[pick]);
+      ModelEvent& e = model[pick];
+      const bool model_ok = !e.cancelled && !e.dispatched;
+      EXPECT_EQ(ok, model_ok) << "cancel semantics diverged";
+      e.cancelled = e.cancelled || model_ok;
+    } else {
+      const std::int64_t until = now_us + rng.uniform_int(0, run_span_us);
+      q.run_until(SimTime::from_us(until));
+      model_run_until(until);
+    }
+  }
+  const std::int64_t drain_us = now_us + schedule_span_us + 1;
+  q.run_until(SimTime::from_us(drain_us));
+  model_run_until(drain_us);
+  EXPECT_EQ(real_order, expect_order) << "dispatch order diverged";
+
+  // Conservation law over the whole round.
+  EXPECT_EQ(q.events_scheduled(),
+            q.events_dispatched() + q.events_cancelled() + q.size());
+  EXPECT_TRUE(q.empty());
+  return q.peak_depth();
+}
+
 TEST(SlabEventQueueTest, FuzzAgainstSortedListModel) {
-  // Reference model: events as (time, seq) pairs in a plain vector; dispatch
-  // order is ascending (time, seq) over the uncancelled ones. The slab queue
-  // must dispatch the exact same sequence under random schedule/cancel/run
-  // interleavings, including handles that go stale across slot reuse.
+  // The slab queue must dispatch the model's exact sequence under random
+  // schedule/cancel/run interleavings, including handles that go stale
+  // across slot reuse.
   Rng rng(0xfeedbeef);
   for (int round = 0; round < 20; ++round) {
-    EventQueue q;
-    struct ModelEvent {
-      std::int64_t time_us;
-      std::uint64_t seq;
-      bool cancelled = false;
-      bool dispatched = false;
-    };
-    std::vector<ModelEvent> model;
-    std::vector<EventHandle> handles;
-    std::vector<std::uint64_t> real_order;
-    std::vector<std::uint64_t> expect_order;
-    std::uint64_t next_seq = 1;
-    std::int64_t now_us = 0;
-
-    const auto model_run_until = [&](std::int64_t until_us) {
-      while (true) {
-        ModelEvent* best = nullptr;
-        for (ModelEvent& e : model) {
-          if (e.cancelled || e.dispatched || e.time_us > until_us) continue;
-          if (best == nullptr || e.time_us < best->time_us ||
-              (e.time_us == best->time_us && e.seq < best->seq)) {
-            best = &e;
-          }
-        }
-        if (best == nullptr) break;
-        best->dispatched = true;
-        expect_order.push_back(best->seq);
-      }
-      now_us = until_us;
-    };
-
-    for (int op = 0; op < 400; ++op) {
-      const std::int64_t roll = rng.uniform_int(0, 9);
-      if (roll < 6) {
-        const std::int64_t when = now_us + rng.uniform_int(0, 5000);
-        const std::uint64_t seq = next_seq++;
-        handles.push_back(q.schedule_at(
-            SimTime::from_us(when),
-            [&real_order, seq] { real_order.push_back(seq); }));
-        model.push_back({when, seq});
-      } else if (roll < 8 && !handles.empty()) {
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
-        const bool ok = q.cancel(handles[pick]);
-        ModelEvent& e = model[pick];
-        const bool model_ok = !e.cancelled && !e.dispatched;
-        EXPECT_EQ(ok, model_ok) << "cancel semantics diverged";
-        e.cancelled = e.cancelled || model_ok;
-      } else {
-        const std::int64_t until = now_us + rng.uniform_int(0, 2000);
-        q.run_until(SimTime::from_us(until));
-        model_run_until(until);
-      }
-    }
-    q.run_until(SimTime::from_us(now_us + 10000));
-    model_run_until(now_us + 10000);
-    ASSERT_EQ(real_order, expect_order) << "dispatch order diverged";
-
-    // Conservation law over the whole round.
-    EXPECT_EQ(q.events_scheduled(),
-              q.events_dispatched() + q.events_cancelled() + q.size());
-    EXPECT_TRUE(q.empty());
+    fuzz_round_against_model(rng, 400, 5000, 2000);
+  }
+  // Far-future events and short runs keep hundreds pending, so the slab
+  // spans several chunks and freed slots are reused across chunk bounds.
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_GT(fuzz_round_against_model(rng, 1200, 1000000, 500), 256u);
   }
 }
 
