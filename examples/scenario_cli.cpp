@@ -349,10 +349,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.batch_flushes));
   }
   std::printf("engine:     %llu events, peak queue %llu, %.2f s wall, "
-              "%.0f events/s\n",
+              "%.1f sim s/s\n",
               static_cast<unsigned long long>(engine.events_processed),
               static_cast<unsigned long long>(engine.peak_queue_depth),
-              engine.wall_clock_sec, engine.events_per_sec());
+              engine.wall_clock_sec, engine.sim_seconds_per_sec());
   std::printf("memory:     peak RSS %.1f MB, tables %.2f MB\n",
               static_cast<double>(engine.peak_rss_bytes) / 1e6,
               static_cast<double>(engine.table_bytes) / 1e6);

@@ -27,7 +27,7 @@ report object each covers:
                   --include-engine (expected to move whenever the engine
                   changes).
   * "timing"   -- machine-dependent keys of the "engine" object (wall clock,
-                  events/sec, ...), only with --include-timing.
+                  sim seconds/sec, ...), only with --include-timing.
   * "memory"   -- footprint keys of the "engine" object (peak RSS, which is
                   noisy across allocators/kernels, so give it a generous
                   --threshold; table bytes, which are deterministic).
@@ -150,7 +150,7 @@ def main():
     ap.add_argument("--include-engine", action="store_true",
                     help="also gate on the engine's deterministic counts")
     ap.add_argument("--include-timing", action="store_true",
-                    help="also gate on wall-clock and events/sec")
+                    help="also gate on wall-clock and host rates")
     ap.add_argument("--verbose", action="store_true",
                     help="print every compared field, not just regressions")
     ap.add_argument("--groups", default="derived,metrics,latency,engine",

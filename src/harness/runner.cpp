@@ -1,6 +1,9 @@
 #include "harness/runner.h"
 
-#if defined(__unix__) || defined(__APPLE__)
+#if defined(__linux__)
+#include <fstream>
+#include <string>
+#elif defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
@@ -11,10 +14,25 @@
 namespace hlsrg {
 
 std::uint64_t process_peak_rss_bytes() {
-#if defined(__unix__) || defined(__APPLE__)
+#if defined(__linux__)
+  // VmHWM, not getrusage's ru_maxrss: Linux carries ru_maxrss across fork +
+  // exec, so a bench started from a large process would report that
+  // process's footprint.
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib * 1024;
+    }
+    status.ignore(4096, '\n');
+  }
+  return 0;
+#elif defined(__unix__) || defined(__APPLE__)
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  // Linux reports ru_maxrss in KiB, macOS in bytes.
+  // macOS reports ru_maxrss in bytes, the other unixes in KiB.
 #if defined(__APPLE__)
   return static_cast<std::uint64_t>(usage.ru_maxrss);
 #else

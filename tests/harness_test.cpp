@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <fstream>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "harness/parallel.h"
@@ -146,6 +149,29 @@ TEST(RunnerTest, ReplicasUseDistinctSeeds) {
                set.replicas[1].radio_broadcasts ==
                    set.replicas[2].radio_broadcasts);
 }
+
+#if defined(__linux__)
+// Resident set size now, from /proc/self/status (VmRSS), in bytes.
+std::uint64_t current_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;
+    }
+  }
+  return 0;
+}
+
+TEST(RunnerTest, PeakRssIsThisProcessHighWaterMark) {
+  // Touch 16 MiB so the peak is well above the test binary's baseline.
+  std::vector<char> block(16u << 20, 1);
+  const std::uint64_t rss = current_rss_bytes();
+  ASSERT_GT(rss, block.size());
+  EXPECT_GE(process_peak_rss_bytes(), rss);
+  EXPECT_EQ(block[block.size() / 2], 1);
+}
+#endif
 
 TEST(RunnerTest, MemoryTelemetryIsStamped) {
   // Pins the peak_rss_bytes stamping fix: every replica's engine stats and

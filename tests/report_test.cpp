@@ -251,7 +251,8 @@ TEST(RunReportTest, JsonRoundTripFieldEquality) {
   EXPECT_EQ(e.at("peak_queue_depth").as_uint64(), engine.peak_queue_depth);
   EXPECT_DOUBLE_EQ(e.at("sim_time_sec").as_double(), engine.sim_time_sec);
   EXPECT_DOUBLE_EQ(e.at("wall_clock_sec").as_double(), engine.wall_clock_sec);
-  EXPECT_DOUBLE_EQ(e.at("events_per_sec").as_double(), 46121.0 / 0.0625);
+  EXPECT_DOUBLE_EQ(e.at("sim_seconds_per_sec").as_double(),
+                   engine.sim_time_sec / 0.0625);
   EXPECT_EQ(e.at("peak_rss_bytes").as_uint64(), engine.peak_rss_bytes);
   EXPECT_EQ(e.at("table_bytes").as_uint64(), engine.table_bytes);
 }
@@ -305,7 +306,7 @@ TEST(BenchReportTest, SectionsRowsAndResults) {
   EXPECT_EQ(directions.at("latency").at("p99_ms").as_string(), "lower");
   EXPECT_EQ(directions.at("engine").at("events_processed").as_string(),
             "unchanged");
-  EXPECT_EQ(directions.at("timing").at("events_per_sec").as_string(),
+  EXPECT_EQ(directions.at("timing").at("sim_seconds_per_sec").as_string(),
             "higher");
   EXPECT_EQ(directions.at("memory").at("peak_rss_bytes").as_string(),
             "lower");

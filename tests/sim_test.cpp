@@ -327,13 +327,15 @@ TEST(EngineStatsTest, MergeSumsCountsAndMaxesPeakDepth) {
   EXPECT_EQ(a.peak_queue_depth, 40u);  // max, not sum
   EXPECT_DOUBLE_EQ(a.sim_time_sec, 300.0);
   EXPECT_DOUBLE_EQ(a.wall_clock_sec, 2.0);
-  EXPECT_DOUBLE_EQ(a.events_per_sec(), 200.0);
+  EXPECT_DOUBLE_EQ(a.sim_seconds_per_sec(), 150.0);
 }
 
-TEST(EngineStatsTest, EventsPerSecZeroWithoutWallClock) {
+TEST(EngineStatsTest, RatesZeroWithoutWallClock) {
   EngineStats s;
-  s.events_processed = 1000;
-  EXPECT_DOUBLE_EQ(s.events_per_sec(), 0.0);
+  s.sim_time_sec = 150.0;
+  s.broadcasts = 1000;
+  EXPECT_DOUBLE_EQ(s.sim_seconds_per_sec(), 0.0);
+  EXPECT_DOUBLE_EQ(s.broadcasts_per_sec(), 0.0);
 }
 
 TEST(EventQueueTest, TracksDispatchAndPeakDepthCounters) {
