@@ -73,8 +73,17 @@ void BM_NeighborIndexRefresh(benchmark::State& state) {
   }
   NeighborIndex index(reg, 500.0);
   std::int64_t t = 0;
+  double step = 4.0;
   for (auto _ : state) {
-    index.refresh(SimTime::from_us(++t));  // force rebuild each iteration
+    // Pushes a mobility tick: every node moves a few metres (back and forth,
+    // so the cloud stays put). A refresh with no pose write is a no-op, so
+    // the writes are what make this an incremental rebuild.
+    for (std::size_t i = 0; i < n; ++i) {
+      const NodeId id{i};
+      reg.set_position(id, reg.position(id) + Vec2{step, step});
+    }
+    step = -step;
+    index.refresh(SimTime::from_us(++t));
     benchmark::DoNotOptimize(index);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());

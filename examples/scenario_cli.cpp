@@ -224,6 +224,8 @@ int main(int argc, char** argv) {
     // run_replicas). The single-replica path used to leave it zero.
     engine.peak_rss_bytes = process_peak_rss_bytes();
     engine.table_bytes = world.service().service_stats().table_bytes;
+    engine.index_rebuilds = world.medium().index().rebuilds();
+    engine.density_recounts = world.medium().index().density_recounts();
     digests.push_back(state_digest(world));
     replica_engine.push_back(engine);
     service_name = world.service().name();

@@ -117,6 +117,8 @@ ReplicaSet run_replicas(const ScenarioConfig& cfg, Protocol protocol,
     out.engine[i].peak_rss_bytes = process_peak_rss_bytes();
     // End-of-run protocol-state footprint: tables + registry, one replica.
     out.engine[i].table_bytes = world.service().service_stats().table_bytes;
+    out.engine[i].index_rebuilds = world.medium().index().rebuilds();
+    out.engine[i].density_recounts = world.medium().index().density_recounts();
     registries[i] = world.sim().observability();
     regions[i] = world.regions();
     if (world.profiler() != nullptr) profiles[i] = *world.profiler();

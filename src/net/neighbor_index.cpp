@@ -28,7 +28,16 @@ void NeighborIndex::refresh(SimTime now, PhaseProfiler* profiler) {
       cached_pos_.size() == registry_->count()) {
     return;
   }
+  const std::uint64_t pose_writes = registry_->pose_writes();
+  if (built_pose_writes_ == pose_writes &&
+      cached_pos_.size() == registry_->count()) {
+    // No pose written since the build: the index is already current.
+    built_at_ = now;
+    built_generation_ = generation;
+    return;
+  }
   ProfileScope scope(profiler, "neighbor_index_rebuild");
+  ++rebuilds_;
   ++stamp_;  // invalidates every cached density
   if (cached_pos_.size() == registry_->count() && !cached_pos_.empty()) {
     rebuild_incremental();
@@ -37,6 +46,7 @@ void NeighborIndex::refresh(SimTime now, PhaseProfiler* profiler) {
   }
   built_at_ = now;
   built_generation_ = generation;
+  built_pose_writes_ = pose_writes;
 }
 
 void NeighborIndex::rebuild_full() {
@@ -100,6 +110,8 @@ void NeighborIndex::query(Vec2 p, double radius, NodeId exclude,
 }
 
 int NeighborIndex::count_within(Vec2 p, double radius, NodeId exclude) const {
+  HLSRG_CHECK_MSG(radius <= cell_ + 1e-9,
+                  "query radius must not exceed the hash cell size");
   const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
   const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
   const double r2 = radius * radius;
@@ -143,6 +155,7 @@ std::int32_t NeighborIndex::local_density(NodeId id) {
   const std::size_t i = id.index();
   HLSRG_DCHECK(i < cached_pos_.size());
   if (density_stamp_[i] != stamp_) {
+    ++density_recounts_;
     density_[i] = compute_density(id);
     density_stamp_[i] = stamp_;
   }

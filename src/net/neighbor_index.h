@@ -2,12 +2,15 @@
 //
 // Cell size equals the radio range, so a range query touches at most the
 // 3x3 cell block around the query point. The index is rebuilt lazily, keyed
-// on (SimTime, registry position generation): node positions change when the
-// mobility model ticks (which advances the clock) or when a mutator bumps
-// the registry's position generation without advancing it (fault window
-// edges), so a build tagged with both stays valid for every query under that
-// key. Rebuilds are incremental — only nodes whose cell changed move between
-// cell lists — and the cell table is an open-addressing flat map
+// on (SimTime, registry position generation): a build tagged with both stays
+// valid for every query under that key, and a pose the bridge pushes mid-tick
+// becomes visible at the same timestamp only through a generation bump. When
+// the key moves on but the registry has recorded no pose write and no new
+// node since the build, the positions are those the build indexed, so the
+// index adopts the new key without a scan and every cached density survives.
+// Vehicles move only at the mobility tick, so most broadcasts between ticks
+// take that path. Rebuilds are incremental — only nodes whose cell changed
+// move between cell lists — and the cell table is an open-addressing flat map
 // (util/flat_table.h) instead of an unordered_map.
 //
 // Receiver-side contention density is served from a per-node cache filled
@@ -44,7 +47,7 @@ class NeighborIndex {
 
   // Ensures the index reflects positions as of `now` and the registry's
   // current position generation. A non-null profiler times the rebuild path
-  // (the cheap staleness check is never profiled).
+  // (the cheap staleness checks are never profiled).
   void refresh(SimTime now, PhaseProfiler* profiler = nullptr);
 
   // Appends all nodes within `radius` of `p` (excluding `exclude` if valid)
@@ -53,7 +56,8 @@ class NeighborIndex {
              std::vector<NodeId>* out) const;
 
   // Number of nodes within `radius` of `p`, excluding `exclude`. Always the
-  // exact distance-filtered count.
+  // exact distance-filtered count. `radius` must not exceed the cell size;
+  // checked.
   [[nodiscard]] int count_within(Vec2 p, double radius, NodeId exclude) const;
 
   // Batched receiver walk for the radio: one index walk appends every node
@@ -76,6 +80,13 @@ class NeighborIndex {
   // equivalence tests: local_density() must be loss-equivalent to this.
   [[nodiscard]] std::int32_t exact_density(NodeId id) const {
     return count_within(cached_pos_[id.index()], cell_, id);
+  }
+
+  // Work counters since construction: rebuild passes (full or incremental)
+  // and per-node density recounts (local_density cache misses).
+  [[nodiscard]] std::uint64_t rebuilds() const { return rebuilds_; }
+  [[nodiscard]] std::uint64_t density_recounts() const {
+    return density_recounts_;
   }
 
  private:
@@ -119,6 +130,10 @@ class NeighborIndex {
 
   SimTime built_at_ = SimTime::from_us(-1);
   std::uint64_t built_generation_ = ~std::uint64_t{0};
+  std::uint64_t built_pose_writes_ = ~std::uint64_t{0};
+
+  std::uint64_t rebuilds_ = 0;
+  std::uint64_t density_recounts_ = 0;
 };
 
 }  // namespace hlsrg

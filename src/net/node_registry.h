@@ -41,13 +41,15 @@ class NodeRegistry {
 
   void set_sink(NodeId id, PacketSink* sink);
 
-  // Pushes a new pose. Deliberately does NOT bump the position generation:
-  // the pose bridge decides when a write batch invalidates cached neighbor
-  // sets (it bumps on on_moved, and only there — mid-advance intersection
-  // poses become visible without a bump, exactly as the old pull-through-
-  // callback model behaved).
+  // Pushes a new pose and counts the write. Deliberately does NOT bump the
+  // position generation: the pose bridge decides when a write batch
+  // invalidates cached neighbor sets at the same timestamp (it bumps on
+  // on_moved, and only there — mid-advance intersection poses become
+  // visible without a bump, exactly as the old pull-through-callback model
+  // behaved).
   void set_position(NodeId id, Vec2 position) {
     positions_[id.index()] = position;
+    ++pose_writes_;
   }
 
   [[nodiscard]] std::size_t count() const { return positions_.size(); }
@@ -58,15 +60,18 @@ class NodeRegistry {
     return sinks_[id.index()];
   }
 
-  // Position writes are batched by the mobility tick; mutators (the pose
-  // bridge, fault window edges) bump this generation to invalidate
-  // consumers that cache positions — the neighbor index keys its rebuild on
-  // it, so a position change that does not advance the clock still
-  // invalidates the cache.
+  // Position writes are batched by the mobility tick; the pose bridge bumps
+  // this generation to invalidate consumers that cache positions — the
+  // neighbor index keys its rebuild on it, so a position change that does
+  // not advance the clock still invalidates the cache.
   void bump_position_generation() { ++position_generation_; }
   [[nodiscard]] std::uint64_t position_generation() const {
     return position_generation_;
   }
+
+  // Number of set_position calls so far. Equal counts at two instants mean
+  // no pose changed in between, so a cache built from positions stays valid.
+  [[nodiscard]] std::uint64_t pose_writes() const { return pose_writes_; }
 
   // --- dense vehicle block (SoA, indexed by VehicleId) ---------------------
 
@@ -116,6 +121,7 @@ class NodeRegistry {
   std::vector<std::uint8_t> vehicle_parked_;
   std::vector<std::int32_t> vehicle_region_;
   std::uint64_t position_generation_ = 0;
+  std::uint64_t pose_writes_ = 0;
 };
 
 }  // namespace hlsrg

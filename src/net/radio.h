@@ -106,6 +106,8 @@ class RadioMedium {
   [[nodiscard]] double range() const { return cfg_.range_m; }
   [[nodiscard]] const RadioConfig& config() const { return cfg_; }
   [[nodiscard]] Simulator& sim() { return *sim_; }
+  // The receiver index, for its work counters.
+  [[nodiscard]] const NeighborIndex& index() const { return index_; }
 
   // Loss probability for a hop of length `dist` with `local_neighbors`
   // stations audible at the receiver. Exposed for tests.

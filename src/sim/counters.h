@@ -188,6 +188,10 @@ struct EngineSpec {
   /* radio broadcast transmissions */                                    \
   F(std::uint64_t, broadcasts, kSum, kEngine, kUnchanged)                \
   R(broadcasts_per_sec, broadcasts)                                      \
+  /* neighbor-index rebuild passes (full or incremental) */              \
+  F(std::uint64_t, index_rebuilds, kSum, kEngine, kLower)                \
+  /* per-node contention-density recounts (density cache misses) */      \
+  F(std::uint64_t, density_recounts, kSum, kEngine, kLower)              \
   /* process RSS high-water mark */                                      \
   F(std::uint64_t, peak_rss_bytes, kMax, kMemory, kLower)                \
   /* protocol-table + registry heap bytes at end of run */               \

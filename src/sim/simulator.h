@@ -69,7 +69,9 @@ class Simulator {
   [[nodiscard]] const RunMetrics& metrics() const { return metrics_; }
 
   // Snapshot of the engine counters (wall_clock_sec and peak_rss_bytes are
-  // the harness's to fill; the simulator has no business probing the host).
+  // the harness's to fill; the simulator has no business probing the host.
+  // table_bytes and the neighbor-index counters are the harness's too: it
+  // reads them from the world's service and radio medium).
   [[nodiscard]] EngineStats engine_stats() const {
     EngineStats s;
     s.events_processed = queue_.events_dispatched();

@@ -170,6 +170,65 @@ TEST(NeighborIndexTest, ExcludesRequestedNode) {
   EXPECT_NE(out[0], a);
 }
 
+TEST(NeighborIndexTest, LaterTimestampWithoutPoseWriteKeepsDensityCache) {
+  NodeRegistry reg;
+  Rng rng(7);
+  const NodeId probe = reg.add_node(Vec2{500.0, 500.0});
+  for (int i = 0; i < 200; ++i) {
+    reg.add_node(Vec2{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
+  }
+  NeighborIndex index(reg, 500.0);
+  index.refresh(SimTime::from_sec(1));
+  const std::int32_t density = index.local_density(probe);
+  EXPECT_EQ(index.rebuilds(), 1u);
+  EXPECT_EQ(index.density_recounts(), 1u);
+
+  // The clock moves on but no pose was written: no scan, no recount.
+  index.refresh(SimTime::from_sec(2));
+  EXPECT_EQ(index.local_density(probe), density);
+  EXPECT_EQ(index.rebuilds(), 1u);
+  EXPECT_EQ(index.density_recounts(), 1u);
+}
+
+TEST(NeighborIndexTest, UnbumpedWriteIsVisibleAtLaterTimestamp) {
+  NodeRegistry reg;
+  const NodeId mover = reg.add_node(Vec2{100.0, 100.0});
+  const NodeId anchor = reg.add_node(Vec2{900.0, 900.0});
+  NeighborIndex index(reg, 500.0);
+  index.refresh(SimTime::from_sec(10));
+  reg.set_position(mover, Vec2{850.0, 900.0});  // no generation bump
+  index.refresh(SimTime::from_sec(11));
+  std::vector<NodeId> out;
+  index.query(Vec2{900.0, 900.0}, 500.0, anchor, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], mover);
+  EXPECT_EQ(index.rebuilds(), 2u);
+}
+
+TEST(NeighborIndexTest, AddNodeAfterBuildForcesRebuild) {
+  NodeRegistry reg;
+  const NodeId anchor = reg.add_node(Vec2{900.0, 900.0});
+  NeighborIndex index(reg, 500.0);
+  index.refresh(SimTime::from_sec(10));
+  const NodeId added = reg.add_node(Vec2{850.0, 900.0});
+  index.refresh(SimTime::from_sec(11));
+  EXPECT_EQ(index.rebuilds(), 2u);
+  std::vector<NodeId> out;
+  index.query(Vec2{900.0, 900.0}, 500.0, anchor, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], added);
+}
+
+TEST(NeighborIndexDeathTest, CountWithinRejectsRadiusBeyondCell) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  NodeRegistry reg;
+  reg.add_node(Vec2{0.0, 0.0});
+  NeighborIndex index(reg, 100.0);
+  index.refresh(SimTime::from_sec(1));
+  EXPECT_DEATH((void)index.count_within(Vec2{0.0, 0.0}, 250.0, NodeId{}),
+               "query radius must not exceed the hash cell size");
+}
+
 // --- RadioMedium ------------------------------------------------------------
 
 TEST(RadioTest, LossProbabilityMonotoneInDistance) {

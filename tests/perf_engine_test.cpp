@@ -23,6 +23,7 @@
 
 #include "audit/auditor.h"
 #include "harness/digest.h"
+#include "harness/runner.h"
 #include "harness/scenario.h"
 #include "harness/world.h"
 #include "net/neighbor_index.h"
@@ -496,6 +497,19 @@ TEST(EngineStatsTest, MergeSumsBroadcastsAndMaxesPeaks) {
   EXPECT_EQ(a.broadcasts, 42u);
   EXPECT_EQ(a.peak_rss_bytes, 5000u);
   EXPECT_DOUBLE_EQ(a.wall_clock_sec, 4.0);
+}
+
+TEST(EngineStatsTest, IndexWorkCountersAreStampedFromTheMedium) {
+  const ScenarioConfig cfg = paper_scenario(100, 2);
+  const ReplicaSet set = run_replicas(cfg, Protocol::kHlsrg, 1, 1);
+  World world(cfg, Protocol::kHlsrg);
+  world.run();
+  const NeighborIndex& index = world.medium().index();
+  const EngineStats& e = set.engine[0];
+  EXPECT_GT(e.index_rebuilds, 0u);
+  EXPECT_GT(e.density_recounts, 0u);
+  EXPECT_EQ(e.index_rebuilds, index.rebuilds());
+  EXPECT_EQ(e.density_recounts, index.density_recounts());
 }
 
 }  // namespace
