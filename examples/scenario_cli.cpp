@@ -314,11 +314,12 @@ int main(int argc, char** argv) {
               m.query_latency.mean_ms(), m.query_latency.p50_ms(),
               m.query_latency.p95_ms(), m.query_latency.max_ms());
   std::printf("radio:      %llu broadcasts, %llu unicasts, %llu drops, "
-              "%llu route failures\n",
+              "%llu route failures, %llu rebroadcasts suppressed\n",
               static_cast<unsigned long long>(m.radio_broadcasts),
               static_cast<unsigned long long>(m.radio_unicasts),
               static_cast<unsigned long long>(m.radio_drops),
-              static_cast<unsigned long long>(m.gpsr_failures));
+              static_cast<unsigned long long>(m.gpsr_failures),
+              static_cast<unsigned long long>(m.rebroadcasts_suppressed));
   if (m.fault_plan_digest != 0) {
     std::printf("faults:     availability %.1f%% (%llu/%llu in-window), "
                 "recovery %.1f ms, %llu stranded\n",

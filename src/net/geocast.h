@@ -5,6 +5,14 @@
 // range of this Level 1 grid" (a box flood). Both are duplicate-suppressed
 // floods where only nodes inside the region rebroadcast; loss and delay come
 // from the radio layer per hop.
+//
+// Rebroadcasts are distance-suppressed (the broadcast-storm "distance-based
+// scheme", Ni et al., MobiCom 1999): each node remembers how close the
+// nearest transmitter it heard the flood from was, duplicates included, and
+// when its jitter timer fires it stays silent if that transmitter was within
+// kCoveredRadiusFraction of the radio range. Behind a relay that close, this
+// node's own transmission would add at most ~38% of a disk of new coverage
+// (up to 61% at the edge of range). The origin always transmits.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +57,10 @@ struct GeocastConfig {
   int max_transmissions = 256;
 };
 
+// A node whose nearest heard transmitter was closer than this fraction of the
+// radio range skips its rebroadcast (300 m at the paper's 500 m range).
+inline constexpr double kCoveredRadiusFraction = 0.6;
+
 class GeocastService {
  public:
   GeocastService(RadioMedium& medium, const NodeRegistry& registry,
@@ -57,18 +69,26 @@ class GeocastService {
   // Floods `pkt` over all nodes in `region`, starting from `origin` (which
   // may itself be outside the region, e.g. a grid-center server flooding a
   // corridor that starts at a recorded position). Every in-region node
-  // receives the packet exactly once via its PacketSink. Each transmission
-  // increments *tx_counter when provided.
+  // receives the packet at most once via its PacketSink: a node can miss it
+  // to loss or when every nearby relay stayed suppressed. Each transmission
+  // increments *tx_counter when provided; a suppressed rebroadcast sends
+  // nothing and increments RunMetrics::rebroadcasts_suppressed instead.
   void flood(NodeId origin, Packet pkt, GeocastRegion region,
              std::uint64_t* tx_counter = nullptr);
 
  private:
   struct FloodState;
+  // Transmits the flood from `node` once and schedules in-region receivers'
+  // rebroadcasts.
   void step(NodeId node, const std::shared_ptr<FloodState>& st);
+  // A receiver's jitter timer: step() unless a near relay covered `node`.
+  void rebroadcast(NodeId node, const std::shared_ptr<FloodState>& st);
 
   RadioMedium* medium_;
   const NodeRegistry* registry_;
   GeocastConfig cfg_;
+  // (kCoveredRadiusFraction * range)^2.
+  double covered_d2_;
 };
 
 }  // namespace hlsrg

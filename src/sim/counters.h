@@ -244,6 +244,8 @@ struct EngineSpec {
   /* one-hop broadcast transmissions; GPSR hop transmissions */          \
   X(radio_broadcasts, kSum, kAlways, kUnchanged)                         \
   X(radio_unicasts, kSum, kAlways, kUnchanged)                           \
+  /* geocast rebroadcasts skipped: a near relay already covered them */  \
+  X(rebroadcasts_suppressed, kSum, kAlways, kUnchanged)                  \
   /* receptions lost to the channel */                                   \
   X(radio_drops, kSum, kAlways, kLower)                                  \
   /* RSU backhaul messages */                                            \

@@ -134,6 +134,12 @@ class OpenAddressMap {
 
   // Returns the value slot for `key`, inserting `fallback` first if absent.
   Value& find_or_insert(Key key, Value fallback) {
+    return *try_insert(key, fallback).first;
+  }
+
+  // Inserts `value` for `key` if absent. Returns the key's value slot and
+  // whether this call inserted it, in one probe.
+  std::pair<Value*, bool> try_insert(Key key, Value value) {
     if (slots_.empty() || (size_ + tombstones_ + 1) * 10 > slots_.size() * 7) {
       rehash();
     }
@@ -142,7 +148,7 @@ class OpenAddressMap {
     std::size_t reuse = kNoSlot;
     while (true) {
       const std::uint8_t st = states_[i];
-      if (st == kFull && slots_[i].key == key) return slots_[i].value;
+      if (st == kFull && slots_[i].key == key) return {&slots_[i].value, false};
       if (st == kTomb && reuse == kNoSlot) reuse = i;
       if (st == kEmpty) {
         if (reuse != kNoSlot) {
@@ -151,9 +157,9 @@ class OpenAddressMap {
         }
         states_[i] = kFull;
         slots_[i].key = key;
-        slots_[i].value = fallback;
+        slots_[i].value = value;
         ++size_;
-        return slots_[i].value;
+        return {&slots_[i].value, true};
       }
       i = (i + 1) & mask;
     }

@@ -194,6 +194,23 @@ TEST(OpenAddressMapTest, ExtremeKeysAreOrdinary) {
   EXPECT_NE(map.find(~std::uint64_t{0}), nullptr);
 }
 
+TEST(OpenAddressMapTest, TryInsertReportsWhetherItInserted) {
+  OpenAddressMap<std::uint64_t, double> map;
+  const auto [first, inserted] = map.try_insert(7, 2.5);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(*first, 2.5);
+  // A second insert keeps the stored value and hands back its slot.
+  const auto [again, reinserted] = map.try_insert(7, 9.0);
+  EXPECT_FALSE(reinserted);
+  EXPECT_EQ(again, map.find(7));
+  EXPECT_EQ(*again, 2.5);
+  // An erased key inserts afresh (into its tombstone).
+  EXPECT_TRUE(map.erase(7));
+  EXPECT_TRUE(map.try_insert(7, 9.0).second);
+  EXPECT_EQ(*map.find(7), 9.0);
+  EXPECT_EQ(map.size(), 1u);
+}
+
 // --- ExpiryWheel -----------------------------------------------------------
 
 TEST(ExpiryWheelTest, DrainMatchesFullScanPredicate) {

@@ -558,6 +558,74 @@ TEST(GeocastTest, FloodTerminatesUnderLoss) {
   EXPECT_LE(tx, 256u);  // respects the budget
 }
 
+TEST(GeocastTest, NearReceiverSkipsItsRebroadcastFarOneRelays) {
+  Simulator sim(8);
+  StaticNet net(sim, lossless());
+  const NodeId origin = net.add({0, 0});
+  const NodeId near = net.add({100, 0});
+  const NodeId far = net.add({450, 0});
+  GeocastService geo(net.medium(), net.registry());
+  std::uint64_t tx = 0;
+  geo.flood(origin, make_test_packet(),
+            GeocastRegion::from_box(Aabb{{-1000, -1000}, {1000, 1000}}), &tx);
+  sim.run_until(SimTime::from_sec(2));
+  EXPECT_EQ(net.sink(near).received.size(), 1u);
+  EXPECT_EQ(net.sink(far).received.size(), 1u);
+  // The origin and the 450 m receiver transmit; the 100 m one, covered by
+  // the origin's own transmission, stays silent.
+  EXPECT_EQ(tx, 2u);
+  EXPECT_EQ(sim.metrics().rebroadcasts_suppressed, 1u);
+  EXPECT_EQ(sim.metrics().radio_broadcasts, 2u);
+}
+
+TEST(GeocastTest, NearCopyHeardAfterAFarOneStillSuppresses) {
+  // Both receivers first hear the origin from beyond the covered radius
+  // (350 m and 450 m), so each arms a rebroadcast. They sit 100 m apart:
+  // whichever timer fires first transmits, and the other then hears that
+  // near copy before its own timer fires and stays silent. The wide jitter
+  // puts the two timers further apart than one hop's delay (timers inside
+  // one hop of each other would both fire before either copy lands).
+  Simulator sim(8);
+  StaticNet net(sim, lossless());
+  const NodeId origin = net.add({0, 0});
+  const NodeId a = net.add({350, 0});
+  const NodeId b = net.add({450, 0});
+  GeocastConfig cfg;
+  cfg.rebroadcast_delay_ms = 1000.0;
+  GeocastService geo(net.medium(), net.registry(), cfg);
+  std::uint64_t tx = 0;
+  geo.flood(origin, make_test_packet(),
+            GeocastRegion::from_box(Aabb{{-1000, -1000}, {1000, 1000}}), &tx);
+  sim.run_until(SimTime::from_sec(5));
+  ASSERT_EQ(net.sink(a).received.size(), 1u);
+  ASSERT_EQ(net.sink(b).received.size(), 1u);
+  EXPECT_EQ(net.sink(a).received[0].from, origin);
+  EXPECT_EQ(net.sink(b).received[0].from, origin);
+  EXPECT_EQ(tx, 2u);
+  EXPECT_EQ(sim.metrics().rebroadcasts_suppressed, 1u);
+}
+
+TEST(GeocastTest, ChainBeyondTheCoveredRadiusReachesItsEnd) {
+  // Hops of 0.7 x range: no node ever hears a transmitter inside the
+  // covered radius, so every node relays and the flood reaches the end.
+  Simulator sim(8);
+  StaticNet net(sim, lossless());
+  const double spacing = 0.7 * lossless().range_m;
+  std::vector<NodeId> chain;
+  for (int i = 0; i < 8; ++i) chain.push_back(net.add({spacing * i, 0}));
+  GeocastService geo(net.medium(), net.registry());
+  std::uint64_t tx = 0;
+  geo.flood(chain.front(), make_test_packet(),
+            GeocastRegion::from_box(Aabb{{-100, -100}, {spacing * 8, 100}}),
+            &tx);
+  sim.run_until(SimTime::from_sec(2));
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    EXPECT_EQ(net.sink(chain[i]).received.size(), 1u) << i;
+  }
+  EXPECT_EQ(tx, chain.size());
+  EXPECT_EQ(sim.metrics().rebroadcasts_suppressed, 0u);
+}
+
 // --- Wired -------------------------------------------------------------------------
 
 TEST(WiredTest, DirectLinkDelivery) {
