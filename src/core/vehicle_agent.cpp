@@ -143,7 +143,11 @@ void HlsrgVehicleAgent::send_update(const UpdateDecision& decision,
   svc_->metrics().update_transmissions++;
   svc_->sim().trace_event({{}, TraceEventKind::kUpdateSent, vehicle_,
                            VehicleId{}, payload->record.pos, 0});
-  const int receivers = svc_->medium().broadcast(node_, pkt);
+  // Sent from the intersection (paper 2.2.1), not from the end-of-tick pose
+  // the vehicle has since driven on to: stop lines of neighbouring artery
+  // intersections sit exactly one radio range apart (DESIGN.md §10).
+  const int receivers =
+      svc_->medium().broadcast(node_, svc_->network().position(node), pkt);
   svc_->sim().instant_span(SpanKind::kUpdate, SpanStatus::kOk,
                            vehicle_.value(), kNoQuery, payload->record.pos,
                            kNoQuery, 1, "crossing", receivers);

@@ -66,10 +66,9 @@ World::World(const ScenarioConfig& cfg, Protocol protocol)
 
   mobility_ = std::make_unique<MobilityModel>(sim_, net_, cfg_.mobility);
   mobility_->place_random_vehicles(cfg_.vehicles);
-  // The pose bridge must be the FIRST movement listener: it pushes mobility
-  // poses into the registry's SoA arrays before any protocol listener runs,
-  // so agents reading positions mid-callback see exactly what the old
-  // pull-through-callback registry returned.
+  // The pose bridge must be the FIRST movement listener: it commits each
+  // tick's poses into the registry's SoA arrays before any protocol listener
+  // sees the tick, so agents only ever read one end-of-tick snapshot.
   pose_bridge_.set_mobility(mobility_.get());
   mobility_->add_listener(&pose_bridge_);
 

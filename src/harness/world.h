@@ -101,18 +101,10 @@ class World {
 
  private:
   // Mirrors every mobility write into the registry's SoA vehicle state.
-  // Registered FIRST (before any service listener), so by the time a
-  // protocol agent reacts to a movement callback the registry already holds
-  // the pose the old pull-through-callback model would have returned:
-  //  - on_moved pushes the end-of-tick pose, velocity, and region, then
-  //    bumps the position generation (one bump per move, as before) —
-  //    without the bump a neighbor index built earlier in the same
-  //    timestamp (agents broadcast from inside the movement listeners,
-  //    mid-tick) would be reused, stale, by everything ordered after the
-  //    write.
-  //  - on_intersection_pass pushes the mid-advance stop-line pose WITHOUT a
-  //    bump: the pull model exposed that pose to the update rules while
-  //    leaving cached neighbor sets alone, and digests pin that behavior.
+  // Registered FIRST (before any service listener). Mobility replays a whole
+  // tick to one listener before the next, so the bridge commits every
+  // end-of-tick pose before any protocol agent reacts to the tick:
+  //  - on_moved pushes the end-of-tick pose, velocity, and region.
   //  - the parking callbacks keep the parked flag and velocity in sync
   //    (positions do not change while parked).
   class PoseSyncBridge final : public MovementListener {
@@ -126,12 +118,6 @@ class World {
       registry_->set_vehicle_velocity(
           v, mobility_->heading(v) * mobility_->state(v).speed);
       registry_->set_vehicle_region(v, regions_->region_of(after));
-      registry_->bump_position_generation();
-    }
-    void on_intersection_pass(VehicleId v, IntersectionId, SegmentId,
-                              SegmentId) override {
-      registry_->set_position(registry_->vehicle_node(v),
-                              mobility_->position(v));
     }
     void on_parked(VehicleId v) override {
       registry_->set_vehicle_parked(v, true);

@@ -147,13 +147,27 @@ void MobilityModel::churn_tick() {
 
 void MobilityModel::tick() {
   if (cfg_.churn.enabled) churn_tick();
+  // Phase 1: advance every vehicle, recording its passes and its move.
+  events_.clear();
   for (std::size_t i = 0; i < states_.size(); ++i) {
     const VehicleId v{i};
     const Vec2 before = position(v);
     advance_vehicle(v, cfg_.tick_sec);
     const Vec2 after = position(v);
     if (before != after) {
-      for (MovementListener* l : listeners_) l->on_moved(v, before, after);
+      events_.push_back({v, IntersectionId{}, SegmentId{}, SegmentId{}, before,
+                         after});
+    }
+  }
+  // Phase 2: replay the tick to each listener. The world's pose bridge is
+  // registered first, so every pose is committed before a protocol reacts.
+  for (MovementListener* l : listeners_) {
+    for (const TickEvent& e : events_) {
+      if (e.node.valid()) {
+        l->on_intersection_pass(e.v, e.node, e.in_seg, e.out_seg);
+      } else {
+        l->on_moved(e.v, e.before, e.after);
+      }
     }
   }
   for (MovementListener* l : listeners_) l->on_tick();
@@ -185,9 +199,7 @@ void MobilityModel::advance_vehicle(VehicleId v, double dt) {
     }
     // Green: cross the intersection.
     const SegmentId out = policy_.choose_exit(s.seg, sim_->mobility_rng());
-    for (MovementListener* l : listeners_) {
-      l->on_intersection_pass(v, seg.to, s.seg, out);
-    }
+    events_.push_back({v, seg.to, s.seg, out, Vec2{}, Vec2{}});
     s.seg = out;
     s.offset = 0.0;
     s.waiting = false;

@@ -67,12 +67,16 @@ struct VehicleState {
   bool waiting = false;  // stopped at seg.to's red light
 };
 
-// Observer interface for protocol agents.
+// Observer interface for protocol agents. Intersection passes and moves fire
+// after the whole tick has advanced: each listener, in registration order,
+// gets that tick's events in vehicle-id order (a vehicle's passes before its
+// move), then on_tick. Every pose a listener reads is the end-of-tick pose.
 class MovementListener {
  public:
   virtual ~MovementListener() = default;
   // Vehicle `v` passed through `node`, arriving on `in_seg` and departing on
-  // `out_seg`. Fired at the moment of crossing (after any red-light wait).
+  // `out_seg` during the tick ending now (after any red-light wait). The
+  // vehicle has since driven on; `node` locates the crossing.
   virtual void on_intersection_pass(VehicleId v, IntersectionId node,
                                     SegmentId in_seg, SegmentId out_seg) {
     (void)v; (void)node; (void)in_seg; (void)out_seg;
@@ -82,7 +86,7 @@ class MovementListener {
   virtual void on_moved(VehicleId v, Vec2 before, Vec2 after) {
     (void)v; (void)before; (void)after;
   }
-  // All vehicles have moved for this tick.
+  // Fired once per tick, after every listener has seen the tick's events.
   virtual void on_tick() {}
   // Vehicle `v` pulled over (speed -> 0) at its current position. Fired by
   // the parking-churn lifecycle only; init-parked vehicles never fire it.
@@ -138,6 +142,17 @@ class MobilityModel {
   [[nodiscard]] const MobilityConfig& config() const { return cfg_; }
 
  private:
+  // One movement callback recorded by a tick's advance phase. A pass carries
+  // a valid `node`; a move carries an invalid one and its two poses.
+  struct TickEvent {
+    VehicleId v;
+    IntersectionId node;
+    SegmentId in_seg;
+    SegmentId out_seg;
+    Vec2 before;
+    Vec2 after;
+  };
+
   void tick();
   void advance_vehicle(VehicleId v, double dt);
   void churn_tick();
@@ -155,6 +170,8 @@ class MobilityModel {
   // VehicleState so the digest's per-vehicle mix is untouched.
   std::vector<double> depart_at_sec_;
   std::vector<MovementListener*> listeners_;
+  // This tick's passes and moves, in vehicle-id order; reused across ticks.
+  std::vector<TickEvent> events_;
   std::uint64_t park_events_ = 0;
   std::uint64_t depart_events_ = 0;
   bool started_ = false;

@@ -26,7 +26,7 @@ void BeaconService::beacon_from(NodeId node) {
   ++beacons_sent_;
   const Vec2 pos = registry_->position(node);
   const SimTime now = medium_->sim().now();
-  medium_->broadcast_each(node, PacketKind::kHello,
+  medium_->broadcast_each(node, pos, PacketKind::kHello,
                           [this, node, pos, now](NodeId rx) {
     if (rx.index() < tables_.size()) {
       tables_[rx.index()].upsert(node, Entry{pos, now});

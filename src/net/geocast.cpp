@@ -86,7 +86,7 @@ void GeocastService::step(NodeId node, const std::shared_ptr<FloodState>& st) {
   if (st->tx_counter != nullptr) ++*st->tx_counter;
   const Vec2 tx_pos = registry_->position(node);
   medium_->broadcast_each(
-      node, st->pkt.kind, [this, node, tx_pos, st](NodeId rx) {
+      node, tx_pos, st->pkt.kind, [this, node, tx_pos, st](NodeId rx) {
         const Vec2 rx_pos = registry_->position(rx);
         const double d2 = distance2(tx_pos, rx_pos);
         const auto [nearest, first] =

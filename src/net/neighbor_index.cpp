@@ -22,19 +22,11 @@ std::vector<NodeId>& NeighborIndex::cell_nodes_mut(std::uint64_t key) {
   return cells_[slot];
 }
 
-void NeighborIndex::refresh(SimTime now, PhaseProfiler* profiler) {
-  const std::uint64_t generation = registry_->position_generation();
-  if (built_at_ == now && built_generation_ == generation &&
-      cached_pos_.size() == registry_->count()) {
-    return;
-  }
+void NeighborIndex::refresh(SimTime /*now*/, PhaseProfiler* profiler) {
   const std::uint64_t pose_writes = registry_->pose_writes();
   if (built_pose_writes_ == pose_writes &&
       cached_pos_.size() == registry_->count()) {
-    // No pose written since the build: the index is already current.
-    built_at_ = now;
-    built_generation_ = generation;
-    return;
+    return;  // no pose written and no node added since the build
   }
   ProfileScope scope(profiler, "neighbor_index_rebuild");
   ++rebuilds_;
@@ -44,8 +36,6 @@ void NeighborIndex::refresh(SimTime now, PhaseProfiler* profiler) {
   } else {
     rebuild_full();
   }
-  built_at_ = now;
-  built_generation_ = generation;
   built_pose_writes_ = pose_writes;
 }
 

@@ -2,16 +2,13 @@
 //
 // Cell size equals the radio range, so a range query touches at most the
 // 3x3 cell block around the query point. The index is rebuilt lazily, keyed
-// on (SimTime, registry position generation): a build tagged with both stays
-// valid for every query under that key, and a pose the bridge pushes mid-tick
-// becomes visible at the same timestamp only through a generation bump. When
-// the key moves on but the registry has recorded no pose write and no new
-// node since the build, the positions are those the build indexed, so the
-// index adopts the new key without a scan and every cached density survives.
-// Vehicles move only at the mobility tick, so most broadcasts between ticks
-// take that path. Rebuilds are incremental — only nodes whose cell changed
-// move between cell lists — and the cell table is an open-addressing flat map
-// (util/flat_table.h) instead of an unordered_map.
+// on the registry's pose-write count and node count: while neither has
+// changed since the build, the positions are those the build indexed, so
+// refresh() is a no-op and every cached density survives. The pose bridge
+// commits a whole mobility tick before any protocol broadcasts, so there is
+// at most one rebuild per tick. Rebuilds are incremental — only nodes whose
+// cell changed move between cell lists — and the cell table is an
+// open-addressing flat map (util/flat_table.h) instead of an unordered_map.
 //
 // Receiver-side contention density is served from a per-node cache filled
 // lazily once per rebuild. Density feeds the radio loss model only through
@@ -45,9 +42,11 @@ class NeighborIndex {
       : registry_(&registry), cell_(cell_size),
         saturation_(density_saturation) {}
 
-  // Ensures the index reflects positions as of `now` and the registry's
-  // current position generation. A non-null profiler times the rebuild path
-  // (the cheap staleness checks are never profiled).
+  // Ensures the index reflects the registry's current positions. `now` is
+  // not part of the staleness key (pose writes are); it stays in the
+  // signature because callers outside the library pass it. A non-null
+  // profiler times the rebuild path (the cheap staleness check is never
+  // profiled).
   void refresh(SimTime now, PhaseProfiler* profiler = nullptr);
 
   // Appends all nodes within `radius` of `p` (excluding `exclude` if valid)
@@ -128,8 +127,6 @@ class NeighborIndex {
   std::vector<std::uint64_t> density_stamp_;
   std::uint64_t stamp_ = 0;
 
-  SimTime built_at_ = SimTime::from_us(-1);
-  std::uint64_t built_generation_ = ~std::uint64_t{0};
   std::uint64_t built_pose_writes_ = ~std::uint64_t{0};
 
   std::uint64_t rebuilds_ = 0;

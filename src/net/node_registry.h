@@ -41,12 +41,8 @@ class NodeRegistry {
 
   void set_sink(NodeId id, PacketSink* sink);
 
-  // Pushes a new pose and counts the write. Deliberately does NOT bump the
-  // position generation: the pose bridge decides when a write batch
-  // invalidates cached neighbor sets at the same timestamp (it bumps on
-  // on_moved, and only there — mid-advance intersection poses become
-  // visible without a bump, exactly as the old pull-through-callback model
-  // behaved).
+  // Pushes a new pose and counts the write. The pose bridge writes a whole
+  // mobility tick at once, before any protocol reacts to it.
   void set_position(NodeId id, Vec2 position) {
     positions_[id.index()] = position;
     ++pose_writes_;
@@ -60,17 +56,9 @@ class NodeRegistry {
     return sinks_[id.index()];
   }
 
-  // Position writes are batched by the mobility tick; the pose bridge bumps
-  // this generation to invalidate consumers that cache positions — the
-  // neighbor index keys its rebuild on it, so a position change that does
-  // not advance the clock still invalidates the cache.
-  void bump_position_generation() { ++position_generation_; }
-  [[nodiscard]] std::uint64_t position_generation() const {
-    return position_generation_;
-  }
-
   // Number of set_position calls so far. Equal counts at two instants mean
-  // no pose changed in between, so a cache built from positions stays valid.
+  // no pose changed in between, so a cache built from positions stays valid
+  // (the neighbor index keys its rebuild on this).
   [[nodiscard]] std::uint64_t pose_writes() const { return pose_writes_; }
 
   // --- dense vehicle block (SoA, indexed by VehicleId) ---------------------
@@ -120,7 +108,6 @@ class NodeRegistry {
   std::vector<Vec2> vehicle_velocity_;
   std::vector<std::uint8_t> vehicle_parked_;
   std::vector<std::int32_t> vehicle_region_;
-  std::uint64_t position_generation_ = 0;
   std::uint64_t pose_writes_ = 0;
 };
 

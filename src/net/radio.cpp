@@ -66,29 +66,37 @@ bool RadioMedium::offer(PacketKind kind, Vec2 rx_pos, bool lost) {
 }
 
 int RadioMedium::broadcast(NodeId sender, const Packet& pkt) {
-  return broadcast_each(sender, pkt.kind, [this, sender, pkt](NodeId rx) {
-    if (PacketSink* sink = registry_->sink(rx)) sink->on_receive(pkt, sender);
-  });
+  return broadcast(sender, registry_->position(sender), pkt);
 }
 
-int RadioMedium::broadcast_each(NodeId sender, PacketKind kind,
+int RadioMedium::broadcast(NodeId sender, Vec2 tx_pos, const Packet& pkt) {
+  return broadcast_each(sender, tx_pos, pkt.kind,
+                        [this, sender, pkt](NodeId rx) {
+                          if (PacketSink* sink = registry_->sink(rx)) {
+                            sink->on_receive(pkt, sender);
+                          }
+                        });
+}
+
+int RadioMedium::broadcast_each(NodeId sender, Vec2 tx_pos, PacketKind kind,
                                 std::function<void(NodeId)> on_deliver) {
   HLSRG_CHECK(on_deliver != nullptr);
   ProfileScope profile(sim_->profiler(), "radio_broadcast");
   index_.refresh(sim_->now(), sim_->profiler());
   scratch_.clear();
   density_scratch_.clear();
-  const Vec2 sp = registry_->position(sender);
   if (reference_density_) {
-    index_.query(sp, cfg_.range_m, sender, &scratch_);
+    index_.query(tx_pos, cfg_.range_m, sender, &scratch_);
     for (NodeId rx : scratch_) density_scratch_.push_back(density_at(rx));
   } else {
-    index_.query_with_density(sp, cfg_.range_m, sender, &scratch_,
+    index_.query_with_density(tx_pos, cfg_.range_m, sender, &scratch_,
                               &density_scratch_);
   }
   sim_->metrics().radio_broadcasts++;
   RegionTelemetry* regions = sim_->regions();
-  if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_broadcasts;
+  if (regions != nullptr) {
+    ++regions->at(regions->region_of(tx_pos)).radio_broadcasts;
+  }
   const SimTime delay = hop_delay();
   std::vector<NodeId> survivors;
   survivors.reserve(scratch_.size());
@@ -96,7 +104,7 @@ int RadioMedium::broadcast_each(NodeId sender, PacketKind kind,
     const NodeId rx = scratch_[i];
     const Vec2 rp = registry_->position(rx);
     const bool lost = sim_->radio_rng().chance(
-        loss_probability(distance(sp, rp), density_scratch_[i], rp));
+        loss_probability(distance(tx_pos, rp), density_scratch_[i], rp));
     if (offer(kind, rp, lost)) survivors.push_back(rx);
   }
   if (!survivors.empty()) {

@@ -71,14 +71,17 @@ class RadioMedium {
   // independently passes the loss draw. Returns the in-range receiver count
   // (before losses).
   int broadcast(NodeId sender, const Packet& pkt);
+  // Same, transmitted from `tx_pos` instead of the sender's registry pose.
+  // An HLSRG update goes out from the intersection the vehicle crossed.
+  int broadcast(NodeId sender, Vec2 tx_pos, const Packet& pkt);
 
-  // One-hop broadcast delivering to a callback instead of node sinks; the
-  // geocast layer uses this to run region-limited floods with its own
+  // One-hop broadcast from `tx_pos` delivering to a callback instead of node
+  // sinks; the geocast layer uses this to run region-limited floods with its own
   // duplicate suppression. broadcast() is this with a sink-delivering
   // callback. The callback fires at reception time, once per surviving
   // receiver. `kind` feeds the per-kind channel ledger (the frame carries no
   // Packet, but the conservation auditor still covers it).
-  int broadcast_each(NodeId sender, PacketKind kind,
+  int broadcast_each(NodeId sender, Vec2 tx_pos, PacketKind kind,
                      std::function<void(NodeId)> on_deliver);
 
   // One-hop unicast with MAC retries. `target` must currently be in range;

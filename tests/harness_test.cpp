@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,6 +118,58 @@ TEST(WorldTest, BeaconModeRunsEndToEnd) {
   World quiet(off, Protocol::kHlsrg);
   quiet.run();
   EXPECT_GT(m.radio_broadcasts, 2 * quiet.metrics().radio_broadcasts);
+}
+
+// Added after the World is built, so it runs after the pose bridge and the
+// protocol service. At every pass and move it checks that the registry
+// holds the mobility model's pose for every vehicle and that no pose has
+// been written since the tick's first callback: one committed snapshot.
+class SnapshotProbe final : public MovementListener {
+ public:
+  explicit SnapshotProbe(World& world) : world_(&world) {}
+  void on_intersection_pass(VehicleId, IntersectionId, SegmentId,
+                            SegmentId) override {
+    ++passes;
+    check();
+  }
+  void on_moved(VehicleId, Vec2, Vec2) override {
+    ++moves;
+    check();
+  }
+  void on_tick() override { tick_writes_.reset(); }
+
+  int passes = 0;
+  int moves = 0;
+  int pose_mismatches = 0;
+  int writes_within_tick = 0;
+
+ private:
+  void check() {
+    NodeRegistry& registry = world_->registry();
+    if (!tick_writes_) tick_writes_ = registry.pose_writes();
+    if (registry.pose_writes() != *tick_writes_) ++writes_within_tick;
+    for (std::size_t i = 0; i < registry.vehicle_count(); ++i) {
+      const VehicleId v{i};
+      if (registry.vehicle_position(v) != world_->mobility().position(v)) {
+        ++pose_mismatches;
+      }
+    }
+  }
+
+  World* world_;
+  std::optional<std::uint64_t> tick_writes_;
+};
+
+TEST(WorldTest, MovementCallbacksSeeOneCommittedSnapshot) {
+  ScenarioConfig cfg = paper_scenario(80, 3);
+  World world(cfg, Protocol::kHlsrg);
+  SnapshotProbe probe(world);
+  world.mobility().add_listener(&probe);
+  world.run_until(SimTime::from_sec(30));
+  EXPECT_GT(probe.passes, 0);
+  EXPECT_GT(probe.moves, 0);
+  EXPECT_EQ(probe.pose_mismatches, 0);
+  EXPECT_EQ(probe.writes_within_tick, 0);
 }
 
 TEST(WorldTest, LoadsMapFromFile) {

@@ -196,13 +196,49 @@ TEST(NeighborIndexTest, UnbumpedWriteIsVisibleAtLaterTimestamp) {
   const NodeId anchor = reg.add_node(Vec2{900.0, 900.0});
   NeighborIndex index(reg, 500.0);
   index.refresh(SimTime::from_sec(10));
-  reg.set_position(mover, Vec2{850.0, 900.0});  // no generation bump
+  reg.set_position(mover, Vec2{850.0, 900.0});  // one counted pose write
   index.refresh(SimTime::from_sec(11));
   std::vector<NodeId> out;
   index.query(Vec2{900.0, 900.0}, 500.0, anchor, &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], mover);
   EXPECT_EQ(index.rebuilds(), 2u);
+}
+
+TEST(NeighborIndexTest, SameTimestampWriteIsVisibleAfterRefresh) {
+  // The pose-write count, not the clock, keys the rebuild: a write at the
+  // timestamp of the last build is visible after the next refresh.
+  NodeRegistry reg;
+  const NodeId mover = reg.add_node(Vec2{100.0, 100.0});
+  const NodeId anchor = reg.add_node(Vec2{900.0, 900.0});
+  NeighborIndex index(reg, 500.0);
+  index.refresh(SimTime::from_sec(10));
+  std::vector<NodeId> out;
+  index.query(Vec2{900.0, 900.0}, 500.0, anchor, &out);
+  EXPECT_TRUE(out.empty()) << "mover should start out of range";
+  reg.set_position(mover, Vec2{850.0, 900.0});
+  index.refresh(SimTime::from_sec(10));
+  index.query(Vec2{900.0, 900.0}, 500.0, anchor, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], mover);
+  EXPECT_EQ(index.rebuilds(), 2u);
+}
+
+TEST(NeighborIndexTest, NodeAtExactlyRadiusIsInRange) {
+  // Range is a closed disc. Stop-line queues at neighbouring artery
+  // intersections sit exactly one artery spacing (= radio range) apart, so
+  // this tie decides who hears an update sent from an intersection.
+  NodeRegistry reg;
+  const NodeId center = reg.add_node(Vec2{0.0, 0.0});
+  const NodeId at_radius = reg.add_node(Vec2{500.0, 0.0});
+  reg.add_node(Vec2{0.0, 500.0 + 1e-6});
+  NeighborIndex index(reg, 500.0);
+  index.refresh(SimTime::from_sec(1));
+  std::vector<NodeId> out;
+  index.query(Vec2{0.0, 0.0}, 500.0, center, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], at_radius);
+  EXPECT_EQ(index.count_within(Vec2{0.0, 0.0}, 500.0, center), 1);
 }
 
 TEST(NeighborIndexTest, AddNodeAfterBuildForcesRebuild) {
@@ -726,7 +762,6 @@ TEST(BeaconTest, StaleNeighborsExpire) {
   EXPECT_FALSE(out.empty());
   // b drives out of range; after the timeout its entry must be gone.
   reg.set_position(b, Vec2{5000, 0});
-  reg.bump_position_generation();
   sim.run_until(SimTime::from_sec(6));
   out.clear();
   beacons.neighbors_of(a, &out);
