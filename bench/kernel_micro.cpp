@@ -9,6 +9,7 @@
 #include "grid/partition.h"
 #include "harness/world.h"
 #include "net/neighbor_index.h"
+#include "net/radio.h"
 #include "roadnet/map_builder.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -77,7 +78,7 @@ void BM_NeighborIndexRefresh(benchmark::State& state) {
   for (auto _ : state) {
     // Pushes a mobility tick: every node moves a few metres (back and forth,
     // so the cloud stays put). A refresh with no pose write is a no-op, so
-    // the writes are what make this an incremental rebuild.
+    // the writes are what make each refresh a counting-sort rebuild.
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId id{i};
       reg.set_position(id, reg.position(id) + Vec2{step, step});
@@ -108,6 +109,39 @@ void BM_NeighborIndexQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NeighborIndexQuery);
+
+// The radio's receiver walks over one mobility tick at paper_dense density
+// (1000 nodes on 2 km, 500 m range): a pose write resets the density cache,
+// then every node broadcasts once, so each density is recounted on its
+// first read, as after a real tick. The one rebuild is a small share of it.
+void BM_NeighborIndexQueryWithDensity(benchmark::State& state) {
+  constexpr std::size_t kNodes = 1000;
+  NodeRegistry reg;
+  Rng rng(5);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    reg.add_node({rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2000.0)});
+  }
+  NeighborIndex index(reg, 500.0, RadioConfig{}.contention_free_neighbors);
+  std::vector<NodeId> out;
+  std::vector<std::int32_t> density;
+  const NodeId mover{kNodes - 1};
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    reg.set_position(mover, reg.position(mover));
+    index.refresh(SimTime::from_us(++t));
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const NodeId sender{i};
+      out.clear();
+      density.clear();
+      index.query_with_density(reg.position(sender), 500.0, sender, &out,
+                               &density);
+      benchmark::DoNotOptimize(density.data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kNodes) *
+                          state.iterations());
+}
+BENCHMARK(BM_NeighborIndexQueryWithDensity);
 
 void BM_FlatTableLookup(benchmark::State& state) {
   FlatTable<VehicleId, int> table;

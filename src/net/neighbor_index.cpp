@@ -2,177 +2,180 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/profiler.h"
 #include "util/check.h"
 
 namespace hlsrg {
 
-const std::vector<NodeId>* NeighborIndex::cell_nodes(std::uint64_t key) const {
-  const std::uint32_t* slot = cell_index_.find(key);
-  if (slot == nullptr) return nullptr;
-  const std::vector<NodeId>& nodes = cells_[*slot];
-  return nodes.empty() ? nullptr : &nodes;
+std::int64_t NeighborIndex::cell_coord(double v) const {
+  return static_cast<std::int64_t>(std::floor(v / cell_));
 }
 
-std::vector<NodeId>& NeighborIndex::cell_nodes_mut(std::uint64_t key) {
-  const std::uint32_t next = static_cast<std::uint32_t>(cells_.size());
-  const std::uint32_t slot = cell_index_.find_or_insert(key, next);
-  if (slot == next) cells_.emplace_back();
-  return cells_[slot];
+template <typename Fn>
+void NeighborIndex::for_each_block_run(Cell c, Fn&& fn) const {
+  const std::int64_t row_lo = std::max<std::int64_t>(c.row - 1, 0);
+  const std::int64_t row_hi = std::min<std::int64_t>(c.row + 1, ny_ - 1);
+  if (row_lo > row_hi) return;
+  const std::int64_t col_lo = std::max<std::int64_t>(c.col - 1, 0);
+  const std::int64_t col_hi = std::min<std::int64_t>(c.col + 1, nx_ - 1);
+  for (std::int64_t col = col_lo; col <= col_hi; ++col) {
+    const auto base = static_cast<std::size_t>(col * ny_);
+    fn(start_[base + static_cast<std::size_t>(row_lo)],
+       start_[base + static_cast<std::size_t>(row_hi) + 1]);
+  }
 }
 
 void NeighborIndex::refresh(SimTime /*now*/, PhaseProfiler* profiler) {
   const std::uint64_t pose_writes = registry_->pose_writes();
   if (built_pose_writes_ == pose_writes &&
-      cached_pos_.size() == registry_->count()) {
+      node_slot_.size() == registry_->count()) {
     return;  // no pose written and no node added since the build
   }
   ProfileScope scope(profiler, "neighbor_index_rebuild");
   ++rebuilds_;
   ++stamp_;  // invalidates every cached density
-  if (cached_pos_.size() == registry_->count() && !cached_pos_.empty()) {
-    rebuild_incremental();
-  } else {
-    rebuild_full();
-  }
+  rebuild();
   built_pose_writes_ = pose_writes;
 }
 
-void NeighborIndex::rebuild_full() {
+void NeighborIndex::rebuild() {
   const std::size_t n = registry_->count();
-  for (std::vector<NodeId>& nodes : cells_) nodes.clear();
-  cached_pos_.resize(n);
+  node_slot_.resize(n);
   node_cell_.resize(n);
-  density_.assign(n, 0);
-  density_stamp_.assign(n, 0);
-  // Ascending-id insertion keeps every cell list sorted, which the
-  // incremental path preserves and query() relies on for receiver order.
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id{i};
-    const Vec2 p = registry_->position(id);
-    const std::uint64_t key = key_for(p);
-    cached_pos_[i] = p;
-    node_cell_[i] = key;
-    cell_nodes_mut(key).push_back(id);
-  }
-}
+  slot_id_.resize(n);
+  slot_x_.resize(n);
+  slot_y_.resize(n);
+  density_.resize(n);
+  density_stamp_.resize(n);
 
-void NeighborIndex::rebuild_incremental() {
-  const std::size_t n = registry_->count();
+  // Pass 1: each node's absolute cell, and the bounding box of all of them.
+  std::int64_t x_lo = 0, x_hi = -1, y_lo = 0, y_hi = -1;
   for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id{i};
-    const Vec2 p = registry_->position(id);
-    Vec2& cached = cached_pos_[i];
-    if (p.x == cached.x && p.y == cached.y) continue;
-    cached = p;
-    const std::uint64_t key = key_for(p);
-    if (key == node_cell_[i]) continue;
-    // Order-preserving move between the sorted cell lists.
-    std::vector<NodeId>& from = cell_nodes_mut(node_cell_[i]);
-    const auto it = std::lower_bound(from.begin(), from.end(), id);
-    HLSRG_DCHECK(it != from.end() && *it == id);
-    from.erase(it);
-    std::vector<NodeId>& to = cell_nodes_mut(key);
-    to.insert(std::lower_bound(to.begin(), to.end(), id), id);
-    node_cell_[i] = key;
+    const Vec2 p = registry_->position(NodeId{i});
+    const Cell c{cell_coord(p.x), cell_coord(p.y)};
+    node_cell_[i] = c;
+    if (i == 0) {
+      x_lo = x_hi = c.col;
+      y_lo = y_hi = c.row;
+    } else {
+      x_lo = std::min(x_lo, c.col);
+      x_hi = std::max(x_hi, c.col);
+      y_lo = std::min(y_lo, c.row);
+      y_hi = std::max(y_hi, c.row);
+    }
   }
+  x0_ = x_lo;
+  y0_ = y_lo;
+  nx_ = x_hi - x_lo + 1;
+  ny_ = y_hi - y_lo + 1;
+  constexpr auto kMaxCells =
+      static_cast<std::uint64_t>(std::numeric_limits<std::uint32_t>::max());
+  HLSRG_CHECK_MSG(ny_ == 0 || static_cast<std::uint64_t>(nx_) <=
+                                  kMaxCells / static_cast<std::uint64_t>(ny_),
+                  "grid cell count exceeds the slot-offset range");
+  const auto cells = static_cast<std::size_t>(nx_ * ny_);
+
+  // Pass 2: grid-relative cells and per-cell counts. Counts land two
+  // entries up so that, after the prefix sum, start_[c + 1] is cell c's
+  // first slot and the scatter below can advance it in place.
+  start_.assign(cells + 2, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    Cell& c = node_cell_[i];
+    c.col -= x0_;
+    c.row -= y0_;
+    ++start_[static_cast<std::size_t>(c.col * ny_ + c.row) + 2];
+  }
+  for (std::size_t c = 2; c < start_.size(); ++c) start_[c] += start_[c - 1];
+
+  // Pass 3: stable scatter in ascending id. Afterwards start_[c + 1] is
+  // cell c's end, i.e. start_[0..cells] are the CSR offsets.
+  for (std::size_t i = 0; i < n; ++i) {
+    const Cell c = node_cell_[i];
+    const std::uint32_t s =
+        start_[static_cast<std::size_t>(c.col * ny_ + c.row) + 1]++;
+    const Vec2 p = registry_->position(NodeId{i});
+    slot_id_[s] = NodeId{i};
+    slot_x_[s] = p.x;
+    slot_y_[s] = p.y;
+    node_slot_[i] = s;
+  }
+  start_.pop_back();
 }
 
 void NeighborIndex::query(Vec2 p, double radius, NodeId exclude,
                           std::vector<NodeId>* out) const {
   HLSRG_CHECK(out != nullptr);
   HLSRG_CHECK_MSG(radius <= cell_ + 1e-9,
-                  "query radius must not exceed the hash cell size");
-  const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
+                  "query radius must not exceed the grid cell size");
   const double r2 = radius * radius;
-  for (std::int32_t dx = -1; dx <= 1; ++dx) {
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const std::vector<NodeId>* nodes = cell_nodes(pack(cx + dx, cy + dy));
-      if (nodes == nullptr) continue;
-      for (NodeId id : *nodes) {
-        if (id == exclude) continue;
-        if (distance2(cached_pos_[id.index()], p) <= r2) out->push_back(id);
-      }
+  for_each_block_run(grid_cell(p), [&](std::uint32_t b, std::uint32_t e) {
+    // Branch-free compaction: every id is written, and the write cursor
+    // advances only past the ones in range.
+    const std::size_t first = out->size();
+    out->resize(first + (e - b));
+    NodeId* w = out->data() + first;
+    for (std::uint32_t s = b; s < e; ++s) {
+      *w = slot_id_[s];
+      w += static_cast<int>(distance2(slot_pos(s), p) <= r2) &
+           static_cast<int>(slot_id_[s] != exclude);
     }
-  }
+    out->resize(static_cast<std::size_t>(w - out->data()));
+  });
 }
 
 int NeighborIndex::count_within(Vec2 p, double radius, NodeId exclude) const {
   HLSRG_CHECK_MSG(radius <= cell_ + 1e-9,
-                  "query radius must not exceed the hash cell size");
-  const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
+                  "query radius must not exceed the grid cell size");
   const double r2 = radius * radius;
   int n = 0;
-  for (std::int32_t dx = -1; dx <= 1; ++dx) {
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const std::vector<NodeId>* nodes = cell_nodes(pack(cx + dx, cy + dy));
-      if (nodes == nullptr) continue;
-      for (NodeId id : *nodes) {
-        if (id == exclude) continue;
-        if (distance2(cached_pos_[id.index()], p) <= r2) ++n;
-      }
+  for_each_block_run(grid_cell(p), [&](std::uint32_t b, std::uint32_t e) {
+    // Branch-free, so the compiler can vectorize the run.
+    for (std::uint32_t s = b; s < e; ++s) {
+      n += static_cast<int>(distance2(slot_pos(s), p) <= r2) &
+           static_cast<int>(slot_id_[s] != exclude);
     }
-  }
+  });
   return n;
 }
 
-std::int32_t NeighborIndex::compute_density(NodeId id) const {
-  const Vec2 p = cached_pos_[id.index()];
-  const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
+std::int32_t NeighborIndex::compute_density(std::uint32_t s) const {
+  const NodeId id = slot_id_[s];
   if (saturation_ >= 0) {
     // Cell-population bound first: the node's whole in-range neighborhood
     // lies inside its 3x3 cell block, so (block population - itself) bounds
     // the exact count from above. At or below the saturation threshold the
     // loss model cannot distinguish the two (excess is zero either way).
     std::int32_t block = 0;
-    for (std::int32_t dx = -1; dx <= 1; ++dx) {
-      for (std::int32_t dy = -1; dy <= 1; ++dy) {
-        const std::vector<NodeId>* nodes = cell_nodes(pack(cx + dx, cy + dy));
-        if (nodes != nullptr) block += static_cast<std::int32_t>(nodes->size());
-      }
-    }
+    for_each_block_run(node_cell_[id.index()],
+                       [&](std::uint32_t b, std::uint32_t e) {
+                         block += static_cast<std::int32_t>(e - b);
+                       });
     const std::int32_t bound = block - 1;
     if (bound <= saturation_) return bound;
   }
-  return count_within(p, cell_, id);
+  return count_within(slot_pos(s), cell_, id);
 }
 
-std::int32_t NeighborIndex::local_density(NodeId id) {
-  const std::size_t i = id.index();
-  HLSRG_DCHECK(i < cached_pos_.size());
-  if (density_stamp_[i] != stamp_) {
+std::int32_t NeighborIndex::slot_density(std::uint32_t s) {
+  HLSRG_DCHECK(s < density_.size());
+  if (density_stamp_[s] != stamp_) {
     ++density_recounts_;
-    density_[i] = compute_density(id);
-    density_stamp_[i] = stamp_;
+    density_[s] = compute_density(s);
+    density_stamp_[s] = stamp_;
   }
-  return density_[i];
+  return density_[s];
 }
 
 void NeighborIndex::query_with_density(Vec2 p, double radius, NodeId exclude,
                                        std::vector<NodeId>* out,
                                        std::vector<std::int32_t>* density_out) {
   HLSRG_CHECK(out != nullptr && density_out != nullptr);
-  HLSRG_CHECK_MSG(radius <= cell_ + 1e-9,
-                  "query radius must not exceed the hash cell size");
-  const auto cx = static_cast<std::int32_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int32_t>(std::floor(p.y / cell_));
-  const double r2 = radius * radius;
-  for (std::int32_t dx = -1; dx <= 1; ++dx) {
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      const std::vector<NodeId>* nodes = cell_nodes(pack(cx + dx, cy + dy));
-      if (nodes == nullptr) continue;
-      for (NodeId id : *nodes) {
-        if (id == exclude) continue;
-        if (distance2(cached_pos_[id.index()], p) <= r2) {
-          out->push_back(id);
-          density_out->push_back(local_density(id));
-        }
-      }
-    }
+  const std::size_t first = out->size();
+  query(p, radius, exclude, out);
+  for (std::size_t i = first; i < out->size(); ++i) {
+    density_out->push_back(slot_density(node_slot_[(*out)[i].index()]));
   }
 }
 

@@ -1,16 +1,23 @@
-// Spatial hash over node positions for O(1) neighborhood queries.
+// Dense uniform grid over node positions for O(1) neighborhood queries.
 //
 // Cell size equals the radio range, so a range query touches at most the
-// 3x3 cell block around the query point. The index is rebuilt lazily, keyed
-// on the registry's pose-write count and node count: while neither has
-// changed since the build, the positions are those the build indexed, so
-// refresh() is a no-op and every cached density survives. The pose bridge
-// commits a whole mobility tick before any protocol broadcasts, so there is
-// at most one rebuild per tick. Rebuilds are incremental — only nodes whose
-// cell changed move between cell lists — and the cell table is an
-// open-addressing flat map (util/flat_table.h) instead of an unordered_map.
+// 3x3 cell block around the query point. The grid spans the bounding box of
+// the occupied cells at build time and is stored column-major in CSR form:
+// cell (cx, cy) has index (cx - x0) * ny + (cy - y0), and its nodes occupy
+// the slots [start[c], start[c + 1]) in ascending node id, with each slot's
+// id and position held struct-of-arrays. The three rows of one column are
+// adjacent slot runs, so a 3x3 walk is three contiguous scans, visiting
+// cells dx-outer, dy-inner — the receiver order the radio's RNG draws
+// follow.
 //
-// Receiver-side contention density is served from a per-node cache filled
+// The index is rebuilt lazily, keyed on the registry's pose-write count and
+// node count: while neither has changed since the build, the positions are
+// those the build indexed, so refresh() is a no-op and every cached density
+// survives. The pose bridge commits a whole mobility tick before any
+// protocol broadcasts, so there is at most one rebuild per tick. A rebuild
+// is one stable counting sort of all nodes by cell.
+//
+// Receiver-side contention density is served from a per-slot cache filled
 // lazily once per rebuild. Density feeds the radio loss model only through
 // `excess = max(0, n - contention_free_neighbors)` (net/radio.h), so any
 // count that is provably at or below the saturation threshold yields the
@@ -19,14 +26,12 @@
 // to the exact distance-filtered count only in saturated neighborhoods.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "geom/vec2.h"
 #include "net/node_registry.h"
 #include "sim/time.h"
-#include "util/flat_table.h"
 #include "util/tagged_id.h"
 
 namespace hlsrg {
@@ -50,7 +55,7 @@ class NeighborIndex {
   void refresh(SimTime now, PhaseProfiler* profiler = nullptr);
 
   // Appends all nodes within `radius` of `p` (excluding `exclude` if valid)
-  // to `out`. Caller must refresh() first; checked.
+  // to `out`. Caller must refresh() first.
   void query(Vec2 p, double radius, NodeId exclude,
              std::vector<NodeId>* out) const;
 
@@ -72,57 +77,71 @@ class NeighborIndex {
   // in-range count, except that unsaturated neighborhoods (3x3 cell sum
   // already at or below `density_saturation`) report the cell sum — loss-
   // equivalent by construction. Cached per node until the next refresh.
-  [[nodiscard]] std::int32_t local_density(NodeId id);
-
-  // Exact in-range count at `id`'s indexed position, bypassing the cell-sum
-  // shortcut and the per-node cache. Reference implementation for the
-  // equivalence tests: local_density() must be loss-equivalent to this.
-  [[nodiscard]] std::int32_t exact_density(NodeId id) const {
-    return count_within(cached_pos_[id.index()], cell_, id);
+  [[nodiscard]] std::int32_t local_density(NodeId id) {
+    return slot_density(node_slot_[id.index()]);
   }
 
-  // Work counters since construction: rebuild passes (full or incremental)
-  // and per-node density recounts (local_density cache misses).
+  // Exact in-range count at `id`'s indexed position, bypassing the cell-sum
+  // shortcut and the density cache. Reference implementation for the
+  // equivalence tests: local_density() must be loss-equivalent to this.
+  [[nodiscard]] std::int32_t exact_density(NodeId id) const {
+    return count_within(slot_pos(node_slot_[id.index()]), cell_, id);
+  }
+
+  // Work counters since construction: rebuild passes and per-node density
+  // recounts (local_density cache misses).
   [[nodiscard]] std::uint64_t rebuilds() const { return rebuilds_; }
   [[nodiscard]] std::uint64_t density_recounts() const {
     return density_recounts_;
   }
 
  private:
-  // Cells keyed by packed (x, y) 32-bit coordinates; value indexes cells_.
-  [[nodiscard]] std::uint64_t key_for(Vec2 p) const {
-    const auto x = static_cast<std::int32_t>(std::floor(p.x / cell_));
-    const auto y = static_cast<std::int32_t>(std::floor(p.y / cell_));
-    return pack(x, y);
+  // A node's cell, as grid column and row (relative to the bounding box
+  // once a rebuild has placed it).
+  struct Cell {
+    std::int64_t col;
+    std::int64_t row;
+  };
+
+  [[nodiscard]] std::int64_t cell_coord(double v) const;
+  [[nodiscard]] Cell grid_cell(Vec2 p) const {
+    return {cell_coord(p.x) - x0_, cell_coord(p.y) - y0_};
   }
-  [[nodiscard]] static std::uint64_t pack(std::int32_t x, std::int32_t y) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)) << 32) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(y));
+  [[nodiscard]] Vec2 slot_pos(std::uint32_t s) const {
+    return {slot_x_[s], slot_y_[s]};
   }
 
-  // Node list of the cell at `key`, or nullptr when the cell is empty.
-  [[nodiscard]] const std::vector<NodeId>* cell_nodes(std::uint64_t key) const;
-  // Mutable cell record for `key`, created on demand.
-  std::vector<NodeId>& cell_nodes_mut(std::uint64_t key);
+  // Calls fn(begin, end) for the slot run of each grid column of the 3x3
+  // block around `c`, dx ascending; columns and rows off the grid are
+  // clipped.
+  template <typename Fn>
+  void for_each_block_run(Cell c, Fn&& fn) const;
 
-  void rebuild_full();
-  void rebuild_incremental();
-  [[nodiscard]] std::int32_t compute_density(NodeId id) const;
+  void rebuild();
+  [[nodiscard]] std::int32_t slot_density(std::uint32_t s);
+  [[nodiscard]] std::int32_t compute_density(std::uint32_t s) const;
 
   const NodeRegistry* registry_;
   double cell_;
   int saturation_;
 
-  // Cell table: packed key -> index into cells_. Cell records are recycled
-  // across rebuilds (their node vectors keep capacity); the set of occupied
-  // cells is bounded by map area / cell^2 and never shrinks within a run.
-  OpenAddressMap<std::uint64_t, std::uint32_t> cell_index_;
-  std::vector<std::vector<NodeId>> cells_;
+  // Grid geometry: origin cell and extent of the bounding box.
+  std::int64_t x0_ = 0;
+  std::int64_t y0_ = 0;
+  std::int64_t nx_ = 0;
+  std::int64_t ny_ = 0;
 
-  std::vector<Vec2> cached_pos_;
-  std::vector<std::uint64_t> node_cell_;  // current cell key per node
+  // CSR grid: start_[c] .. start_[c + 1] are cell c's slots.
+  std::vector<std::uint32_t> start_;
+  std::vector<NodeId> slot_id_;
+  std::vector<double> slot_x_;
+  std::vector<double> slot_y_;
 
-  // Per-node density cache, valid while density_stamp_[i] == stamp_.
+  // Per node: its slot, and its grid cell.
+  std::vector<std::uint32_t> node_slot_;
+  std::vector<Cell> node_cell_;
+
+  // Per-slot density cache, valid while density_stamp_[s] == stamp_.
   std::vector<std::int32_t> density_;
   std::vector<std::uint64_t> density_stamp_;
   std::uint64_t stamp_ = 0;

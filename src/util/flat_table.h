@@ -7,8 +7,8 @@
 // O(log n) lookup (Core Guidelines Per.14/Per.16/Per.19).
 //
 // OpenAddressMap: a linear-probing hash map over trivially copyable keys and
-// values for hot lookup paths (the neighbor index's cell table, the
-// ArenaTable key index). One contiguous slot array plus a one-byte state
+// values for hot lookup paths (the ArenaTable key index, the geocast
+// flood's seen-node map). One contiguous slot array plus a one-byte state
 // array, power-of-two capacity. Erase writes a tombstone; the load factor
 // counts tombstones, so heavy erase churn triggers a compacting rehash
 // instead of degrading probes toward O(capacity).

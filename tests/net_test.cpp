@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -255,6 +257,152 @@ TEST(NeighborIndexTest, AddNodeAfterBuildForcesRebuild) {
   EXPECT_EQ(out[0], added);
 }
 
+// Brute-force receivers within one cell size of `p`, in the index's visit
+// order: by cell column, then cell row, then ascending id.
+std::vector<NodeId> ordered_in_range(const std::vector<Vec2>& pts, Vec2 p,
+                                     double cell, NodeId exclude) {
+  std::vector<std::tuple<double, double, NodeId>> hits;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const NodeId id{i};
+    if (id == exclude || distance2(pts[i], p) > cell * cell) continue;
+    hits.emplace_back(std::floor(pts[i].x / cell), std::floor(pts[i].y / cell),
+                      id);
+  }
+  std::sort(hits.begin(), hits.end());
+  std::vector<NodeId> ids;
+  for (const auto& hit : hits) ids.push_back(std::get<2>(hit));
+  return ids;
+}
+
+// Population of the 3x3 cell block around `id`'s cell, minus `id` itself.
+std::int32_t block_bound(const std::vector<Vec2>& pts, NodeId id,
+                         double cell) {
+  const double cx = std::floor(pts[id.index()].x / cell);
+  const double cy = std::floor(pts[id.index()].y / cell);
+  std::int32_t n = -1;
+  for (const Vec2& q : pts) {
+    if (std::abs(std::floor(q.x / cell) - cx) <= 1.0 &&
+        std::abs(std::floor(q.y / cell) - cy) <= 1.0) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// Checks every walk at `p` against the brute force: query, query_with_density
+// and count_within see exactly the in-range nodes in cell-major order, and
+// each density is the exact count where the 3x3 cell sum exceeds the
+// saturation threshold and that cell sum elsewhere.
+void expect_ordered_walk(NeighborIndex& index, const std::vector<Vec2>& pts,
+                         Vec2 p, double cell, int saturation, NodeId exclude) {
+  const std::vector<NodeId> want = ordered_in_range(pts, p, cell, exclude);
+  std::vector<NodeId> got;
+  index.query(p, cell, exclude, &got);
+  EXPECT_EQ(got, want) << "query at " << p;
+  EXPECT_EQ(index.count_within(p, cell, exclude),
+            static_cast<int>(want.size()));
+  std::vector<NodeId> walked;
+  std::vector<std::int32_t> density;
+  index.query_with_density(p, cell, exclude, &walked, &density);
+  EXPECT_EQ(walked, want) << "query_with_density at " << p;
+  ASSERT_EQ(density.size(), walked.size());
+  for (std::size_t i = 0; i < walked.size(); ++i) {
+    const std::int32_t bound = block_bound(pts, walked[i], cell);
+    EXPECT_EQ(density[i],
+              bound > saturation ? index.exact_density(walked[i]) : bound);
+  }
+}
+
+TEST(NeighborIndexTest, ReceiverOrderIsCellMajorThenId) {
+  // The radio draws one loss sample per receiver in walk order, so the
+  // order itself is behaviour: column (dx) outer, row (dy) inner, ascending
+  // id within a cell.
+  constexpr double kCell = 500.0;
+  constexpr int kSaturation = 12;
+  NodeRegistry reg;
+  Rng rng(19);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 400; ++i) {
+    const Vec2 p{rng.uniform(-1000.0, 2000.0), rng.uniform(-1000.0, 2000.0)};
+    pts.push_back(p);
+    reg.add_node(p);
+  }
+  NeighborIndex index(reg, kCell, kSaturation);
+  index.refresh(SimTime::from_sec(1));
+  for (int q = 0; q < 60; ++q) {
+    const Vec2 p{rng.uniform(-1200.0, 2200.0), rng.uniform(-1200.0, 2200.0)};
+    const NodeId exclude =
+        q % 2 == 0 ? NodeId{} : NodeId{static_cast<std::size_t>(q * 5)};
+    expect_ordered_walk(index, pts, p, kCell, kSaturation, exclude);
+  }
+}
+
+TEST(NeighborIndexTest, DenseGridEdgeCases) {
+  constexpr double kCell = 500.0;
+  constexpr int kSaturation = 2;
+  NodeRegistry reg;
+  std::vector<Vec2> pts;
+  NeighborIndex index(reg, kCell, kSaturation);
+  const auto walk = [&](Vec2 p, NodeId exclude) {
+    expect_ordered_walk(index, pts, p, kCell, kSaturation, exclude);
+  };
+
+  // Empty registry: every walk is empty.
+  index.refresh(SimTime::from_sec(1));
+  walk(Vec2{0.0, 0.0}, NodeId{});
+  walk(Vec2{-3000.0, 9000.0}, NodeId{});
+
+  // A single node.
+  const NodeId only = reg.add_node(Vec2{-10.0, 20.0});
+  pts.push_back(reg.position(only));
+  index.refresh(SimTime::from_sec(2));
+  EXPECT_EQ(index.local_density(only), 0);
+  EXPECT_EQ(index.exact_density(only), 0);
+  for (const Vec2 p : {Vec2{-10.0, 20.0}, Vec2{400.0, 20.0},
+                       Vec2{-510.0, -480.0}, Vec2{5000.0, 20.0}}) {
+    walk(p, NodeId{});
+    walk(p, only);
+  }
+
+  // Nodes at negative coordinates, spanning cells -2..1 on both axes, some
+  // exactly on cell edges.
+  Rng rng(23);
+  for (int i = 0; i < 120; ++i) {
+    const Vec2 p{rng.uniform(-1000.0, 999.0), rng.uniform(-1000.0, 999.0)};
+    pts.push_back(p);
+    reg.add_node(p);
+  }
+  for (const Vec2 p : {Vec2{-500.0, -500.0}, Vec2{0.0, -1000.0},
+                       Vec2{-1000.0, 500.0}}) {
+    pts.push_back(p);
+    reg.add_node(p);
+  }
+  index.refresh(SimTime::from_sec(3));
+  // Query points inside the box, on its edges, just off each edge (the 3x3
+  // block only partly overlaps the grid), off each corner, and far away.
+  const std::vector<Vec2> probes = {
+      {-250.0, -250.0},  {0.0, 0.0},         {-1000.0, -1000.0},
+      {-1200.0, 100.0},  {1300.0, 100.0},    {100.0, -1200.0},
+      {100.0, 1300.0},   {-1300.0, -1300.0}, {1400.0, 1400.0},
+      {-1300.0, 1400.0}, {1400.0, -1300.0},  {-1600.0, 0.0},
+      {0.0, 1600.0},     {-9000.0, 0.0},     {0.0, 1e7}};
+  for (const Vec2 p : probes) walk(p, NodeId{});
+  for (std::size_t i = 0; i < pts.size(); i += 7) walk(pts[i], NodeId{i});
+
+  // add_node grows the box on the next refresh.
+  const NodeId far = reg.add_node(Vec2{-2600.0, 3100.0});
+  pts.push_back(reg.position(far));
+  index.refresh(SimTime::from_sec(4));
+  EXPECT_EQ(index.rebuilds(), 4u);
+  std::vector<NodeId> out;
+  index.query(Vec2{-2500.0, 3000.0}, kCell, NodeId{}, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], far);
+  EXPECT_EQ(index.local_density(far), 0);
+  for (const Vec2 p : probes) walk(p, NodeId{});
+  walk(Vec2{-2900.0, 3400.0}, NodeId{});
+}
+
 TEST(NeighborIndexDeathTest, CountWithinRejectsRadiusBeyondCell) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   NodeRegistry reg;
@@ -262,7 +410,17 @@ TEST(NeighborIndexDeathTest, CountWithinRejectsRadiusBeyondCell) {
   NeighborIndex index(reg, 100.0);
   index.refresh(SimTime::from_sec(1));
   EXPECT_DEATH((void)index.count_within(Vec2{0.0, 0.0}, 250.0, NodeId{}),
-               "query radius must not exceed the hash cell size");
+               "query radius must not exceed the grid cell size");
+}
+
+TEST(NeighborIndexDeathTest, RefreshRejectsGridBeyondOffsetRange) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  NodeRegistry reg;
+  reg.add_node(Vec2{0.0, 0.0});
+  reg.add_node(Vec2{1e12, 1e12});
+  NeighborIndex index(reg, 1.0);
+  EXPECT_DEATH(index.refresh(SimTime::from_sec(1)),
+               "grid cell count exceeds the slot-offset range");
 }
 
 // --- RadioMedium ------------------------------------------------------------
