@@ -1,7 +1,7 @@
 // Kernel microbenchmarks for the simulation engine hot paths
-// (google-benchmark): event queue, RNG, neighbor index, table operations,
-// map + partition build, and a full small-world step as an end-to-end engine
-// figure. The JSON-reporting engine-throughput bench that CI gates lives in
+// (google-benchmark): event queue, RNG, neighbor index, position→cell
+// lookups, table operations, map + partition build, and a full small-world
+// step as an end-to-end engine figure. The JSON-reporting engine-throughput bench that CI gates lives in
 // micro_engine.cpp.
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include "harness/world.h"
 #include "net/neighbor_index.h"
 #include "net/radio.h"
+#include "obs/region_telemetry.h"
 #include "roadnet/map_builder.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -142,6 +143,58 @@ void BM_NeighborIndexQueryWithDensity(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_NeighborIndexQueryWithDensity);
+
+// Position→cell lookups on the 8 km city map (16x16 L1 cells): a fixed
+// batch of random positions, each result kept live.
+MapConfig city_map() {
+  MapConfig map;
+  map.size_m = 8000.0;
+  return map;
+}
+
+struct CityGrid {
+  CityGrid() : net(build_manhattan_map(city_map())),
+               hierarchy(net, build_partition(net)) {
+    Rng rng(6);
+    positions.resize(4096);
+    for (Vec2& p : positions) {
+      p = {rng.uniform(0.0, 8000.0), rng.uniform(0.0, 8000.0)};
+    }
+  }
+  RoadNetwork net;
+  GridHierarchy hierarchy;
+  std::vector<Vec2> positions;
+};
+
+void BM_GridL1At(benchmark::State& state) {
+  const CityGrid city;
+  for (auto _ : state) {
+    for (const Vec2& p : city.positions) {
+      benchmark::DoNotOptimize(city.hierarchy.l1_at(p));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(city.positions.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_GridL1At);
+
+void BM_RegionOf(benchmark::State& state) {
+  const CityGrid city;
+  const Partition& part = city.hierarchy.partition();
+  std::vector<double> x_edges;
+  std::vector<double> y_edges;
+  for (const BoundaryLine& l : part.x_lines) x_edges.push_back(l.coord);
+  for (const BoundaryLine& l : part.y_lines) y_edges.push_back(l.coord);
+  const RegionTelemetry regions(std::move(x_edges), std::move(y_edges));
+  for (auto _ : state) {
+    for (const Vec2& p : city.positions) {
+      benchmark::DoNotOptimize(regions.region_of(p));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(city.positions.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_RegionOf);
 
 void BM_FlatTableLookup(benchmark::State& state) {
   FlatTable<VehicleId, int> table;

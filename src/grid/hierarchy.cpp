@@ -8,22 +8,20 @@ namespace hlsrg {
 
 namespace {
 
-// Index of the half-open interval [lines[i], lines[i+1]) containing v,
-// clamped to the valid range.
-int interval_index(const std::vector<BoundaryLine>& lines, double v) {
-  const int n = static_cast<int>(lines.size()) - 1;
-  HLSRG_CHECK(n >= 1);
-  auto it = std::upper_bound(
-      lines.begin(), lines.end(), v,
-      [](double value, const BoundaryLine& l) { return value < l.coord; });
-  int idx = static_cast<int>(it - lines.begin()) - 1;
-  return std::clamp(idx, 0, n - 1);
+std::vector<double> coords(const std::vector<BoundaryLine>& lines) {
+  std::vector<double> out;
+  out.reserve(lines.size());
+  for (const BoundaryLine& l : lines) out.push_back(l.coord);
+  return out;
 }
 
 }  // namespace
 
 GridHierarchy::GridHierarchy(const RoadNetwork& net, Partition partition)
-    : partition_(std::move(partition)), net_(&net) {
+    : partition_(std::move(partition)),
+      x_axis_(coords(partition_.x_lines)),
+      y_axis_(coords(partition_.y_lines)),
+      net_(&net) {
   l1_cols_ = partition_.cols();
   l1_rows_ = partition_.rows();
   HLSRG_CHECK(l1_cols_ >= 1 && l1_rows_ >= 1);
@@ -92,11 +90,6 @@ int GridHierarchy::shrink(int n, GridLevel level) {
 
 int GridHierarchy::cols(GridLevel level) const { return shrink(l1_cols_, level); }
 int GridHierarchy::rows(GridLevel level) const { return shrink(l1_rows_, level); }
-
-GridCoord GridHierarchy::l1_at(Vec2 p) const {
-  return {interval_index(partition_.x_lines, p.x),
-          interval_index(partition_.y_lines, p.y)};
-}
 
 GridCoord GridHierarchy::coord_at(Vec2 p, GridLevel level) const {
   return parent(l1_at(p), level);

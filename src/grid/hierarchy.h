@@ -14,6 +14,7 @@
 #include "geom/aabb.h"
 #include "grid/partition.h"
 #include "roadnet/road_network.h"
+#include "util/axis_index.h"
 #include "util/tagged_id.h"
 
 namespace hlsrg {
@@ -42,10 +43,13 @@ class GridHierarchy {
   }
 
   // --- coordinate mapping -------------------------------------------------
-  // L1 coordinate containing p; positions outside the map clamp to the edge
-  // cells. Points exactly on a boundary line belong to the cell on the
-  // greater side (half-open cells), so adjacent cells tile exactly.
-  [[nodiscard]] GridCoord l1_at(Vec2 p) const;
+  // L1 coordinate containing p, in O(1): one AxisIndex lookup per axis over
+  // the boundary lines. Positions outside the map clamp to the edge cells.
+  // Points exactly on a boundary line belong to the cell on the greater side
+  // (half-open cells), so adjacent cells tile exactly.
+  [[nodiscard]] GridCoord l1_at(Vec2 p) const {
+    return {x_axis_.index(p.x), y_axis_.index(p.y)};
+  }
   [[nodiscard]] GridCoord coord_at(Vec2 p, GridLevel level) const;
 
   // Parent coordinate of an L1 cell at the given level (identity for kL1).
@@ -76,6 +80,9 @@ class GridHierarchy {
   [[nodiscard]] static int shrink(int n, GridLevel level);
 
   Partition partition_;
+  // The boundary-line coordinates of partition_, per axis.
+  AxisIndex x_axis_;
+  AxisIndex y_axis_;
   int l1_cols_ = 0;
   int l1_rows_ = 0;
   // Precomputed center intersections, dense per level.

@@ -25,14 +25,11 @@ void RegionCounters::merge(const RegionCounters& other) {
 
 RegionTelemetry::RegionTelemetry(std::vector<double> x_edges,
                                  std::vector<double> y_edges)
-    : x_edges_(std::move(x_edges)), y_edges_(std::move(y_edges)) {
-  l1_cols_ = static_cast<int>(x_edges_.size()) - 1;
-  l1_rows_ = static_cast<int>(y_edges_.size()) - 1;
-  HLSRG_CHECK(l1_cols_ >= 1 && l1_rows_ >= 1);
+    : x_axis_(std::move(x_edges)), y_axis_(std::move(y_edges)) {
   // L3 shape: GridHierarchy::shrink — four L1 cells per axis, edge groups
   // truncated with ceil division.
-  cols_ = (l1_cols_ + 3) / 4;
-  rows_ = (l1_rows_ + 3) / 4;
+  cols_ = (x_axis_.intervals() + 3) / 4;
+  rows_ = (y_axis_.intervals() + 3) / 4;
   const std::size_t n = static_cast<std::size_t>(cols_) * rows_;
   counters_.resize(n);
   matrix_packets_.resize(n * n, 0);
@@ -131,10 +128,10 @@ JsonValue RegionTelemetry::to_json() const {
   doc.set("replicas", replicas_);
 
   JsonValue edges_x = JsonValue::array();
-  for (double e : x_edges_) edges_x.push_back(e);
+  for (double e : x_axis_.edges()) edges_x.push_back(e);
   doc.set("x_edges", std::move(edges_x));
   JsonValue edges_y = JsonValue::array();
-  for (double e : y_edges_) edges_y.push_back(e);
+  for (double e : y_axis_.edges()) edges_y.push_back(e);
   doc.set("y_edges", std::move(edges_y));
 
   JsonValue regions = JsonValue::array();

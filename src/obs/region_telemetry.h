@@ -25,11 +25,11 @@
 // receptions/losses to the receiver's, wired traffic to the endpoint
 // regions (the matrix is directed: source row, destination column).
 //
-// The position→region mapper replicates GridHierarchy::coord_at(p, kL3)
-// arithmetic exactly — upper_bound over the L1 boundary lines (half-open
-// cells, outside positions clamped), then /4 — against a private copy of
-// the boundary coordinates, so the hot instrumentation paths never touch
-// the hierarchy or take an indirect call.
+// The position→region mapper is GridHierarchy::coord_at(p, kL3) over the
+// same L1 boundary lines: one AxisIndex lookup per axis (the project's one
+// position→cell mapper, O(1)), then /4. The telemetry builds its own
+// indexes from the edges it is given, so the hot instrumentation paths
+// never touch the hierarchy or take an indirect call.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +37,7 @@
 
 #include "geom/vec2.h"
 #include "report/json.h"
+#include "util/axis_index.h"
 #include "util/check.h"
 
 namespace hlsrg {
@@ -85,11 +86,10 @@ class RegionTelemetry {
   [[nodiscard]] int region_count() const { return cols_ * rows_; }
   [[nodiscard]] int replicas() const { return replicas_; }
 
-  // L3 region containing p; identical arithmetic to
+  // L3 region containing p; the same lookup as
   // GridHierarchy::coord_at(p, GridLevel::kL3) (clamped half-open cells).
   [[nodiscard]] int region_of(Vec2 p) const {
-    return interval(y_edges_, l1_rows_, p.y) / 4 * cols_ +
-           interval(x_edges_, l1_cols_, p.x) / 4;
+    return y_axis_.index(p.y) / 4 * cols_ + x_axis_.index(p.x) / 4;
   }
 
   [[nodiscard]] RegionCounters& at(int region) {
@@ -154,27 +154,12 @@ class RegionTelemetry {
   [[nodiscard]] JsonValue to_json() const;
 
  private:
-  // Index of the half-open interval [edges[i], edges[i+1]) containing v,
-  // clamped to [0, n-1] — GridHierarchy's interval_index over plain doubles.
-  // L1 edge counts are small (a handful of boundary roads per axis), so a
-  // branchless-ish linear scan beats binary search and stays inline.
-  [[nodiscard]] static int interval(const std::vector<double>& edges, int n,
-                                    double v) {
-    int idx = 0;
-    // First interior edge is edges[1]; v >= edge means the greater side.
-    for (int i = 1; i < n && v >= edges[static_cast<std::size_t>(i)]; ++i) {
-      idx = i;
-    }
-    return idx;
-  }
-
-  int l1_cols_ = 0;
-  int l1_rows_ = 0;
+  // L1 boundary lines per axis; empty while unconfigured.
+  AxisIndex x_axis_;
+  AxisIndex y_axis_;
   int cols_ = 0;
   int rows_ = 0;
   int replicas_ = 1;
-  std::vector<double> x_edges_;
-  std::vector<double> y_edges_;
   std::vector<RegionCounters> counters_;
   // Directed region×region wired traffic, flattened row-major (from, to).
   std::vector<std::uint64_t> matrix_packets_;

@@ -5,6 +5,7 @@
 // that enabling the profiler cannot move a determinism digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -114,27 +115,68 @@ void expect_conservation(const World& world) {
 // Region mapper
 // ---------------------------------------------------------------------------
 
-TEST(RegionTelemetryTest, RegionOfMatchesHierarchyCoordAt) {
-  const ScenarioConfig cfg = multi_region_scenario(10, 11);
-  World world(cfg, Protocol::kHlsrg);
+// L1 interval of v over boundary lines: upper_bound - 1 clamped to
+// [0, n - 1] (half-open cells, outside positions clamped to the edge cells).
+int reference_l1(const std::vector<BoundaryLine>& lines, double v) {
+  const auto it = std::upper_bound(
+      lines.begin(), lines.end(), v,
+      [](double value, const BoundaryLine& l) { return value < l.coord; });
+  const int idx = static_cast<int>(it - lines.begin()) - 1;
+  return std::clamp(idx, 0, static_cast<int>(lines.size()) - 2);
+}
+
+// Every boundary line and the next double on both sides of it, the cell
+// midpoints, and positions outside the map.
+std::vector<double> axis_probes(const std::vector<BoundaryLine>& lines) {
+  std::vector<double> probes = {lines.front().coord - 100.0,
+                                lines.back().coord + 100.0};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const double c = lines[i].coord;
+    probes.push_back(c);
+    probes.push_back(std::nextafter(c, -1e300));
+    probes.push_back(std::nextafter(c, 1e300));
+    if (i + 1 < lines.size()) probes.push_back(0.5 * (c + lines[i + 1].coord));
+  }
+  return probes;
+}
+
+// Checks both coord_at(p, kL3) and region_of(p) against the upper_bound
+// reference over the hierarchy's partition lines.
+void expect_region_mapping_matches_reference(const World& world) {
   const GridHierarchy& h = world.hierarchy();
   const RegionTelemetry& r = world.regions();
   ASSERT_TRUE(r.configured());
   EXPECT_EQ(r.cols(), h.cols(GridLevel::kL3));
   EXPECT_EQ(r.rows(), h.rows(GridLevel::kL3));
-  EXPECT_GE(r.region_count(), 4);
-
-  // Dense probe grid, including positions outside the map (clamped) and on
-  // cell edges (half-open) — the mapper must agree with coord_at everywhere.
-  const double size = cfg.map.size_m;
-  for (double y = -100.0; y <= size + 100.0; y += size / 37.0) {
-    for (double x = -100.0; x <= size + 100.0; x += size / 37.0) {
+  const Partition& part = h.partition();
+  const std::vector<double> xs = axis_probes(part.x_lines);
+  const std::vector<double> ys = axis_probes(part.y_lines);
+  for (double y : ys) {
+    for (double x : xs) {
       const Vec2 p{x, y};
-      const GridCoord c = h.coord_at(p, GridLevel::kL3);
-      EXPECT_EQ(r.region_of(p), c.row * r.cols() + c.col)
+      const GridCoord want{reference_l1(part.x_lines, x) / 4,
+                           reference_l1(part.y_lines, y) / 4};
+      ASSERT_EQ(h.coord_at(p, GridLevel::kL3), want)
+          << "at (" << x << ", " << y << ")";
+      ASSERT_EQ(r.region_of(p), want.row * r.cols() + want.col)
           << "at (" << x << ", " << y << ")";
     }
   }
+}
+
+TEST(RegionTelemetryTest, RegionOfMatchesHierarchyCoordAt) {
+  const World world(multi_region_scenario(10, 11), Protocol::kHlsrg);
+  EXPECT_GE(world.regions().region_count(), 4);
+  expect_region_mapping_matches_reference(world);
+
+  // 8 km map: 16x16 L1 cells, 4x4 L3 regions.
+  ScenarioConfig cfg = multi_region_scenario(10, 12);
+  cfg.map.size_m = 8000.0;
+  const World city(cfg, Protocol::kHlsrg);
+  EXPECT_EQ(city.hierarchy().cols(GridLevel::kL1), 16);
+  EXPECT_EQ(city.hierarchy().rows(GridLevel::kL1), 16);
+  EXPECT_EQ(city.regions().region_count(), 16);
+  expect_region_mapping_matches_reference(city);
 }
 
 // ---------------------------------------------------------------------------

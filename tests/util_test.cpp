@@ -1,12 +1,20 @@
-// Tests for util: tagged ids, the flat table, and text formatting.
+// Tests for util: tagged ids, the flat table, text formatting, and the
+// bucketed axis index against a std::upper_bound reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "grid/partition.h"
+#include "roadnet/map_builder.h"
+#include "sim/rng.h"
 #include "util/args.h"
+#include "util/axis_index.h"
 #include "util/flat_table.h"
 #include "util/format.h"
 #include "util/tagged_id.h"
@@ -261,6 +269,133 @@ TEST(ArgParserTest, UsageListsPositionalsInSynopsis) {
   p.add_positional_opt("OUT", "output", &out);
   const std::string usage = p.usage();
   EXPECT_NE(usage.find("IN [OUT]"), std::string::npos) << usage;
+}
+
+// ---------------------------------------------------------------------------
+// AxisIndex
+// ---------------------------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// upper_bound(edges, v) - 1 clamped to [0, n - 1]: half-open intervals,
+// outside values clamped to the end intervals.
+int reference_interval(const std::vector<double>& edges, double v) {
+  const auto it = std::upper_bound(edges.begin(), edges.end(), v);
+  const int idx = static_cast<int>(it - edges.begin()) - 1;
+  return std::clamp(idx, 0, static_cast<int>(edges.size()) - 2);
+}
+
+// Probes every edge exactly, the next double on both sides of it, every
+// midpoint, points just outside the span, and the far values.
+std::vector<double> probes_for(const std::vector<double>& edges) {
+  std::vector<double> probes = {-kInf,
+                                kInf,
+                                -1e12,
+                                1e12,
+                                edges.front() - 1.0,
+                                edges.back() + 1.0,
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::max()};
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    probes.push_back(edges[i]);
+    probes.push_back(std::nextafter(edges[i], -kInf));
+    probes.push_back(std::nextafter(edges[i], kInf));
+    if (i + 1 < edges.size()) probes.push_back(0.5 * (edges[i] + edges[i + 1]));
+  }
+  return probes;
+}
+
+void expect_matches_reference(const std::vector<double>& edges) {
+  const AxisIndex index(edges);
+  ASSERT_EQ(index.intervals(), static_cast<int>(edges.size()) - 1);
+  EXPECT_EQ(index.edges(), edges);
+  for (double v : probes_for(edges)) {
+    ASSERT_EQ(index.index(v), reference_interval(edges, v))
+        << "v=" << v << " over " << edges.size() - 1 << " intervals";
+  }
+}
+
+std::vector<double> random_edges(Rng& rng, int intervals, double min_gap,
+                                 double max_gap) {
+  std::vector<double> edges = {rng.uniform(-5000.0, 5000.0)};
+  for (int i = 0; i < intervals; ++i) {
+    edges.push_back(edges.back() + rng.uniform(min_gap, max_gap));
+  }
+  return edges;
+}
+
+TEST(AxisIndexTest, RandomIrregularEdgesMatchUpperBound) {
+  Rng rng(20);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 40));
+    expect_matches_reference(random_edges(rng, n, 1.0, 900.0));
+  }
+}
+
+TEST(AxisIndexTest, TinyLastGapMatchesUpperBound) {
+  // The partition appends the map-edge line after its last road, so the
+  // last gap can be about a metre on otherwise ~500 m cells.
+  Rng rng(21);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> edges =
+        random_edges(rng, static_cast<int>(rng.uniform_int(1, 20)), 300.0,
+                     700.0);
+    edges.push_back(edges.back() + rng.uniform(0.5, 1.5));
+    expect_matches_reference(edges);
+  }
+}
+
+TEST(AxisIndexTest, MoreIntervalsThanBucketsMatchUpperBound) {
+  Rng rng(22);
+  expect_matches_reference(random_edges(rng, 3000, 1e-3, 50.0));
+  // Gaps spanning many orders of magnitude.
+  std::vector<double> edges = {0.0};
+  for (int i = 0; i < 60; ++i) {
+    edges.push_back(edges.back() + std::pow(10.0, rng.uniform(-9.0, 4.0)));
+  }
+  expect_matches_reference(edges);
+}
+
+TEST(AxisIndexTest, SingleIntervalMatchesUpperBound) {
+  expect_matches_reference({0.0, 2000.0});
+  expect_matches_reference({-3.0, 7.0});
+  expect_matches_reference({1e6, std::nextafter(1e6, kInf)});
+}
+
+TEST(AxisIndexTest, ManhattanPartitionsMatchUpperBound) {
+  for (double size : {2000.0, 4000.0, 8000.0}) {
+    MapConfig map;
+    map.size_m = size;
+    const Partition p = build_partition(build_manhattan_map(map));
+    for (const auto* lines : {&p.x_lines, &p.y_lines}) {
+      std::vector<double> edges;
+      for (const BoundaryLine& l : *lines) edges.push_back(l.coord);
+      ASSERT_EQ(static_cast<double>(edges.size() - 1), size / 500.0);
+      expect_matches_reference(edges);
+    }
+  }
+}
+
+TEST(AxisIndexTest, NanMapsToFirstInterval) {
+  const AxisIndex index({0.0, 500.0, 1000.0, 1001.0});
+  EXPECT_EQ(index.index(std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(index.index(-std::numeric_limits<double>::quiet_NaN()), 0);
+}
+
+TEST(AxisIndexTest, UnorderedEdgesStayInRange) {
+  // Unordered lines are the grid auditor's to report; the index must only
+  // stay in range on them.
+  for (const std::vector<double>& edges :
+       {std::vector<double>{500.0, 0.0, 1000.0, 1500.0},
+        std::vector<double>{2000.0, 1000.0, 0.0},
+        std::vector<double>{7.0, 7.0, 7.0}}) {
+    const AxisIndex index(edges);
+    for (double v : probes_for(edges)) {
+      const int i = index.index(v);
+      EXPECT_GE(i, 0) << v;
+      EXPECT_LT(i, index.intervals()) << v;
+    }
+  }
 }
 
 }  // namespace
