@@ -5,9 +5,13 @@
 // micro_engine.cpp.
 #include <benchmark/benchmark.h>
 
+#include <span>
+
+#include "core/location_table.h"
 #include "grid/hierarchy.h"
 #include "grid/partition.h"
 #include "harness/world.h"
+#include "mobility/mobility_model.h"
 #include "net/neighbor_index.h"
 #include "net/radio.h"
 #include "obs/region_telemetry.h"
@@ -195,6 +199,58 @@ void BM_RegionOf(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_RegionOf);
+
+// One mobility tick of the city_maintenance fleet (8 km map, 8000
+// vehicles, the paper's mobility config) handed to one listener that does
+// nothing with it: the advance phase plus the hand-over, no protocol.
+void BM_MobilityTick(benchmark::State& state) {
+  struct NoOpListener final : MovementListener {
+    void on_tick_events(std::span<const TickEvent> events) override {
+      benchmark::DoNotOptimize(events.data());
+    }
+  };
+  const RoadNetwork net = build_manhattan_map(city_map());
+  const MobilityConfig cfg = paper_scenario(8000, 1).mobility;
+  Simulator sim(1);
+  MobilityModel mob(sim, net, cfg);
+  NoOpListener listener;
+  mob.add_listener(&listener);
+  mob.place_random_vehicles(8000);
+  mob.start();
+  double t = 0.0;
+  for (auto _ : state) {
+    t += cfg.tick_sec;
+    sim.run_until(SimTime::from_sec(t));
+  }
+  state.SetItemsProcessed(8000 * state.iterations());
+}
+BENCHMARK(BM_MobilityTick);
+
+// L3 gossip merge: 8000 summaries, in shuffled vehicle order, merged into an
+// L3 table that already holds all of them (the steady state once gossip has
+// spread the fleet to every L3 RSU).
+void BM_L3TableMerge(benchmark::State& state) {
+  constexpr std::uint32_t kVehicles = 8000;
+  std::vector<L3Summary> records(kVehicles);
+  for (std::uint32_t i = 0; i < kVehicles; ++i) {
+    records[i].vehicle = VehicleId{i};
+    records[i].time = SimTime::from_sec(1.0 + i % 7);
+  }
+  Rng rng(9);
+  for (std::size_t i = records.size() - 1; i > 0; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i)));
+    std::swap(records[i], records[j]);
+  }
+  L3Table table;
+  table.merge(records);
+  for (auto _ : state) {
+    table.merge(records);
+    benchmark::DoNotOptimize(table.size());
+  }
+  state.SetItemsProcessed(kVehicles * state.iterations());
+}
+BENCHMARK(BM_L3TableMerge);
 
 void BM_FlatTableLookup(benchmark::State& state) {
   FlatTable<VehicleId, int> table;

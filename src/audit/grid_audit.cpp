@@ -27,6 +27,15 @@ std::string coord_str(GridCoord c) {
   return os.str();
 }
 
+// "L<n>". Built by append rather than `"L" + std::to_string(n)`: GCC 12
+// raises a false -Wrestrict on that literal-plus-temporary chain (GCC bug
+// 105651), which -Werror turns into a build failure.
+std::string level_str(int level) {
+  std::string out = "L";
+  out += std::to_string(level);
+  return out;
+}
+
 void check_axis(const char* axis, const std::vector<BoundaryLine>& lines,
                 double lo, double hi, AuditReport* report) {
   if (lines.size() < 2) {
@@ -91,7 +100,7 @@ void GridAuditor::check(const AuditScope& scope, AuditReport* report) const {
         const int lvl = static_cast<int>(level);
 
         if (box.width() <= 0.0 || box.height() <= 0.0) {
-          report->add("grid", "L" + std::to_string(lvl) + " cell " +
+          report->add("grid", level_str(lvl) + " cell " +
                                   coord_str(c) + " has non-positive area");
           continue;
         }
@@ -99,55 +108,55 @@ void GridAuditor::check(const AuditScope& scope, AuditReport* report) const {
         // cell abuts its east/north neighbor exactly. With ordered lines
         // this proves full coverage with no overlap (cells are half-open).
         if (col == 0 && std::abs(box.lo.x - span.lo.x) > kExactTol) {
-          report->add("grid", "L" + std::to_string(lvl) + " west edge gap at " +
+          report->add("grid", level_str(lvl) + " west edge gap at " +
                                   coord_str(c));
         }
         if (row == 0 && std::abs(box.lo.y - span.lo.y) > kExactTol) {
-          report->add("grid", "L" + std::to_string(lvl) +
+          report->add("grid", level_str(lvl) +
                                   " south edge gap at " + coord_str(c));
         }
         if (col + 1 < cols) {
           const Aabb east = h->cell_box({col + 1, row}, level);
           if (std::abs(box.hi.x - east.lo.x) > kExactTol) {
-            report->add("grid", "L" + std::to_string(lvl) + " cells " +
+            report->add("grid", level_str(lvl) + " cells " +
                                     coord_str(c) + " and " +
                                     coord_str({col + 1, row}) +
                                     " overlap or leave a gap");
           }
         } else if (std::abs(box.hi.x - span.hi.x) > kExactTol) {
-          report->add("grid", "L" + std::to_string(lvl) + " east edge gap at " +
+          report->add("grid", level_str(lvl) + " east edge gap at " +
                                   coord_str(c));
         }
         if (row + 1 < rows) {
           const Aabb north = h->cell_box({col, row + 1}, level);
           if (std::abs(box.hi.y - north.lo.y) > kExactTol) {
-            report->add("grid", "L" + std::to_string(lvl) + " cells " +
+            report->add("grid", level_str(lvl) + " cells " +
                                     coord_str(c) + " and " +
                                     coord_str({col, row + 1}) +
                                     " overlap or leave a gap");
           }
         } else if (std::abs(box.hi.y - span.hi.y) > kExactTol) {
-          report->add("grid", "L" + std::to_string(lvl) +
+          report->add("grid", level_str(lvl) +
                                   " north edge gap at " + coord_str(c));
         }
 
         // Point-mapping round trip through the cell's interior.
         if (!(h->coord_at(box.center(), level) == c)) {
-          report->add("grid", "L" + std::to_string(lvl) + " cell " +
+          report->add("grid", level_str(lvl) + " cell " +
                                   coord_str(c) +
                                   " does not contain its own center point");
         }
         // Dense-id round trip.
         if (!(h->coord_of(h->id_of(c, level), level) == c)) {
-          report->add("grid", "L" + std::to_string(lvl) + " id round trip " +
+          report->add("grid", level_str(lvl) + " id round trip " +
                                   "broken at " + coord_str(c));
         }
         // Every cell has a real center intersection inside the map.
         if (!h->center(c, level).valid()) {
-          report->add("grid", "L" + std::to_string(lvl) + " cell " +
+          report->add("grid", level_str(lvl) + " cell " +
                                   coord_str(c) + " has no center intersection");
         } else if (!map.contains_closed(h->center_pos(c, level), kCoverTol)) {
-          report->add("grid", "L" + std::to_string(lvl) + " cell " +
+          report->add("grid", level_str(lvl) + " cell " +
                                   coord_str(c) +
                                   " center intersection lies outside the map");
         }

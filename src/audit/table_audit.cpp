@@ -25,6 +25,15 @@ std::string coord_str(GridCoord c) {
   return os.str();
 }
 
+// "L<n>". Built by append rather than `"L" + std::to_string(n)`: GCC 12
+// raises a false -Wrestrict on that literal-plus-temporary chain (GCC bug
+// 105651), which -Werror turns into a build failure.
+std::string level_str(int level) {
+  std::string out = "L";
+  out += std::to_string(level);
+  return out;
+}
+
 void violation(const TableCtx& ctx, const std::string& where,
                VehicleId vehicle, const std::string& what) {
   std::ostringstream os;
@@ -91,7 +100,7 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
 
   for (const auto& agent : svc->rsu_agents()) {
     const std::string where =
-        "L" + std::to_string(static_cast<int>(agent.level())) + " RSU " +
+        level_str(static_cast<int>(agent.level())) + " RSU " +
         coord_str(agent.coord());
 
     // Tables live only at their level.

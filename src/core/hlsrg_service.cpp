@@ -29,8 +29,19 @@ HlsrgService::HlsrgService(Simulator& sim, const RoadNetwork& net,
   HLSRG_CHECK_MSG(!cfg_.use_rsus || rsus_ != nullptr,
                   "use_rsus requires a deployed RsuGrid");
 
+  l1_cols_ = hierarchy.cols(GridLevel::kL1);
+  const int l1_rows = hierarchy.rows(GridLevel::kL1);
+  l1_center_pos_.reserve(static_cast<std::size_t>(l1_cols_) * l1_rows);
+  for (int row = 0; row < l1_rows; ++row) {
+    for (int col = 0; col < l1_cols_; ++col) {
+      l1_center_pos_.push_back(
+          hierarchy.center_pos(GridCoord{col, row}, GridLevel::kL1));
+    }
+  }
+
   // One radio node + agent per vehicle.
   const std::size_t n = mobility.vehicle_count();
+  in_center_.assign(n, 0);
   vehicle_nodes_.reserve(n);
   vehicle_agents_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -45,6 +56,9 @@ HlsrgService::HlsrgService(Simulator& sim, const RoadNetwork& net,
     // capture `this` at construction time.
     vehicle_agents_.emplace_back(*this, v, node);
     registry.set_sink(node, &vehicle_agents_.back());
+    // Center duty for the starting pose; parked vehicles never move, so
+    // they would otherwise never serve.
+    update_center_duty(v, mobility.position(v));
   }
 
   // RSU agents (sinks installed onto the infra-registered nodes).
@@ -179,13 +193,39 @@ void HlsrgService::sample_region_stats(
   }
 }
 
-void HlsrgService::on_intersection_pass(VehicleId v, IntersectionId node,
-                                        SegmentId in_seg, SegmentId out_seg) {
-  vehicle_agents_[v.index()].handle_intersection_pass(node, in_seg, out_seg);
+void HlsrgService::on_tick_events(std::span<const TickEvent> events) {
+  for (const TickEvent& e : events) {
+    if (e.is_pass()) {
+      vehicle_agents_[e.v.index()].handle_intersection_pass(e.node, e.in_seg,
+                                                            e.out_seg);
+    } else {
+      update_center_duty(e.v, e.after);
+    }
+  }
 }
 
-void HlsrgService::on_moved(VehicleId v, Vec2 before, Vec2 after) {
-  vehicle_agents_[v.index()].handle_moved(before, after);
+void HlsrgService::update_center_duty(VehicleId v, Vec2 pos) {
+  const GridCoord cell = hierarchy_->l1_at(pos);
+  const Vec2 center = l1_center_pos_[static_cast<std::size_t>(cell.row) *
+                                         static_cast<std::size_t>(l1_cols_) +
+                                     static_cast<std::size_t>(cell.col)];
+  const bool now_in = distance(pos, center) <= cfg_.center_radius_m;
+  std::uint8_t& in = in_center_[v.index()];
+  if (!now_in && in == 0) return;
+  HlsrgVehicleAgent& agent = vehicle_agents_[v.index()];
+  if (now_in) {
+    if (in != 0) {
+      if (agent.center_cell() == cell) return;
+      // Jumped straight from one center into another: leave the old first.
+      in = 0;
+      agent.leave_center();
+    }
+    in = 1;
+    agent.enter_center(cell);
+  } else {
+    in = 0;
+    agent.leave_center();
+  }
 }
 
 void HlsrgService::send_notification(NodeId origin,

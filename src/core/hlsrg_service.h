@@ -3,8 +3,10 @@
 // end). One HlsrgService instance runs one protocol world.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/hlsrg_config.h"
@@ -61,9 +63,10 @@ class HlsrgService final : public LocationService, public MovementListener {
                                                     VehicleId dst) override;
 
   // --- MovementListener -----------------------------------------------------
-  void on_intersection_pass(VehicleId v, IntersectionId node, SegmentId in_seg,
-                            SegmentId out_seg) override;
-  void on_moved(VehicleId v, Vec2 before, Vec2 after) override;
+  // Passes go to the vehicle's update rules; each move re-checks center duty
+  // (paper 2.2.2) and calls into the agent only when the vehicle is, or
+  // was, inside a center radius.
+  void on_tick_events(std::span<const TickEvent> events) override;
   // Parking lifecycle (forwarded to the ChurnManager when hosting is on).
   void on_parked(VehicleId v) override;
   void on_departed(VehicleId v, bool abrupt) override;
@@ -86,6 +89,12 @@ class HlsrgService final : public LocationService, public MovementListener {
   [[nodiscard]] const ServiceTierConfig& tier() const { return tier_; }
   [[nodiscard]] bool overloaded() const { return overloaded_; }
 
+  // True while `v` is on grid-center duty: within center_radius_m of its
+  // L1 cell's center intersection as of its last move (HlsrgVehicleAgent
+  // holds the duty cell).
+  [[nodiscard]] bool in_center(VehicleId v) const {
+    return in_center_[v.index()] != 0;
+  }
   [[nodiscard]] NodeId node_of(VehicleId v) const {
     return vehicle_nodes_[v.index()];
   }
@@ -134,6 +143,9 @@ class HlsrgService final : public LocationService, public MovementListener {
   [[nodiscard]] const ChurnManager* churn() const { return churn_.get(); }
 
  private:
+  // Enters, switches, or leaves center duty for `v` at `pos`.
+  void update_center_duty(VehicleId v, Vec2 pos);
+
   Simulator* sim_;
   const RoadNetwork* net_;
   const GridHierarchy* hierarchy_;
@@ -152,6 +164,11 @@ class HlsrgService final : public LocationService, public MovementListener {
   PacketIdSource packet_ids_;
 
   std::vector<NodeId> vehicle_nodes_;
+  // Center intersection position per L1 cell, at row * l1_cols_ + col.
+  std::vector<Vec2> l1_center_pos_;
+  int l1_cols_ = 0;
+  // Center-duty flag per vehicle (1 = on duty); the only copy.
+  std::vector<std::uint8_t> in_center_;
   // Agents stored by value: one contiguous block instead of a pointer array
   // plus one heap node per agent. The constructor reserves the exact counts
   // up front and the vectors never grow after that, so the `this` pointers

@@ -26,10 +26,10 @@ HlsrgVehicleAgent::HlsrgVehicleAgent(HlsrgService& service, VehicleId vehicle,
       svc_->sim().protocol_rng().uniform(0.5, 5.0);
   svc_->sim().schedule_after(SimTime::from_sec(boot),
                              [this] { send_initial_update(); });
-  // Establish center-duty status for the starting position; parked vehicles
-  // never fire handle_moved and would otherwise never serve.
-  const Vec2 here = svc_->vehicle_pos(vehicle_);
-  handle_moved(here, here);
+}
+
+bool HlsrgVehicleAgent::in_center() const {
+  return svc_->in_center(vehicle_);
 }
 
 void HlsrgVehicleAgent::send_initial_update() {
@@ -75,7 +75,7 @@ void HlsrgVehicleAgent::arm_collection_timer() {
 }
 
 void HlsrgVehicleAgent::collection_tick() {
-  if (!in_center_) {
+  if (!in_center()) {
     // Duty ended since the last tick: let the timer lapse. The next center
     // entry re-arms onto the same phase grid.
     collection_armed_ = false;
@@ -157,25 +157,13 @@ void HlsrgVehicleAgent::send_update(const UpdateDecision& decision,
 // Grid-center duty (paper 2.2.2)
 // ---------------------------------------------------------------------------
 
-void HlsrgVehicleAgent::handle_moved(Vec2 /*before*/, Vec2 after) {
-  const GridCoord cell = svc_->hierarchy().l1_at(after);
-  const Vec2 center = svc_->hierarchy().center_pos(cell, GridLevel::kL1);
-  const bool now_in =
-      distance(after, center) <= svc_->cfg().center_radius_m;
-  if (now_in && (!in_center_ || !(cell == center_cell_))) {
-    if (in_center_) leave_center();  // jumped straight into another center
-    in_center_ = true;
-    center_cell_ = cell;
-    table_.clear();  // fresh duty; peers' hand-offs will repopulate
-    arm_collection_timer();
-  } else if (!now_in && in_center_) {
-    leave_center();
-  }
+void HlsrgVehicleAgent::enter_center(GridCoord cell) {
+  center_cell_ = cell;
+  table_.clear();  // fresh duty; peers' hand-offs will repopulate
+  arm_collection_timer();
 }
 
 void HlsrgVehicleAgent::leave_center() {
-  HLSRG_CHECK(in_center_);
-  in_center_ = false;
   table_.purge(svc_->sim().now(), svc_->cfg().l1_expiry);
   if (table_.empty()) {
     table_.release();
@@ -208,7 +196,7 @@ void HlsrgVehicleAgent::leave_center() {
 void HlsrgVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
   switch (packet.kind) {
     case PacketKind::kLocationUpdate: {
-      if (!in_center_) return;
+      if (!in_center()) return;
       const auto& u = payload_as<UpdatePayload>(packet);
       if (u.grid_changed && u.old_l1 == center_cell_ &&
           !(u.record.l1 == center_cell_)) {
@@ -223,7 +211,7 @@ void HlsrgVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
       return;
     }
     case PacketKind::kTableHandoff: {
-      if (!in_center_) return;
+      if (!in_center()) return;
       const auto& t = payload_as<TablePayload>(packet);
       if (t.l1 == center_cell_) table_.merge(t.records);
       return;
@@ -264,7 +252,7 @@ void HlsrgVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
 // ---------------------------------------------------------------------------
 
 void HlsrgVehicleAgent::handle_center_request(const Packet& packet) {
-  if (!in_center_) return;
+  if (!in_center()) return;
   const auto& q = payload_as<QueryPayload>(packet);
   if (settled_elections_.contains(q.dedup_key()) ||
       elections_.contains(q.dedup_key())) {

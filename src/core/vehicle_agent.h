@@ -24,7 +24,13 @@ class HlsrgVehicleAgent final : public PacketSink {
   // --- mobility hooks (called by the service) --------------------------------
   void handle_intersection_pass(IntersectionId node, SegmentId in_seg,
                                 SegmentId out_seg);
-  void handle_moved(Vec2 before, Vec2 after);
+  // Center-duty transitions (paper 2.2.2). The service owns the duty flag
+  // and clears it before leave_center / sets it before enter_center.
+  // Entering starts a fresh table and arms the collection timer; leaving
+  // purges, hands the table off within the intersection, and pushes it to
+  // the L2 RSU.
+  void enter_center(GridCoord cell);
+  void leave_center();
 
   // --- query origination ------------------------------------------------------
   // `preferred` (when valid) pins the first attempt's destination — used by
@@ -34,7 +40,9 @@ class HlsrgVehicleAgent final : public PacketSink {
                    NodeId preferred = NodeId{});
 
   // --- introspection (tests) ---------------------------------------------------
-  [[nodiscard]] bool in_center() const { return in_center_; }
+  [[nodiscard]] bool in_center() const;
+  // The L1 cell of the current (or last) center duty.
+  [[nodiscard]] GridCoord center_cell() const { return center_cell_; }
   [[nodiscard]] const L1Table& table() const { return table_; }
   // Mutable table access for tests only (audit corruption injection).
   [[nodiscard]] L1Table& mutable_table() { return table_; }
@@ -71,10 +79,6 @@ class HlsrgVehicleAgent final : public PacketSink {
   // it is locatable before its first rule-triggered update.
   void send_initial_update();
 
-  // Leaving the grid-center region: purge, hand off the table within the
-  // intersection, and push it to the L2 RSU.
-  void leave_center();
-
   // Query handling at a grid center.
   void handle_center_request(const Packet& packet);
   void run_election(const QueryPayload& query);
@@ -105,8 +109,7 @@ class HlsrgVehicleAgent final : public PacketSink {
   VehicleId vehicle_;
   NodeId node_;
 
-  // Grid-center duty.
-  bool in_center_ = false;
+  // Grid-center duty (the on-duty flag lives in the service).
   bool collection_armed_ = false;
   GridCoord center_cell_;
   // Per-vehicle phase of the collection grid: ticks fire at

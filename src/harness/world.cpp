@@ -69,7 +69,6 @@ World::World(const ScenarioConfig& cfg, Protocol protocol)
   // The pose bridge must be the FIRST movement listener: it commits each
   // tick's poses into the registry's SoA arrays before any protocol listener
   // sees the tick, so agents only ever read one end-of-tick snapshot.
-  pose_bridge_.set_mobility(mobility_.get());
   mobility_->add_listener(&pose_bridge_);
 
   switch (protocol_) {

@@ -101,23 +101,24 @@ class World {
 
  private:
   // Mirrors every mobility write into the registry's SoA vehicle state.
-  // Registered FIRST (before any service listener). Mobility replays a whole
+  // Registered FIRST (before any service listener). Mobility hands a whole
   // tick to one listener before the next, so the bridge commits every
   // end-of-tick pose before any protocol agent reacts to the tick:
-  //  - on_moved pushes the end-of-tick pose, velocity, and region.
+  //  - each move pushes the end-of-tick pose, velocity, and region.
   //  - the parking callbacks keep the parked flag and velocity in sync
   //    (positions do not change while parked).
   class PoseSyncBridge final : public MovementListener {
    public:
     PoseSyncBridge(NodeRegistry& registry, RegionTelemetry& regions)
         : registry_(&registry), regions_(&regions) {}
-    void set_mobility(const MobilityModel* mobility) { mobility_ = mobility; }
 
-    void on_moved(VehicleId v, Vec2, Vec2 after) override {
-      registry_->set_position(registry_->vehicle_node(v), after);
-      registry_->set_vehicle_velocity(
-          v, mobility_->heading(v) * mobility_->state(v).speed);
-      registry_->set_vehicle_region(v, regions_->region_of(after));
+    void on_tick_events(std::span<const TickEvent> events) override {
+      for (const TickEvent& e : events) {
+        if (e.is_pass()) continue;
+        registry_->set_position(registry_->vehicle_node(e.v), e.after);
+        registry_->set_vehicle_velocity(e.v, e.velocity);
+        registry_->set_vehicle_region(e.v, regions_->region_of(e.after));
+      }
     }
     void on_parked(VehicleId v) override {
       registry_->set_vehicle_parked(v, true);
@@ -125,7 +126,7 @@ class World {
     }
     void on_departed(VehicleId v, bool) override {
       // Fired before the new speed is drawn — the vehicle is still at rest
-      // here; the next on_moved pushes the real velocity.
+      // here; the vehicle's next move pushes the real velocity.
       registry_->set_vehicle_parked(v, false);
       registry_->set_vehicle_velocity(v, Vec2{});
     }
@@ -133,7 +134,6 @@ class World {
    private:
     NodeRegistry* registry_;
     RegionTelemetry* regions_;
-    const MobilityModel* mobility_ = nullptr;
   };
 
   void schedule_workload();

@@ -35,6 +35,7 @@ VehicleId MobilityModel::add_vehicle(SegmentId seg, double offset,
   HLSRG_CHECK(offset >= 0.0 && offset < net_->segment(seg).length);
   HLSRG_CHECK(speed_mps >= 0.0);
   states_.push_back(VehicleState{seg, offset, speed_mps, false});
+  poses_.push_back(net_->point_on(seg, offset));
   depart_at_sec_.push_back(-1.0);
   return VehicleId{states_.size() - 1};
 }
@@ -77,11 +78,6 @@ void MobilityModel::start() {
 void MobilityModel::add_listener(MovementListener* listener) {
   HLSRG_CHECK(listener != nullptr);
   listeners_.push_back(listener);
-}
-
-Vec2 MobilityModel::position(VehicleId v) const {
-  const VehicleState& s = states_[v.index()];
-  return net_->point_on(s.seg, s.offset);
 }
 
 Vec2 MobilityModel::heading(VehicleId v) const {
@@ -147,29 +143,26 @@ void MobilityModel::churn_tick() {
 
 void MobilityModel::tick() {
   if (cfg_.churn.enabled) churn_tick();
-  // Phase 1: advance every vehicle, recording its passes and its move.
+  // Phase 1: advance every moving vehicle, recording its passes and its
+  // move. A parked vehicle neither moves nor draws, so it is skipped whole;
+  // a moving one costs one point_on, against the pose kept from last tick.
   events_.clear();
   for (std::size_t i = 0; i < states_.size(); ++i) {
+    const VehicleState& s = states_[i];
+    if (s.speed <= 0.0) continue;
     const VehicleId v{i};
-    const Vec2 before = position(v);
     advance_vehicle(v, cfg_.tick_sec);
-    const Vec2 after = position(v);
-    if (before != after) {
-      events_.push_back({v, IntersectionId{}, SegmentId{}, SegmentId{}, before,
-                         after});
+    const Vec2 after = net_->point_on(s.seg, s.offset);
+    Vec2& pose = poses_[i];
+    if (pose != after) {
+      events_.push_back({v, IntersectionId{}, SegmentId{}, SegmentId{}, pose,
+                         after, net_->segment(s.seg).unit_dir * s.speed});
     }
+    pose = after;
   }
-  // Phase 2: replay the tick to each listener. The world's pose bridge is
+  // Phase 2: hand the tick to each listener. The world's pose bridge is
   // registered first, so every pose is committed before a protocol reacts.
-  for (MovementListener* l : listeners_) {
-    for (const TickEvent& e : events_) {
-      if (e.node.valid()) {
-        l->on_intersection_pass(e.v, e.node, e.in_seg, e.out_seg);
-      } else {
-        l->on_moved(e.v, e.before, e.after);
-      }
-    }
-  }
+  for (MovementListener* l : listeners_) l->on_tick_events(events_);
   for (MovementListener* l : listeners_) l->on_tick();
   sim_->schedule_after(SimTime::from_sec(cfg_.tick_sec), [this] { tick(); });
 }
@@ -199,7 +192,7 @@ void MobilityModel::advance_vehicle(VehicleId v, double dt) {
     }
     // Green: cross the intersection.
     const SegmentId out = policy_.choose_exit(s.seg, sim_->mobility_rng());
-    events_.push_back({v, seg.to, s.seg, out, Vec2{}, Vec2{}});
+    events_.push_back({v, seg.to, s.seg, out, Vec2{}, Vec2{}, Vec2{}});
     s.seg = out;
     s.offset = 0.0;
     s.waiting = false;

@@ -6,7 +6,8 @@
 // tick, far below segment lengths, so intersection handling per tick is
 // exact enough for protocol purposes). Protocols observe movement through
 // MovementListener: discrete intersection passes (HLSRG's update rules key
-// off these) and per-tick moves (RLSMP detects cell crossings from these).
+// off these) and per-tick moves (RLSMP detects cell crossings from these),
+// handed over as one batch per tick.
 //
 // Deliberate abstraction: no car-following — stopped vehicles co-locate at
 // the stop line. The protocols under study read positions and radio
@@ -14,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mobility/traffic_light.h"
@@ -67,13 +69,45 @@ struct VehicleState {
   bool waiting = false;  // stopped at seg.to's red light
 };
 
-// Observer interface for protocol agents. Intersection passes and moves fire
+// One movement record of a tick, written by the advance phase. A pass
+// carries a valid `node` and its two segments; a move carries an invalid
+// `node`, the vehicle's start- and end-of-tick poses, and its end-of-tick
+// velocity (segment heading x speed), so no listener recomputes them.
+struct TickEvent {
+  VehicleId v;
+  IntersectionId node;
+  SegmentId in_seg;
+  SegmentId out_seg;
+  Vec2 before;
+  Vec2 after;
+  Vec2 velocity;
+  [[nodiscard]] bool is_pass() const { return node.valid(); }
+};
+
+// Observer interface for protocol agents. A tick's events reach listeners
 // after the whole tick has advanced: each listener, in registration order,
-// gets that tick's events in vehicle-id order (a vehicle's passes before its
-// move), then on_tick. Every pose a listener reads is the end-of-tick pose.
+// gets the tick once through on_tick_events, then on_tick. Every pose a
+// listener reads is the end-of-tick pose.
+//
+// on_tick_events is the one hook the tick calls. Its default forwards each
+// event to on_intersection_pass / on_moved, so a listener that reacts to
+// one event at a time (RLSMP, FLOOD, probes in tests and benches) overrides
+// only those; the per-vehicle hot listeners (the world's pose bridge,
+// HLSRG) override the batch hook and walk the span themselves.
 class MovementListener {
  public:
   virtual ~MovementListener() = default;
+  // The tick ending now: every pass and move, in vehicle-id order, a
+  // vehicle's passes before its move. The span is valid for this call only.
+  virtual void on_tick_events(std::span<const TickEvent> events) {
+    for (const TickEvent& e : events) {
+      if (e.is_pass()) {
+        on_intersection_pass(e.v, e.node, e.in_seg, e.out_seg);
+      } else {
+        on_moved(e.v, e.before, e.after);
+      }
+    }
+  }
   // Vehicle `v` passed through `node`, arriving on `in_seg` and departing on
   // `out_seg` during the tick ending now (after any red-light wait). The
   // vehicle has since driven on; `node` locates the crossing.
@@ -118,7 +152,9 @@ class MobilityModel {
   [[nodiscard]] const VehicleState& state(VehicleId v) const {
     return states_[v.index()];
   }
-  [[nodiscard]] Vec2 position(VehicleId v) const;
+  // End-of-tick pose: point_on(state(v).seg, state(v).offset), kept per
+  // vehicle so a read is one array load.
+  [[nodiscard]] Vec2 position(VehicleId v) const { return poses_[v.index()]; }
   // Unit heading of the vehicle's current segment.
   [[nodiscard]] Vec2 heading(VehicleId v) const;
   [[nodiscard]] RoadId current_road(VehicleId v) const;
@@ -142,17 +178,6 @@ class MobilityModel {
   [[nodiscard]] const MobilityConfig& config() const { return cfg_; }
 
  private:
-  // One movement callback recorded by a tick's advance phase. A pass carries
-  // a valid `node`; a move carries an invalid one and its two poses.
-  struct TickEvent {
-    VehicleId v;
-    IntersectionId node;
-    SegmentId in_seg;
-    SegmentId out_seg;
-    Vec2 before;
-    Vec2 after;
-  };
-
   void tick();
   void advance_vehicle(VehicleId v, double dt);
   void churn_tick();
@@ -165,6 +190,9 @@ class MobilityModel {
   TrafficLightPlan lights_;
   TurnPolicy policy_;
   std::vector<VehicleState> states_;
+  // poses_[i] == point_on(states_[i].seg, states_[i].offset), refreshed in
+  // the advance phase for each moving vehicle.
+  std::vector<Vec2> poses_;
   // Absolute sim-second each parked vehicle departs; < 0 = no dwell drawn
   // yet (moving, or parked before churn assigned one). Kept out of
   // VehicleState so the digest's per-vehicle mix is untouched.

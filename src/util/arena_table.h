@@ -7,15 +7,31 @@
 // payload copies both come from here, so a table's whole footprint is a
 // handful of large allocations instead of per-entry heap nodes.
 //
-// ArenaTable<Key, Record>: an open-addressing key index (OpenAddressMap,
-// tombstone-aware since PR 10) over densely packed fixed-width records
-// stored in arena pages. Insert/find/erase are O(1); erase swap-pops the
-// last record into the hole, so the dense array never fragments. Iteration
-// order is insertion-and-erase order — deterministic for a deterministic
-// operation sequence, but NOT sorted; consumers that need a canonical
-// order (digests, wire payloads) use snapshot(), which copies and sorts by
-// key. Record pointers from find() stay valid until the next erase (pages
-// never move; swap-pop moves one record).
+// ArenaTable<Key, Record>: densely packed fixed-width records stored in
+// arena pages, behind a key -> slot index. Insert/find/erase are O(1);
+// erase swap-pops the last record into the hole, so the dense array never
+// fragments. Iteration order is insertion-and-erase order — deterministic
+// for a deterministic operation sequence, but NOT sorted; consumers that
+// need a canonical order (digests, wire payloads) use snapshot(), which
+// copies and sorts by key. Record pointers from find() stay valid until the
+// next erase (pages never move; swap-pop moves one record).
+//
+// The key index has two representations, chosen by bytes alone:
+//  - hashed: an open-addressing, tombstone-aware OpenAddressMap, ~17 B
+//    per slot at <= 70% load. Every table starts here.
+//  - direct: a std::vector<uint32_t> indexed by the key itself, 4 B per
+//    key value up to the largest key held. An insert switches the table to
+//    it once 4 B x (max key + 1) <= the hash index's bytes. With dense
+//    keys (VehicleId) that is a table holding a sizeable share of the key
+//    space: an L3 RSU table that gossip fills with most of the fleet.
+//    Per-vehicle L1 tables and L2 tables hold a small share and stay
+//    hashed. A key beyond the direct span grows it only while the span
+//    stays within what a hash index of the grown population would take;
+//    a farther key rebuilds the hash index, so no key allocates without
+//    bound. clear() keeps the current representation; release() returns
+//    the table to an empty hash index.
+// The index only maps keys to dense slots, so dense order — and with it
+// unsorted_records(), purges and merges — is the same under either one.
 #pragma once
 
 #include <algorithm>
@@ -185,21 +201,29 @@ class ArenaTable {
   // Returns the record slot for `key`, inserting `fallback` first if absent.
   Record& find_or_insert(Key key, const Record& fallback,
                          bool* inserted = nullptr) {
-    std::uint32_t& slot = index_.find_or_insert(arena_key_u64(key), kNoSlot);
-    if (slot == kNoSlot) {
-      slot = static_cast<std::uint32_t>(size_);
-      Entry& e = push_entry();
-      e.key = key;
-      e.rec = fallback;
-      if (inserted != nullptr) *inserted = true;
-      return e.rec;
+    const std::uint64_t k = arena_key_u64(key);
+    if (!direct_.empty() && !extend_direct(k)) to_hashed();
+    std::uint32_t* const slot =
+        direct_.empty() ? &index_.find_or_insert(k, kNoSlot)
+                        : &direct_[static_cast<std::size_t>(k)];
+    if (*slot != kNoSlot) {
+      if (inserted != nullptr) *inserted = false;
+      return entry_at(*slot).rec;
     }
-    if (inserted != nullptr) *inserted = false;
-    return entry_at(slot).rec;
+    *slot = static_cast<std::uint32_t>(size_);
+    Entry& e = push_entry();
+    e.key = key;
+    e.rec = fallback;
+    if (inserted != nullptr) *inserted = true;
+    if (direct_.empty()) {
+      max_key_ = std::max(max_key_, k);
+      if (max_key_ < index_.bytes() / sizeof(std::uint32_t)) to_direct();
+    }
+    return e.rec;
   }
 
   [[nodiscard]] const Record* find(Key key) const {
-    const std::uint32_t* slot = index_.find(arena_key_u64(key));
+    const std::uint32_t* slot = slot_of(arena_key_u64(key));
     if (slot == nullptr) return nullptr;
     return &entry_at(*slot).rec;
   }
@@ -211,15 +235,20 @@ class ArenaTable {
   // Removes the entry for `key`; returns true if it existed. The last
   // record swap-pops into the hole, so one unrelated record moves.
   bool erase(Key key) {
-    const std::uint32_t* slot = index_.find(arena_key_u64(key));
+    const std::uint64_t k = arena_key_u64(key);
+    std::uint32_t* slot = slot_of(k);
     if (slot == nullptr) return false;
     const std::uint32_t hole = *slot;
-    index_.erase(arena_key_u64(key));
+    if (direct_.empty()) {
+      index_.erase(k);
+    } else {
+      *slot = kNoSlot;
+    }
     const std::size_t last = size_ - 1;
     if (hole != last) {
       Entry& moved = entry_at(last);
       entry_at(hole) = moved;
-      *index_.find(arena_key_u64(moved.key)) = hole;
+      *slot_of(arena_key_u64(moved.key)) = hole;
     }
     --size_;
     return true;
@@ -228,9 +257,12 @@ class ArenaTable {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  // Drops every entry. Pages and index capacity are kept for reuse.
+  // Drops every entry. Pages and index capacity are kept for reuse, and so
+  // is the index representation.
   void clear() {
     index_.clear();
+    std::fill(direct_.begin(), direct_.end(), kNoSlot);
+    max_key_ = 0;
     size_ = 0;
   }
 
@@ -241,6 +273,8 @@ class ArenaTable {
   // name.
   void release() {
     index_.release();
+    direct_ = std::vector<std::uint32_t>{};
+    max_key_ = 0;
     arena_.release();
     pages_ = std::vector<Entry*>{};
     size_ = 0;
@@ -327,8 +361,12 @@ class ArenaTable {
   // Heap footprint: arena pages plus the key index.
   [[nodiscard]] std::size_t bytes() const {
     return arena_.capacity() + index_.bytes() +
+           direct_.capacity() * sizeof(std::uint32_t) +
            pages_.capacity() * sizeof(Entry*);
   }
+
+  // True while the key index is the direct slot array (tests).
+  [[nodiscard]] bool direct_indexed() const { return !direct_.empty(); }
 
  private:
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
@@ -353,6 +391,53 @@ class ArenaTable {
             (i - kRampEntries) % kPageRecords};
   }
 
+  // The index slot holding `k`'s dense slot, or nullptr if absent.
+  [[nodiscard]] const std::uint32_t* slot_of(std::uint64_t k) const {
+    if (direct_.empty()) return index_.find(k);
+    if (k >= direct_.size()) return nullptr;
+    const std::uint32_t* slot = &direct_[static_cast<std::size_t>(k)];
+    return *slot == kNoSlot ? nullptr : slot;
+  }
+  [[nodiscard]] std::uint32_t* slot_of(std::uint64_t k) {
+    return const_cast<std::uint32_t*>(std::as_const(*this).slot_of(k));
+  }
+
+  // Direct mode: makes `k` addressable, growing the span if it stays within
+  // the bytes a hash index of one more record would take. False when `k`
+  // is farther than that; the caller then falls back to hashing.
+  bool extend_direct(std::uint64_t k) {
+    if (k < direct_.size()) return true;
+    const std::size_t limit =
+        OpenAddressMap<std::uint64_t, std::uint32_t>::bytes_for(size_ + 1) /
+        sizeof(std::uint32_t);
+    if (k >= limit) return false;
+    const auto span = static_cast<std::size_t>(k) + 1;
+    direct_.reserve(std::min(limit, std::max(span, 2 * direct_.size())));
+    direct_.resize(span, kNoSlot);
+    return true;
+  }
+
+  // Rebuilds the index as a direct slot array spanning [0, max_key_].
+  void to_direct() {
+    direct_.assign(static_cast<std::size_t>(max_key_) + 1, kNoSlot);
+    for (std::size_t i = 0; i < size_; ++i) {
+      direct_[static_cast<std::size_t>(arena_key_u64(entry_at(i).key))] =
+          static_cast<std::uint32_t>(i);
+    }
+    index_.release();
+  }
+
+  // Rebuilds the index as a hash map over the current entries.
+  void to_hashed() {
+    direct_ = std::vector<std::uint32_t>{};
+    max_key_ = 0;
+    for (std::size_t i = 0; i < size_; ++i) {
+      const std::uint64_t k = arena_key_u64(entry_at(i).key);
+      index_.find_or_insert(k, static_cast<std::uint32_t>(i));
+      max_key_ = std::max(max_key_, k);
+    }
+  }
+
   Entry& push_entry() {
     if (size_ == capacity_) {
       const std::size_t records = page_records(pages_.size());
@@ -368,7 +453,14 @@ class ArenaTable {
     return *e;
   }
 
+  // Hashed key index; empty (released) while direct_ is in use.
   OpenAddressMap<std::uint64_t, std::uint32_t> index_;
+  // Direct key index: direct_[key] = dense slot or kNoSlot. Non-empty iff
+  // the table is direct-indexed.
+  std::vector<std::uint32_t> direct_;
+  // Largest key inserted into the hashed index since the last clear() or
+  // release().
+  std::uint64_t max_key_ = 0;
   BumpArena arena_;
   std::vector<Entry*> pages_;
   std::size_t size_ = 0;

@@ -212,6 +212,15 @@ class OpenAddressMap {
     return slots_.capacity() * sizeof(Slot) + states_.capacity();
   }
 
+  // Heap footprint of a map after `n` inserts into an empty map with no
+  // erase: the capacity the growth rule settles on, times one slot and one
+  // state byte.
+  [[nodiscard]] static constexpr std::size_t bytes_for(std::size_t n) {
+    std::size_t cap = kMinCapacity;
+    while (n * 10 > cap * 7) cap *= 2;
+    return cap * (sizeof(Slot) + 1);
+  }
+
   // Drops every entry; keeps the slot array's capacity.
   void clear() {
     std::fill(states_.begin(), states_.end(), static_cast<std::uint8_t>(0));
@@ -230,6 +239,7 @@ class OpenAddressMap {
  private:
   enum : std::uint8_t { kEmpty = 0, kFull = 1, kTomb = 2 };
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kMinCapacity = 16;
 
   struct Slot {
     Key key;
@@ -241,7 +251,7 @@ class OpenAddressMap {
   void rehash() {
     std::vector<Slot> old_slots = std::move(slots_);
     std::vector<std::uint8_t> old_states = std::move(states_);
-    std::size_t cap = old_slots.empty() ? 16 : old_slots.size();
+    std::size_t cap = old_slots.empty() ? kMinCapacity : old_slots.size();
     if ((size_ + 1) * 10 > cap * 7) cap *= 2;
     slots_.assign(cap, Slot{Key{}, Value{}});
     states_.assign(cap, kEmpty);

@@ -90,6 +90,61 @@ TEST(HlsrgIntegrationTest, CentersCollectTables) {
   EXPECT_GT(entries, 50u);
 }
 
+// Recomputes every vehicle's center membership from scratch at the end of
+// each tick and compares it with the service's incrementally kept flag.
+class CenterDutyChecker final : public MovementListener {
+ public:
+  CenterDutyChecker(World& world, const HlsrgService& svc)
+      : world_(&world), svc_(&svc) {}
+  void on_tick() override {
+    ++ticks;
+    check();
+  }
+  void check() {
+    const GridHierarchy& h = world_->hierarchy();
+    for (std::size_t i = 0; i < world_->mobility().vehicle_count(); ++i) {
+      const VehicleId v{i};
+      const Vec2 pos = svc_->vehicle_pos(v);
+      const bool expected =
+          distance(pos, h.center_pos(h.l1_at(pos), GridLevel::kL1)) <=
+          svc_->cfg().center_radius_m;
+      const bool kept = svc_->vehicle_agent(v).in_center();
+      if (kept != expected) ++mismatches;
+      if (kept) {
+        ++on_duty;
+        if (!(svc_->vehicle_agent(v).center_cell() == h.l1_at(pos))) {
+          ++mismatches;
+        }
+      }
+    }
+  }
+  World* world_;
+  const HlsrgService* svc_;
+  int ticks = 0;
+  int mismatches = 0;
+  std::size_t on_duty = 0;
+};
+
+TEST(HlsrgIntegrationTest, CenterDutyMatchesRecomputationEveryTick) {
+  // The paper's 150 m radius, and a 600 m one whose discs overlap the
+  // neighbouring cells, so vehicles also switch straight from one center
+  // to the next.
+  for (const double radius : {150.0, 600.0}) {
+    ScenarioConfig cfg = paper_scenario(500, 13);
+    cfg.mobility.parked_fraction = 0.1;
+    cfg.hlsrg.center_radius_m = radius;
+    World world(cfg, Protocol::kHlsrg);
+    const auto& svc = dynamic_cast<const HlsrgService&>(world.service());
+    CenterDutyChecker checker(world, svc);
+    checker.check();  // the starting poses, before any tick
+    world.mobility().add_listener(&checker);
+    world.run_until(SimTime::from_sec(120));
+    EXPECT_GT(checker.ticks, 200) << radius;
+    EXPECT_GT(checker.on_duty, 1000u) << radius;
+    EXPECT_EQ(checker.mismatches, 0) << radius;
+  }
+}
+
 TEST(HlsrgIntegrationTest, RsuTablesThinUpward) {
   ScenarioConfig cfg = paper_scenario(500, 9);
   World world(cfg, Protocol::kHlsrg);

@@ -4,6 +4,7 @@
 // the full-scan eviction predicate, and the flat agent-side containers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -124,6 +125,144 @@ TEST(ArenaTableTest, UnsortedRecordsIsAPermutationOfSnapshot) {
   std::sort(dense.begin(), dense.end());
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(dense, sorted);
+}
+
+// Reference model of an ArenaTable: values by key plus the dense order
+// (append on insert, swap-pop on erase).
+struct DenseModel {
+  std::map<std::uint64_t, std::uint64_t> values;
+  std::vector<std::uint64_t> order;
+
+  bool upsert(std::uint64_t key, std::uint64_t value) {
+    const bool inserted = values.find(key) == values.end();
+    if (inserted) order.push_back(key);
+    values[key] = value;
+    return inserted;
+  }
+  bool erase(std::uint64_t key) {
+    if (values.erase(key) == 0) return false;
+    const auto it = std::find(order.begin(), order.end(), key);
+    *it = order.back();
+    order.pop_back();
+    return true;
+  }
+  void clear() {
+    values.clear();
+    order.clear();
+  }
+};
+
+void expect_matches(const ArenaTable<std::uint64_t, std::uint64_t>& table,
+                    const DenseModel& model) {
+  ASSERT_EQ(table.size(), model.order.size());
+  for (std::size_t i = 0; i < model.order.size(); ++i) {
+    const auto& e = table.entry_at(i);
+    ASSERT_EQ(e.key, model.order[i]) << "dense slot " << i;
+    ASSERT_EQ(e.rec, model.values.at(e.key));
+    const std::uint64_t* found = table.find(e.key);
+    ASSERT_NE(found, nullptr);
+    ASSERT_EQ(*found, e.rec);
+  }
+  std::vector<std::uint64_t> want;
+  for (const auto& [key, value] : model.values) want.push_back(value);
+  ASSERT_EQ(table.snapshot(), want);
+}
+
+TEST(ArenaTableTest, IndexSwitchFuzzMatchesDenseModel) {
+  // Upsert / erase / clear / release against the model while the key range
+  // changes every epoch, so tables cross the hashed -> direct switch and
+  // back (a key far past the direct span, or release()).
+  ArenaTable<std::uint64_t, std::uint64_t> table;
+  DenseModel model;
+  Mix64 rng{2024};
+  constexpr std::uint64_t kRanges[] = {60, 700, 3000, 20000};
+  std::uint64_t range = kRanges[0];
+  int direct_seen = 0, hashed_after_direct = 0, huge_inserts = 0;
+  bool was_direct = false;
+  for (int step = 0; step < 60000; ++step) {
+    const std::uint64_t r = rng.next();
+    const std::uint64_t op = (r >> 40) % 1000;
+    const std::uint64_t key = r % range;
+    if (op < 560) {
+      const std::uint64_t value = rng.next();
+      ASSERT_EQ(table.upsert(key, value), model.upsert(key, value));
+    } else if (op < 820) {
+      ASSERT_EQ(table.erase(key), model.erase(key));
+    } else if (op < 990) {
+      const std::uint64_t* rec = table.find(key);
+      const auto it = model.values.find(key);
+      ASSERT_EQ(rec != nullptr, it != model.values.end());
+      if (rec != nullptr) {
+        ASSERT_EQ(*rec, it->second);
+      }
+    } else if (op < 993) {
+      // A key far beyond any span: must not size a slot array to it.
+      const std::uint64_t huge = (std::uint64_t{1} << 40) + (r % 7);
+      ASSERT_EQ(table.upsert(huge, r), model.upsert(huge, r));
+      ++huge_inserts;
+      ASSERT_LT(table.bytes(), std::size_t{1} << 24);
+    } else {
+      const bool keep_representation = table.direct_indexed();
+      if (op < 997) {
+        table.clear();
+        EXPECT_EQ(table.direct_indexed(), keep_representation);
+      } else {
+        table.release();
+        EXPECT_FALSE(table.direct_indexed());
+        EXPECT_EQ(table.bytes(), 0u);
+      }
+      model.clear();
+      range = kRanges[(r >> 20) % 4];
+    }
+    ASSERT_EQ(table.size(), model.order.size());
+    if (table.direct_indexed()) ++direct_seen;
+    if (was_direct && !table.direct_indexed()) ++hashed_after_direct;
+    was_direct = table.direct_indexed();
+    if (step % 97 == 0) expect_matches(table, model);
+  }
+  expect_matches(table, model);
+  EXPECT_GT(direct_seen, 1000);
+  EXPECT_GT(hashed_after_direct, 5);
+  EXPECT_GT(huge_inserts, 50);
+}
+
+TEST(ArenaTableTest, DirectIndexFollowsTheByteRule) {
+  using Table = ArenaTable<std::uint64_t, std::uint64_t>;
+  using Index = OpenAddressMap<std::uint64_t, std::uint32_t>;
+  // Dense keys from 1000 up: the table starts hashed (a 16-slot index
+  // cannot pay for 1001 slots) and switches on the insert at which
+  // 4 B x (max key + 1) first fits in the hash index's bytes; an
+  // insert-only index holds exactly bytes_for(size).
+  Table dense;
+  bool was_direct = false;
+  for (std::uint64_t k = 1000; k < 3000; ++k) {
+    dense.upsert(k, k);
+    const bool rule = 4 * (k + 1) <= Index::bytes_for(k - 999);
+    ASSERT_EQ(dense.direct_indexed(), was_direct || rule) << k;
+    was_direct = dense.direct_indexed();
+  }
+  EXPECT_TRUE(dense.direct_indexed());
+  // Sparse keys (one in a thousand) never pay for a slot array.
+  Table sparse;
+  for (std::uint64_t k = 0; k < 2000; ++k) sparse.upsert(k * 1000, k);
+  EXPECT_FALSE(sparse.direct_indexed());
+  // Same record count, so the footprints differ by the index alone: the
+  // slot array spans at most twice the 3000 key values.
+  EXPECT_LE(dense.bytes() + Index::bytes_for(2000),
+            sparse.bytes() + 2 * sizeof(std::uint32_t) * 3000);
+  // A key just past the span grows the array in place.
+  dense.upsert(3100, 1);
+  EXPECT_TRUE(dense.direct_indexed());
+  EXPECT_EQ(*dense.find(3100), 1u);
+  // clear() keeps the representation; release() returns to hashing.
+  dense.clear();
+  EXPECT_TRUE(dense.direct_indexed());
+  EXPECT_EQ(dense.find(7), nullptr);
+  dense.upsert(7, 70);
+  EXPECT_EQ(*dense.find(7), 70u);
+  dense.release();
+  EXPECT_FALSE(dense.direct_indexed());
+  EXPECT_EQ(dense.find(7), nullptr);
 }
 
 // --- OpenAddressMap --------------------------------------------------------

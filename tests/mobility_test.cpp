@@ -2,7 +2,10 @@
 // movement events.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -502,6 +505,128 @@ TEST_F(MobilityModelTest, ChurnLifecycleIsDeterministic) {
   };
   EXPECT_EQ(counts(21), counts(21));
   EXPECT_NE(counts(21), counts(22));
+}
+
+// --- kept poses and the batch hook -------------------------------------------
+
+bool same_bits(Vec2 a, Vec2 b) {
+  return std::bit_cast<std::uint64_t>(a.x) == std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
+// After every tick, checks each kept pose against the pose recomputed from
+// the kinematic state, and each move event against the model.
+class PoseChecker : public MovementListener {
+ public:
+  explicit PoseChecker(const MobilityModel& mob) : mob_(&mob) {}
+  void on_tick_events(std::span<const TickEvent> events) override {
+    for (const TickEvent& e : events) {
+      if (e.is_pass()) continue;
+      ++moves;
+      if (!same_bits(e.after, mob_->position(e.v))) ++mismatches;
+      const Vec2 velocity = mob_->heading(e.v) * mob_->state(e.v).speed;
+      if (!same_bits(e.velocity, velocity)) ++mismatches;
+    }
+  }
+  void on_tick() override {
+    ++ticks;
+    check_all();
+  }
+  void check_all() {
+    for (std::size_t i = 0; i < mob_->vehicle_count(); ++i) {
+      const VehicleId v{i};
+      const VehicleState& s = mob_->state(v);
+      if (!same_bits(mob_->position(v),
+                     mob_->network().point_on(s.seg, s.offset))) {
+        ++mismatches;
+      }
+    }
+  }
+  const MobilityModel* mob_;
+  int ticks = 0;
+  int moves = 0;
+  int mismatches = 0;
+};
+
+TEST_F(MobilityModelTest, KeptPoseIsPointOnAfterEveryTick) {
+  MobilityModel mob(sim_, net_, churny_config());
+  PoseChecker checker(mob);
+  mob.add_listener(&checker);
+  mob.place_random_vehicles(200);
+  mob.start();
+  // Abrupt departures between ticks, as the fault layer's burst windows do:
+  // every 7.25 s the lowest-id parked vehicle is forced back on the road.
+  int forced = 0;
+  for (int k = 1; k <= 40; ++k) {
+    sim_.run_until(SimTime::from_sec(7.25 * k));
+    for (std::size_t i = 0; i < mob.vehicle_count(); ++i) {
+      if (mob.force_depart(VehicleId{i})) {
+        ++forced;
+        break;
+      }
+    }
+    checker.check_all();  // a departure does not move the vehicle
+  }
+  EXPECT_GT(forced, 20);
+  EXPECT_GT(mob.park_events(), 0u);
+  EXPECT_GT(checker.ticks, 500);
+  EXPECT_GT(checker.moves, 10000);
+  EXPECT_EQ(checker.mismatches, 0);
+}
+
+TEST_F(MobilityModelTest, BatchHookSeesThePerEventSequence) {
+  // One listener overrides the batch hook, one the per-event hooks (through
+  // the batch hook's default); both must see the same tick sequence, in
+  // vehicle-id order with a vehicle's passes before its move.
+  struct Seen {
+    VehicleId v;
+    bool pass;
+    bool operator==(const Seen&) const = default;
+  };
+  struct Batch : MovementListener {
+    void on_tick_events(std::span<const TickEvent> events) override {
+      for (const TickEvent& e : events) seen.push_back({e.v, e.is_pass()});
+    }
+    std::vector<Seen> seen;
+  } batch;
+  struct PerEvent : MovementListener {
+    void on_intersection_pass(VehicleId v, IntersectionId, SegmentId,
+                              SegmentId) override {
+      seen.push_back({v, true});
+    }
+    void on_moved(VehicleId v, Vec2, Vec2) override {
+      seen.push_back({v, false});
+      moves_in_tick.push_back(v);
+    }
+    void on_tick() override {
+      for (std::size_t i = 1; i < moves_in_tick.size(); ++i) {
+        if (!(moves_in_tick[i - 1].value() < moves_in_tick[i].value())) {
+          ++out_of_order;
+        }
+      }
+      moves_in_tick.clear();
+    }
+    std::vector<Seen> seen;
+    std::vector<VehicleId> moves_in_tick;
+    int out_of_order = 0;
+  } per_event;
+  MobilityModel mob(sim_, net_, churny_config());
+  mob.add_listener(&batch);
+  mob.add_listener(&per_event);
+  mob.place_random_vehicles(100);
+  mob.start();
+  sim_.run_until(SimTime::from_sec(120));
+  ASSERT_GT(batch.seen.size(), 1000u);
+  EXPECT_TRUE(batch.seen == per_event.seen);
+  EXPECT_EQ(per_event.out_of_order, 0);
+  // A pass is always followed by more events of the same vehicle (at
+  // least its move) within the tick.
+  for (std::size_t i = 0; i + 1 < batch.seen.size(); ++i) {
+    if (batch.seen[i].pass) {
+      EXPECT_EQ(batch.seen[i + 1].v, batch.seen[i].v);
+    }
+  }
+  EXPECT_FALSE(batch.seen.back().pass);
 }
 
 // Parameterized: vehicles never leave the road graph across speeds.

@@ -15,7 +15,9 @@ namespace {
 
 TEST(SortedView, IteratesMapEntriesInKeyOrder) {
   std::unordered_map<int, std::string> m;
-  for (int k : {7, 1, 42, 3, 19}) m.emplace(k, "v" + std::to_string(k));
+  for (int k : {7, 1, 42, 3, 19}) {
+    m.emplace(k, std::string("v").append(std::to_string(k)));
+  }
 
   std::vector<int> keys;
   for (const auto* e : det::sorted_view(m)) keys.push_back(e->first);
