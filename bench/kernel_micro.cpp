@@ -1,11 +1,14 @@
 // Kernel microbenchmarks for the simulation engine hot paths
-// (google-benchmark): event queue, RNG, neighbor index, position→cell
-// lookups, table operations, map + partition build, and a full small-world
+// (google-benchmark): event queue, RNG, neighbor index, contention-density
+// recount, the radio's receiver pass, position→cell lookups, table
+// operations, map + partition build, and a full small-world
 // step as an end-to-end engine figure. The JSON-reporting engine-throughput bench that CI gates lives in
 // micro_engine.cpp.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "core/location_table.h"
 #include "grid/hierarchy.h"
@@ -147,6 +150,102 @@ void BM_NeighborIndexQueryWithDensity(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_NeighborIndexQueryWithDensity);
+
+// Node positions of an HLSRG world (vehicles and RSUs) after 10 simulated
+// seconds: road-shaped, unlike a uniform cloud. Built once per process.
+const NodeRegistry& world_snapshot(const ScenarioConfig& cfg) {
+  static std::vector<std::unique_ptr<NodeRegistry>> snapshots;
+  static std::vector<std::uint64_t> keys;
+  const auto key = static_cast<std::uint64_t>(cfg.vehicles);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i] == key) return *snapshots[i];
+  }
+  World world(cfg, Protocol::kHlsrg);
+  world.run_until(SimTime::from_sec(10.0));
+  auto snap = std::make_unique<NodeRegistry>();
+  for (std::size_t i = 0; i < world.registry().count(); ++i) {
+    snap->add_node(world.registry().position(NodeId{i}));
+  }
+  keys.push_back(key);
+  snapshots.push_back(std::move(snap));
+  return *snapshots.back();
+}
+
+// perfbench's paper_dense (2 km, 1000 vehicles) and city_maintenance (8 km,
+// 8000 vehicles) worlds.
+ScenarioConfig paper_dense_world() { return paper_scenario(1000, 1); }
+ScenarioConfig city_maintenance_world() {
+  ScenarioConfig cfg = paper_scenario(8000, 1);
+  cfg.map.size_m = 8000.0;
+  return cfg;
+}
+
+// Every node's contention density recounted, as after a mobility tick: a
+// pose write and a rebuild (untimed) drop every cached density, then each
+// node's density is read once. Densities here are far above the
+// contention-free threshold, so nearly every read is the exact count.
+void BM_DensityRecount(benchmark::State& state, ScenarioConfig cfg) {
+  NodeRegistry reg;
+  const NodeRegistry& snap = world_snapshot(cfg);
+  for (std::size_t i = 0; i < snap.count(); ++i) {
+    reg.add_node(snap.position(NodeId{i}));
+  }
+  const RadioConfig radio;
+  NeighborIndex index(reg, radio.range_m, radio.contention_free_neighbors);
+  const NodeId mover{0u};
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    reg.set_position(mover, reg.position(mover));
+    index.refresh(SimTime::from_us(++t));
+    state.ResumeTiming();
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < reg.count(); ++i) {
+      sum += index.local_density(NodeId{i});
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(reg.count()) *
+                          state.iterations());
+}
+BENCHMARK_CAPTURE(BM_DensityRecount, paper_dense, paper_dense_world());
+BENCHMARK_CAPTURE(BM_DensityRecount, city_maintenance,
+                  city_maintenance_world());
+
+// The radio's receiver pass: one broadcast_each from every node of a
+// paper_dense snapshot, with region telemetry attached as in a World. The
+// snapshot never moves, so densities and regions are cached after the first
+// iteration; the untimed drain dispatches the delivery events.
+void BM_BroadcastReceiverPass(benchmark::State& state) {
+  const ScenarioConfig cfg = paper_dense_world();
+  const NodeRegistry& snap = world_snapshot(cfg);
+  const RoadNetwork net = build_manhattan_map(cfg.map);
+  const Partition part = build_partition(net);
+  std::vector<double> x_edges;
+  std::vector<double> y_edges;
+  for (const BoundaryLine& l : part.x_lines) x_edges.push_back(l.coord);
+  for (const BoundaryLine& l : part.y_lines) y_edges.push_back(l.coord);
+  RegionTelemetry regions(std::move(x_edges), std::move(y_edges));
+  Simulator sim(1);
+  sim.set_regions(&regions);
+  RadioMedium medium(sim, snap, cfg.radio);
+  std::int64_t receivers = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < snap.count(); ++i) {
+      const NodeId sender{i};
+      receivers += medium.broadcast_each(sender, snap.position(sender),
+                                         PacketKind::kNotification,
+                                         [](NodeId) {});
+    }
+    state.PauseTiming();
+    sim.run_until(sim.now() + SimTime::from_sec(1.0));
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(receivers);
+  state.SetItemsProcessed(static_cast<std::int64_t>(snap.count()) *
+                          state.iterations());
+}
+BENCHMARK(BM_BroadcastReceiverPass);
 
 // Position→cell lookups on the 8 km city map (16x16 L1 cells): a fixed
 // batch of random positions, each result kept live.

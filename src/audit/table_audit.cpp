@@ -111,21 +111,24 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
       report->add("table", where + " holds an L2 table");
     }
 
+    // Each table's location string, built once per table.
+    const std::string l2_where = where + " l2_table";
     for (const auto& [vehicle, s] : agent.l2_table()) {
-      check_entry(ctx, where + " l2_table", vehicle, s.time, l2_max);
+      check_entry(ctx, l2_where, vehicle, s.time, l2_max);
       if (!coord_in_range(ctx, s.l1, GridLevel::kL1)) {
-        violation(ctx, where + " l2_table", vehicle,
+        violation(ctx, l2_where, vehicle,
                   "references out-of-range L1 grid " + coord_str(s.l1));
       }
     }
+    const std::string l3_where = where + " l3_table";
     for (const auto& [vehicle, s] : agent.l3_table()) {
-      check_entry(ctx, where + " l3_table", vehicle, s.time, l3_max);
+      check_entry(ctx, l3_where, vehicle, s.time, l3_max);
       if (!coord_in_range(ctx, s.l2, GridLevel::kL2)) {
-        violation(ctx, where + " l3_table", vehicle,
+        violation(ctx, l3_where, vehicle,
                   "references out-of-range L2 grid " + coord_str(s.l2));
       }
       if (!coord_in_range(ctx, s.owner_l3, GridLevel::kL3)) {
-        violation(ctx, where + " l3_table", vehicle,
+        violation(ctx, l3_where, vehicle,
                   "references out-of-range L3 region " +
                       coord_str(s.owner_l3));
       }
@@ -134,10 +137,11 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
     const bool at_l2 = agent.level() == GridLevel::kL2;
     const SimTime full_expiry = at_l2 ? cfg.l2_expiry : cfg.l3_expiry;
     const SimTime full_max = at_l2 ? l2_max : l3_max;
+    const std::string full_where = where + " full_table";
     for (const auto& [vehicle, rec] : agent.full_table()) {
-      check_entry(ctx, where + " full_table", vehicle, rec.time, full_max);
+      check_entry(ctx, full_where, vehicle, rec.time, full_max);
       if (!coord_in_range(ctx, rec.l1, GridLevel::kL1)) {
-        violation(ctx, where + " full_table", vehicle,
+        violation(ctx, full_where, vehicle,
                   "references out-of-range L1 grid " + coord_str(rec.l1));
       }
       // Summarization: full and thinned tables are written together
@@ -158,10 +162,10 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
           }
         }
         if (!summarized) {
-          violation(ctx, where + " full_table", vehicle,
+          violation(ctx, full_where, vehicle,
                     "is fresh but has no summary-table entry");
         } else if (summary_time < rec.time) {
-          violation(ctx, where + " full_table", vehicle,
+          violation(ctx, full_where, vehicle,
                     "is newer than its summary-table entry");
         }
       }

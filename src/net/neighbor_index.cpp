@@ -1,17 +1,13 @@
 #include "net/neighbor_index.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdlib>
 #include <limits>
 
 #include "obs/profiler.h"
 #include "util/check.h"
 
 namespace hlsrg {
-
-std::int64_t NeighborIndex::cell_coord(double v) const {
-  return static_cast<std::int64_t>(std::floor(v / cell_));
-}
 
 template <typename Fn>
 void NeighborIndex::for_each_block_run(Cell c, Fn&& fn) const {
@@ -104,58 +100,92 @@ void NeighborIndex::rebuild() {
   start_.pop_back();
 }
 
-void NeighborIndex::query(Vec2 p, double radius, NodeId exclude,
-                          std::vector<NodeId>* out) const {
+template <typename T, typename Value>
+void NeighborIndex::collect(Vec2 p, double radius, NodeId exclude,
+                            std::vector<T>* out, Value value) const {
   HLSRG_CHECK(out != nullptr);
   HLSRG_CHECK_MSG(radius <= cell_ + 1e-9,
                   "query radius must not exceed the grid cell size");
   const double r2 = radius * radius;
+  const std::uint32_t skip =
+      exclude.valid() && exclude.index() < node_slot_.size()
+          ? node_slot_[exclude.index()]
+          : ~std::uint32_t{0};
   for_each_block_run(grid_cell(p), [&](std::uint32_t b, std::uint32_t e) {
-    // Branch-free compaction: every id is written, and the write cursor
-    // advances only past the ones in range.
+    // Branch-free compaction: every value is written, and the write cursor
+    // advances only past the slots in range.
     const std::size_t first = out->size();
     out->resize(first + (e - b));
-    NodeId* w = out->data() + first;
+    T* w = out->data() + first;
     for (std::uint32_t s = b; s < e; ++s) {
-      *w = slot_id_[s];
+      *w = value(s);
       w += static_cast<int>(distance2(slot_pos(s), p) <= r2) &
-           static_cast<int>(slot_id_[s] != exclude);
+           static_cast<int>(s != skip);
     }
     out->resize(static_cast<std::size_t>(w - out->data()));
   });
+}
+
+void NeighborIndex::query(Vec2 p, double radius, NodeId exclude,
+                          std::vector<NodeId>* out) const {
+  collect(p, radius, exclude, out,
+          [this](std::uint32_t s) { return slot_id_[s]; });
+}
+
+void NeighborIndex::query_slots(Vec2 p, double radius, NodeId exclude,
+                                std::vector<std::uint32_t>* out) const {
+  collect(p, radius, exclude, out, [](std::uint32_t s) { return s; });
+}
+
+std::int32_t NeighborIndex::count_block(Cell c, Vec2 p, double r2) const {
+  std::int32_t n = 0;
+  for_each_block_run(c, [&](std::uint32_t b, std::uint32_t e) {
+    n += count_in_disc_(slot_x_.data() + b, slot_y_.data() + b, e - b, p.x,
+                        p.y, r2);
+  });
+  return n;
 }
 
 int NeighborIndex::count_within(Vec2 p, double radius, NodeId exclude) const {
   HLSRG_CHECK_MSG(radius <= cell_ + 1e-9,
                   "query radius must not exceed the grid cell size");
   const double r2 = radius * radius;
-  int n = 0;
-  for_each_block_run(grid_cell(p), [&](std::uint32_t b, std::uint32_t e) {
-    // Branch-free, so the compiler can vectorize the run.
-    for (std::uint32_t s = b; s < e; ++s) {
-      n += static_cast<int>(distance2(slot_pos(s), p) <= r2) &
-           static_cast<int>(slot_id_[s] != exclude);
+  const Cell c = grid_cell(p);
+  std::int32_t n = count_block(c, p, r2);
+  if (exclude.valid() && exclude.index() < node_slot_.size()) {
+    // Uncount `exclude` if the block walk visited it and it is in range.
+    const Cell ec = node_cell_[exclude.index()];
+    const std::uint32_t s = node_slot_[exclude.index()];
+    if (std::abs(ec.col - c.col) <= 1 && std::abs(ec.row - c.row) <= 1) {
+      n -= count_in_disc_(slot_x_.data() + s, slot_y_.data() + s, 1, p.x, p.y,
+                          r2);
     }
-  });
+  }
   return n;
 }
 
+std::int32_t NeighborIndex::exact_slot_density(std::uint32_t s) const {
+  // The node itself is at distance 0, always counted: subtract it.
+  return count_block(node_cell_[slot_id_[s].index()], slot_pos(s),
+                     cell_ * cell_) -
+         1;
+}
+
 std::int32_t NeighborIndex::compute_density(std::uint32_t s) const {
-  const NodeId id = slot_id_[s];
   if (saturation_ >= 0) {
     // Cell-population bound first: the node's whole in-range neighborhood
     // lies inside its 3x3 cell block, so (block population - itself) bounds
     // the exact count from above. At or below the saturation threshold the
     // loss model cannot distinguish the two (excess is zero either way).
     std::int32_t block = 0;
-    for_each_block_run(node_cell_[id.index()],
+    for_each_block_run(node_cell_[slot_id_[s].index()],
                        [&](std::uint32_t b, std::uint32_t e) {
                          block += static_cast<std::int32_t>(e - b);
                        });
     const std::int32_t bound = block - 1;
     if (bound <= saturation_) return bound;
   }
-  return count_within(slot_pos(s), cell_, id);
+  return exact_slot_density(s);
 }
 
 std::int32_t NeighborIndex::slot_density(std::uint32_t s) {
@@ -175,7 +205,7 @@ void NeighborIndex::query_with_density(Vec2 p, double radius, NodeId exclude,
   const std::size_t first = out->size();
   query(p, radius, exclude, out);
   for (std::size_t i = first; i < out->size(); ++i) {
-    density_out->push_back(slot_density(node_slot_[(*out)[i].index()]));
+    density_out->push_back(local_density((*out)[i]));
   }
 }
 

@@ -10,31 +10,46 @@ namespace hlsrg {
 RadioMedium::RadioMedium(Simulator& sim, const NodeRegistry& registry,
                          RadioConfig cfg)
     : sim_(&sim), registry_(&registry), cfg_(cfg),
-      // The index serves contention densities straight from its per-node
+      // The index serves contention densities straight from its per-slot
       // cache; counts at or below the contention-free threshold are
       // loss-equivalent however they were obtained (see neighbor_index.h).
-      index_(registry, cfg.range_m, cfg.contention_free_neighbors) {
+      index_(registry, cfg.range_m, cfg.contention_free_neighbors),
+      kernels_(&receiver_kernels()) {
   HLSRG_CHECK(cfg.range_m > 0.0);
 }
 
 double RadioMedium::loss_probability(double dist, int local_neighbors) const {
-  const double frac = std::clamp(dist / cfg_.range_m, 0.0, 1.0);
-  const int excess = std::max(0, local_neighbors - cfg_.contention_free_neighbors);
-  const double p = cfg_.base_loss + cfg_.distance_loss * frac * frac +
-                   cfg_.contention_loss_per_neighbor * excess;
-  return std::clamp(p, 0.0, cfg_.max_loss);
+  return hop_loss_probability(cfg_, dist, local_neighbors);
 }
 
 double RadioMedium::loss_probability(double dist, int local_neighbors,
                                      Vec2 receiver_pos) const {
+  return with_zones(loss_probability(dist, local_neighbors), receiver_pos);
+}
+
+double RadioMedium::with_zones(double p, Vec2 rx) const {
   double extra = 0.0;
   for (const RadioLossZone& z : loss_zones_) {
-    if (z.box.contains(receiver_pos)) extra += z.extra_loss;
+    if (z.box.contains(rx)) extra += z.extra_loss;
   }
-  if (extra <= 0.0) return loss_probability(dist, local_neighbors);
+  if (extra <= 0.0) return p;
   // Zones may exceed max_loss up to certain loss (a fully jammed region),
   // which Rng::chance resolves without a draw.
-  return std::clamp(loss_probability(dist, local_neighbors) + extra, 0.0, 1.0);
+  return std::clamp(p + extra, 0.0, 1.0);
+}
+
+void RadioMedium::batch_loss(Vec2 tx_pos, std::span<const std::uint32_t> slots,
+                             std::span<const std::int32_t> density,
+                             std::vector<double>* p) const {
+  HLSRG_CHECK(p != nullptr && density.size() == slots.size());
+  p->resize(slots.size());
+  kernels_->hop_loss(cfg_, tx_pos.x, tx_pos.y, index_.slot_xs(),
+                     index_.slot_ys(), slots.data(), density.data(),
+                     slots.size(), p->data());
+  if (loss_zones_.empty()) return;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    (*p)[i] = with_zones((*p)[i], index_.slot_pos(slots[i]));
+  }
 }
 
 SimTime RadioMedium::hop_delay() {
@@ -43,26 +58,34 @@ SimTime RadioMedium::hop_delay() {
   return SimTime::from_ms(ms);
 }
 
-int RadioMedium::density_at(NodeId rx) {
-  if (reference_density_) return index_.exact_density(rx);
-  return index_.local_density(rx);
+std::int32_t RadioMedium::density_at(std::uint32_t slot) {
+  if (reference_density_) return index_.exact_slot_density(slot);
+  return index_.slot_density(slot);
 }
 
-bool RadioMedium::offer(PacketKind kind, Vec2 rx_pos, bool lost) {
+void RadioMedium::book_offers(PacketKind kind, std::uint64_t offered,
+                              std::uint64_t dropped) {
   RunMetrics& m = sim_->metrics();
   const int k = static_cast<int>(kind);
-  m.channel.add_offered(k);
-  if (lost) {
-    ++m.radio_drops;
-    m.channel.add_dropped(k);
-  } else {
-    m.channel.add_delivered(k);
+  m.channel.add_offered(k, offered);
+  m.channel.add_dropped(k, dropped);
+  m.channel.add_delivered(k, offered - dropped);
+  m.radio_drops += dropped;
+}
+
+void RadioMedium::book_region(std::uint32_t slot, bool lost) {
+  RegionTelemetry* regions = sim_->regions();
+  if (regions == nullptr) return;
+  if (region_stamp_.size() != index_.size()) {
+    slot_region_.resize(index_.size());
+    region_stamp_.resize(index_.size(), ~std::uint64_t{0});
   }
-  if (RegionTelemetry* regions = sim_->regions()) {
-    RegionCounters& r = regions->at(regions->region_of(rx_pos));
-    ++(lost ? r.radio_dropped : r.radio_delivered);
+  if (region_stamp_[slot] != index_.rebuilds()) {
+    slot_region_[slot] = regions->region_of(index_.slot_pos(slot));
+    region_stamp_[slot] = index_.rebuilds();
   }
-  return !lost;
+  RegionCounters& r = regions->at(slot_region_[slot]);
+  ++(lost ? r.radio_dropped : r.radio_delivered);
 }
 
 int RadioMedium::broadcast(NodeId sender, const Packet& pkt) {
@@ -83,15 +106,14 @@ int RadioMedium::broadcast_each(NodeId sender, Vec2 tx_pos, PacketKind kind,
   HLSRG_CHECK(on_deliver != nullptr);
   ProfileScope profile(sim_->profiler(), "radio_broadcast");
   index_.refresh(sim_->now(), sim_->profiler());
-  scratch_.clear();
-  density_scratch_.clear();
-  if (reference_density_) {
-    index_.query(tx_pos, cfg_.range_m, sender, &scratch_);
-    for (NodeId rx : scratch_) density_scratch_.push_back(density_at(rx));
-  } else {
-    index_.query_with_density(tx_pos, cfg_.range_m, sender, &scratch_,
-                              &density_scratch_);
+  slots_.clear();
+  index_.query_slots(tx_pos, cfg_.range_m, sender, &slots_);
+  const std::size_t n = slots_.size();
+  density_scratch_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    density_scratch_[i] = density_at(slots_[i]);
   }
+  batch_loss(tx_pos, slots_, density_scratch_, &loss_scratch_);
   sim_->metrics().radio_broadcasts++;
   RegionTelemetry* regions = sim_->regions();
   if (regions != nullptr) {
@@ -99,14 +121,13 @@ int RadioMedium::broadcast_each(NodeId sender, Vec2 tx_pos, PacketKind kind,
   }
   const SimTime delay = hop_delay();
   std::vector<NodeId> survivors;
-  survivors.reserve(scratch_.size());
-  for (std::size_t i = 0; i < scratch_.size(); ++i) {
-    const NodeId rx = scratch_[i];
-    const Vec2 rp = registry_->position(rx);
-    const bool lost = sim_->radio_rng().chance(
-        loss_probability(distance(tx_pos, rp), density_scratch_[i], rp));
-    if (offer(kind, rp, lost)) survivors.push_back(rx);
+  survivors.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool lost = sim_->radio_rng().chance(loss_scratch_[i]);
+    book_region(slots_[i], lost);
+    if (!lost) survivors.push_back(index_.slot_id(slots_[i]));
   }
+  book_offers(kind, n, n - survivors.size());
   if (!survivors.empty()) {
     sim_->schedule_after(
         delay, [this, survivors = std::move(survivors),
@@ -117,7 +138,7 @@ int RadioMedium::broadcast_each(NodeId sender, Vec2 tx_pos, PacketKind kind,
           }
         });
   }
-  return static_cast<int>(scratch_.size());
+  return static_cast<int>(n);
 }
 
 void RadioMedium::unicast(NodeId sender, NodeId target, const Packet& pkt,
@@ -161,10 +182,13 @@ void RadioMedium::try_unicast(NodeId sender, NodeId target, PacketKind kind,
   if (regions != nullptr) ++regions->at(regions->region_of(sp)).radio_unicasts;
   const std::int32_t retries_used = cfg_.unicast_retries - attempts_left;
   // Out of range is lost without a loss draw.
+  const std::uint32_t slot = index_.slot_of(target);
   const bool lost =
       d > cfg_.range_m ||
-      sim_->radio_rng().chance(loss_probability(d, density_at(target), tp));
-  if (offer(kind, tp, lost)) {
+      sim_->radio_rng().chance(loss_probability(d, density_at(slot), tp));
+  book_offers(kind, 1, lost ? 1 : 0);
+  book_region(slot, lost);
+  if (!lost) {
     sim_->schedule_after(hop_delay(), [this, target, span, ctx, retries_used,
                                        cb = std::move(on_delivered)] {
       sim_->end_span(span, SpanStatus::kOk, registry_->position(target),

@@ -9,27 +9,35 @@
 // vehicle-to-vehicle paths across "vast areas" are unreliable while short
 // hops and wired RSUs are not.
 //
-// Hot-path shape: a broadcast does ONE index walk (query_with_density
-// returns receivers and their cached contention densities together), draws
-// per-receiver loss in a single pass over that batch, and schedules ONE
-// event that hands the frame to every survivor in walk order. All receptions
-// of a broadcast share one hop delay, so per-receiver events would have held
-// contiguous sequence numbers at one timestamp; anything a handler schedules
-// gets a later sequence number either way, so dispatch order is unchanged.
+// Hot-path shape: a broadcast does ONE index walk, which returns receiver
+// slots, then one pass over that batch: each receiver's contention density
+// and L3 region come from per-slot caches kept per index rebuild, and one
+// vector kernel (net/receiver_kernels.h) computes every loss probability
+// from the index's slot positions, bit-identical to loss_probability(). The
+// loss draws follow, one radio_rng().chance(p) per receiver in walk order,
+// and RunMetrics and the per-kind ledger are booked once for the whole
+// batch. ONE event then hands the frame to every survivor in walk order.
+// All receptions of a broadcast share one hop delay, so per-receiver events
+// would have held contiguous sequence numbers at one timestamp; anything a
+// handler schedules gets a later sequence number either way, so dispatch
+// order is unchanged.
 //
-// Every offer of a frame to a receiver, broadcast or unicast, settles through
-// one helper (offer) that books it in RunMetrics, the per-kind ledger and the
-// receiver's region together.
+// Every offer of a frame, broadcast or unicast, is booked through one
+// helper (book_offers) in RunMetrics and the per-kind ledger; the
+// receiver's region is booked per receiver.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "geom/aabb.h"
 #include "net/neighbor_index.h"
 #include "net/node_registry.h"
 #include "net/packet.h"
+#include "net/receiver_kernels.h"
 #include "sim/simulator.h"
 
 namespace hlsrg {
@@ -54,6 +62,19 @@ struct RadioConfig {
   int unicast_retries = 2;
   double retry_delay_ms = 1.0;
 };
+
+// Loss probability of a hop of length `dist` with `local_neighbors` stations
+// audible at the receiver: the one definition of the formula, evaluated per
+// receiver by the batched kernel and per hop by unicast.
+inline double hop_loss_probability(const RadioConfig& cfg, double dist,
+                                   int local_neighbors) {
+  const double frac = std::clamp(dist / cfg.range_m, 0.0, 1.0);
+  const int excess =
+      std::max(0, local_neighbors - cfg.contention_free_neighbors);
+  const double p = cfg.base_loss + cfg.distance_loss * frac * frac +
+                   cfg.contention_loss_per_neighbor * excess;
+  return std::clamp(p, 0.0, cfg.max_loss);
+}
 
 // Region of degraded radio reception (jamming, interference, weather): any
 // reception whose receiver sits inside `box` takes `extra_loss` additional
@@ -113,12 +134,19 @@ class RadioMedium {
   [[nodiscard]] const NeighborIndex& index() const { return index_; }
 
   // Loss probability for a hop of length `dist` with `local_neighbors`
-  // stations audible at the receiver. Exposed for tests.
+  // stations audible at the receiver. The scalar reference of the batched
+  // pass; unicast uses it.
   [[nodiscard]] double loss_probability(double dist, int local_neighbors) const;
   // Same, with the receiver position folded against any active loss zones.
   // With no zones this is exactly the two-argument form.
   [[nodiscard]] double loss_probability(double dist, int local_neighbors,
                                         Vec2 receiver_pos) const;
+  // The broadcast's loss pass: p[i] is loss_probability(|tx_pos - rx|,
+  // density[i], rx), bit for bit, for the receiver rx in index slot
+  // slots[i]. The index must be current. Exposed for tests.
+  void batch_loss(Vec2 tx_pos, std::span<const std::uint32_t> slots,
+                  std::span<const std::int32_t> density,
+                  std::vector<double>* p) const;
 
   // Replaces the active degraded-reception zones. Zero zones restores the
   // nominal channel bit-for-bit (no extra RNG draws, same loss values).
@@ -129,32 +157,44 @@ class RadioMedium {
     return loss_zones_;
   }
 
-  // Test seam: forces the exact per-receiver density recount (bypassing the
-  // cell-sum shortcut and the per-node cache), so digest-equality tests can
-  // prove the cached path is behavior-neutral. Never set outside tests.
+  // Test seam: feeds the loss pass the exact per-receiver density recount
+  // (bypassing the cell-sum shortcut and the per-slot cache) instead of the
+  // cached density, so digest-equality tests can prove the cached path is
+  // behavior-neutral. Never set outside tests.
   void set_reference_density_for_test(bool on) { reference_density_ = on; }
 
  private:
   [[nodiscard]] SimTime hop_delay();
-  // Books one offer of a `kind` frame to the receiver at `rx_pos`, and
-  // whether the channel lost it, in RunMetrics, the per-kind ledger and the
-  // receiver's region. Returns true when the frame is delivered.
-  bool offer(PacketKind kind, Vec2 rx_pos, bool lost);
+  // p raised by the extra loss of every active zone containing `rx`.
+  [[nodiscard]] double with_zones(double p, Vec2 rx) const;
+  // Books `offered` offers of a `kind` frame, `dropped` of them lost by the
+  // channel, in RunMetrics and the per-kind ledger.
+  void book_offers(PacketKind kind, std::uint64_t offered,
+                   std::uint64_t dropped);
+  // Books one reception outcome in the region of the receiver in `slot`.
+  void book_region(std::uint32_t slot, bool lost);
   // One MAC attempt of unicast_frame; schedules the next on loss.
   void try_unicast(NodeId sender, NodeId target, PacketKind kind,
                    int attempts_left, std::function<void()> on_delivered,
                    std::function<void()> on_lost, SpanId span, SpanId ctx);
-  // Receiver-side contention density for the loss model: the cached batched
-  // value normally, the exact recount under the reference seam.
-  [[nodiscard]] int density_at(NodeId rx);
+  // Receiver-side contention density for the loss model: the cached value
+  // normally, the exact recount under the reference seam.
+  [[nodiscard]] std::int32_t density_at(std::uint32_t slot);
 
   Simulator* sim_;
   const NodeRegistry* registry_;
   RadioConfig cfg_;
   NeighborIndex index_;
+  const ReceiverKernels* kernels_;
   std::vector<RadioLossZone> loss_zones_;
-  std::vector<NodeId> scratch_;
+  // Per-broadcast scratch: receiver slots, densities, loss probabilities.
+  std::vector<std::uint32_t> slots_;
   std::vector<std::int32_t> density_scratch_;
+  std::vector<double> loss_scratch_;
+  // Per-slot L3 region cache, valid while region_stamp_[s] equals the
+  // index's rebuild count.
+  std::vector<std::int32_t> slot_region_;
+  std::vector<std::uint64_t> region_stamp_;
   bool reference_density_ = false;
 };
 

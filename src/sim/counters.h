@@ -28,9 +28,11 @@ class PacketLedger {
  public:
   static constexpr std::size_t kSlots = 256;
 
-  void add_offered(int kind) { ++offered_[slot(kind)]; }
-  void add_delivered(int kind) { ++delivered_[slot(kind)]; }
-  void add_dropped(int kind) { ++dropped_[slot(kind)]; }
+  void add_offered(int kind, std::uint64_t n = 1) { offered_[slot(kind)] += n; }
+  void add_delivered(int kind, std::uint64_t n = 1) {
+    delivered_[slot(kind)] += n;
+  }
+  void add_dropped(int kind, std::uint64_t n = 1) { dropped_[slot(kind)] += n; }
   // Shed packets were refused by admission control *before* reaching a
   // channel, so they are deliberately outside the offered/delivered/dropped
   // law; the auditor reconciles them against the RunMetrics shed counters.

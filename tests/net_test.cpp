@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -16,6 +18,7 @@
 #include "net/neighbor_index.h"
 #include "net/node_registry.h"
 #include "net/radio.h"
+#include "net/receiver_kernels.h"
 #include "net/wired.h"
 #include "sim/simulator.h"
 
@@ -423,6 +426,115 @@ TEST(NeighborIndexDeathTest, RefreshRejectsGridBeyondOffsetRange) {
                "grid cell count exceeds the slot-offset range");
 }
 
+TEST(NeighborIndexTest, CellCoordIsExactFloor) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  NodeRegistry reg;
+  Rng rng(31);
+  for (const double cell : {500.0, 1.0, 0.3}) {
+    const NeighborIndex index(reg, cell);
+    std::vector<double> values = {0.0,    -0.0,    1e12,         -1e12,
+                                  1e-300, -1e-300, 0.5 * cell,   -0.5 * cell,
+                                  1e-9,   -1e-9,   -cell / 3.0,  cell / 3.0};
+    for (int k = -6; k <= 6; ++k) {
+      const double multiple = k * cell;
+      values.push_back(multiple);
+      values.push_back(std::nextafter(multiple, kInf));
+      values.push_back(std::nextafter(multiple, -kInf));
+    }
+    for (int i = 0; i < 200; ++i) values.push_back(rng.uniform(-5e4, 5e4));
+    for (const double v : values) {
+      EXPECT_EQ(index.cell_coord(v),
+                static_cast<std::int64_t>(std::floor(v / cell)))
+          << v << " / " << cell;
+    }
+  }
+}
+
+// Points within a few ulps of the circle of radius `r` around `p` where the
+// in-range predicate's rounding decides. `inside` holds points that the
+// two-product sum dx * dx + dy * dy puts in range and both FMA contractions
+// of it put out of range; `outside` holds points that the two-product sum
+// puts out of range and at least one contraction puts in range. With more
+// inside than outside ties, a contracted kernel miscounts whichever
+// product it fuses.
+struct ContractionTies {
+  std::vector<Vec2> inside;
+  std::vector<Vec2> outside;
+};
+
+ContractionTies contraction_ties(Vec2 p, double r, std::size_t inside,
+                                 std::size_t outside) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double r2 = r * r;
+  ContractionTies ties;
+  Rng rng(37);
+  for (int attempt = 0;
+       attempt < 2'000'000 &&
+       (ties.inside.size() < inside || ties.outside.size() < outside);
+       ++attempt) {
+    const double a = rng.uniform(0.0, 6.283185307179586);
+    Vec2 q{p.x + r * std::cos(a), p.y + r * std::sin(a)};
+    for (std::int64_t k = rng.uniform_int(-4, 4); k != 0; k += k > 0 ? -1 : 1) {
+      q.x = std::nextafter(q.x, k > 0 ? kInf : -kInf);
+    }
+    const double dx = q.x - p.x;
+    const double dy = q.y - p.y;
+    const bool two = dx * dx + dy * dy <= r2;
+    const bool fused_x = std::fma(dx, dx, dy * dy) <= r2;
+    const bool fused_y = std::fma(dy, dy, dx * dx) <= r2;
+    if (two && !fused_x && !fused_y && ties.inside.size() < inside) {
+      ties.inside.push_back(q);
+    } else if (!two && (fused_x || fused_y) && ties.outside.size() < outside) {
+      ties.outside.push_back(q);
+    }
+  }
+  return ties;
+}
+
+TEST(NeighborIndexTest, ContractionTiesCountByTwoProducts) {
+  // The probe sits mid-cell, so every tie is in its 3x3 block.
+  constexpr double kRange = 500.0;
+  const Vec2 p{250.3, 249.7};
+  const ContractionTies ties = contraction_ties(p, kRange, 40, 20);
+  ASSERT_EQ(ties.inside.size(), 40u);
+  ASSERT_EQ(ties.outside.size(), 20u);
+
+  NodeRegistry reg;
+  const NodeId probe = reg.add_node(p);
+  std::vector<NodeId> want;
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (const std::vector<Vec2>* side : {&ties.inside, &ties.outside}) {
+    for (const Vec2 q : *side) {
+      const NodeId id = reg.add_node(q);
+      if (side == &ties.inside) want.push_back(id);
+      xs.push_back(q.x);
+      ys.push_back(q.y);
+    }
+  }
+  const auto in_range = static_cast<std::int32_t>(ties.inside.size());
+
+  // Every kernel variant the host runs.
+  for (const ReceiverKernels& k : host_receiver_kernels()) {
+    EXPECT_EQ(k.count_in_disc(xs.data(), ys.data(), xs.size(), p.x, p.y,
+                              kRange * kRange),
+              in_range)
+        << k.name;
+  }
+
+  // The index, through the variant this process picked.
+  NeighborIndex index(reg, kRange);
+  index.refresh(SimTime::from_sec(1));
+  EXPECT_EQ(index.count_within(p, kRange, probe), in_range);
+  EXPECT_EQ(index.count_within(p, kRange, NodeId{}), in_range + 1);
+  EXPECT_EQ(index.local_density(probe), in_range);
+  EXPECT_EQ(index.exact_density(probe), in_range);
+  std::vector<NodeId> got;
+  index.query(p, kRange, probe, &got);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+}
+
 // --- RadioMedium ------------------------------------------------------------
 
 TEST(RadioTest, LossProbabilityMonotoneInDistance) {
@@ -445,6 +557,74 @@ TEST(RadioTest, LossProbabilityGrowsWithContention) {
   RadioMedium medium(sim, reg, {});
   EXPECT_GT(medium.loss_probability(100, 100),
             medium.loss_probability(100, 0));
+}
+
+// The broadcast's batched loss pass must return loss_probability() bit for
+// bit: distance 0 and exactly the range, densities around the
+// contention-free threshold and past max_loss, and loss zones, including
+// ones that push p to certain loss. 203 receivers cover several kernel
+// chunks and a ragged tail.
+TEST(RadioTest, BatchLossMatchesScalarLossBitForBit) {
+  Simulator sim(1);
+  NodeRegistry reg;
+  const RadioConfig cfg;
+  RadioMedium medium(sim, reg, cfg);
+  const Vec2 tx{1000.25, 999.75};  // binary-exact, so two hops are exactly
+                                   // the range long
+  Rng rng(41);
+  reg.add_node(tx);
+  reg.add_node(tx + Vec2{cfg.range_m, 0.0});
+  reg.add_node(tx + Vec2{0.0, -cfg.range_m});
+  while (reg.count() < 203) {
+    reg.add_node({rng.uniform(300.0, 1700.0), rng.uniform(300.0, 1700.0)});
+  }
+  std::vector<NodeId> unused;
+  medium.nodes_near(tx, cfg.range_m, NodeId{}, &unused);  // refreshes
+  const NeighborIndex& index = medium.index();
+
+  std::vector<std::uint32_t> slots(index.size());
+  std::vector<std::int32_t> density(slots.size());
+  const std::int32_t edges[] = {0, 14, 15, 16, 17, 100, 485, 1'000'000};
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = index.slot_of(NodeId{i});
+    density[i] = i < std::size(edges)
+                     ? edges[i]
+                     : static_cast<std::int32_t>(rng.uniform_int(0, 600));
+  }
+  const auto expect_bitwise_equal = [&](const char* what) {
+    std::vector<double> p;
+    medium.batch_loss(tx, slots, density, &p);
+    ASSERT_EQ(p.size(), slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const Vec2 rx = index.slot_pos(slots[i]);
+      const double want =
+          medium.loss_probability(distance(tx, rx), density[i], rx);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(p[i]),
+                std::bit_cast<std::uint64_t>(want))
+          << what << ": receiver " << i << " at " << rx << ", density "
+          << density[i] << ": " << p[i] << " vs " << want;
+    }
+  };
+  expect_bitwise_equal("no zones");
+
+  // Every kernel variant the host runs, without zones.
+  for (const ReceiverKernels& k : host_receiver_kernels()) {
+    std::vector<double> p(slots.size());
+    k.hop_loss(cfg, tx.x, tx.y, index.slot_xs(), index.slot_ys(),
+               slots.data(), density.data(), slots.size(), p.data());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const double want = medium.loss_probability(
+          distance(tx, index.slot_pos(slots[i])), density[i]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(p[i]),
+                std::bit_cast<std::uint64_t>(want))
+          << k.name << ": receiver " << i;
+    }
+  }
+
+  medium.set_loss_zones({{Aabb{{800.0, 800.0}, {1200.0, 1200.0}}, 0.3},
+                         {Aabb{{1000.0, 300.0}, {1700.0, 1000.0}}, 0.25},
+                         {Aabb{{300.0, 1300.0}, {700.0, 1700.0}}, 2.0}});
+  expect_bitwise_equal("with zones");
 }
 
 TEST(RadioTest, BroadcastReachesOnlyNodesInRange) {
