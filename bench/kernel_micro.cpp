@@ -21,7 +21,6 @@
 #include "roadnet/map_builder.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "util/flat_table.h"
 
 namespace hlsrg {
 namespace {
@@ -350,18 +349,6 @@ void BM_L3TableMerge(benchmark::State& state) {
   state.SetItemsProcessed(kVehicles * state.iterations());
 }
 BENCHMARK(BM_L3TableMerge);
-
-void BM_FlatTableLookup(benchmark::State& state) {
-  FlatTable<VehicleId, int> table;
-  for (std::uint32_t i = 0; i < 500; ++i) table.upsert(VehicleId{i * 3}, 1);
-  Rng rng(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        table.find(VehicleId{static_cast<std::uint32_t>(
-            rng.uniform_int(0, 1500))}));
-  }
-}
-BENCHMARK(BM_FlatTableLookup);
 
 void BM_MapBuild(benchmark::State& state) {
   for (auto _ : state) {

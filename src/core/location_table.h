@@ -4,143 +4,22 @@
 // L2/L3 tables live on RSUs and hold thinning summaries. All tables evict
 // entries whose last update is older than the level's expiry (2.2 min for
 // L1/L2, 4.4 min for L3 — "about 1000 m" / "about 2000 m" of driving).
-//
-// Since PR 10 the three levels share one arena-backed implementation:
-// records live densely packed in ArenaTable pages (O(1) upsert/find/erase),
-// and expiry runs off an ExpiryWheel armed once per live record (on insert,
-// re-armed lazily at purge time when a surfaced record turns out fresh), so
-// a purge costs O(surfaced items) instead of O(table) and the wheel holds
-// ~one 16-byte item per record instead of one per update. The live record's
-// timestamp always decides eviction with the old full-scan predicate
-// (time + expiry < now), so eviction sets and times — and therefore
-// determinism digests — are unchanged.
-//
-// Iteration (begin/end, for_each) is in dense arena order: deterministic,
-// but not sorted. snapshot() is the canonical key-sorted view used for wire
-// payloads and digests; unsorted_records() is the cheap bulk view for role
-// handoffs, where the receiver thins and re-keys every record anyway.
+// The three levels share the FreshnessTable that RLSMP, FLOOD and the HELLO
+// beacons use as well (util/freshness_table.h).
 #pragma once
 
-#include <span>
-
 #include "core/messages.h"
-#include "sim/time.h"
-#include "util/arena_table.h"
-#include "util/expiry_wheel.h"
+#include "util/freshness_table.h"
 
 namespace hlsrg {
 
-namespace detail {
-
-// Shared level implementation; Rec must expose `VehicleId vehicle` and
-// `SimTime time` members.
-template <typename Rec>
-class LocationTableBase {
- public:
-  // Inserts/overwrites if `rec` is newer than any existing entry. Only an
-  // insert arms the wheel: updates just advance the live timestamp, and
-  // purge() re-arms fresh records when their item surfaces. That keeps the
-  // wheel at ~one item per live record instead of one per update — under
-  // beacon-rate traffic the per-update items were the table's dominant
-  // footprint (nothing expires inside a short run, so they never drained).
-  void record(const Rec& rec) {
-    bool inserted = false;
-    Rec& slot = table_.find_or_insert(rec.vehicle, rec, &inserted);
-    if (!inserted) {
-      if (slot.time >= rec.time) return;
-      slot = rec;
-      return;
-    }
-    wheel_.note(rec.vehicle.value(), rec.time.us());
-  }
-
-  void erase(VehicleId v) { table_.erase(v); }
-
-  [[nodiscard]] const Rec* find(VehicleId v) const { return table_.find(v); }
-
-  // Evicts entries older than `expiry` relative to `now`; returns count.
-  // O(records whose armed time the cutoff passed), not O(table). An item
-  // surfaces when the cutoff passes the time it was armed at; the LIVE
-  // record's timestamp then decides. A record's armed time never exceeds
-  // its live time, so `live < cutoff` implies its item surfaces in the
-  // same drain — eviction sets and times are bit-identical to the full
-  // scan's `time + expiry < now`. Fresh records re-arm at their current
-  // timestamp (outside the drain: note() mutates the bucket list); erased
-  // keys' stale items simply drop.
-  std::size_t purge(SimTime now, SimTime expiry) {
-    const std::int64_t cutoff = (now - expiry).us();
-    std::size_t purged = 0;
-    rearm_.clear();
-    wheel_.drain(cutoff, [&](std::uint64_t key, std::int64_t /*armed*/) {
-      const VehicleId v{static_cast<std::uint32_t>(key)};
-      const Rec* rec = table_.find(v);
-      if (rec == nullptr) return;
-      if (rec->time.us() < cutoff) {
-        table_.erase(v);
-        ++purged;
-      } else {
-        rearm_.push_back(ExpiryWheel::Item{key, rec->time.us()});
-      }
-    });
-    for (const ExpiryWheel::Item& it : rearm_) wheel_.note(it.key, it.time);
-    return purged;
-  }
-
-  // Canonical key-sorted copy (handoff / push packets, digests).
-  [[nodiscard]] std::vector<Rec> snapshot() const { return table_.snapshot(); }
-
-  // Bulk copy in dense order — no sort, single pass (role handoffs).
-  [[nodiscard]] std::vector<Rec> unsorted_records() const {
-    return table_.unsorted_records();
-  }
-
-  void merge(std::span<const Rec> records) {
-    for (const Rec& r : records) record(r);
-  }
-  void merge(const std::vector<Rec>& records) {
-    merge(std::span<const Rec>{records});
-  }
-
-  [[nodiscard]] std::size_t size() const { return table_.size(); }
-  [[nodiscard]] bool empty() const { return table_.empty(); }
-  void clear() {
-    table_.clear();
-    wheel_.clear();
-  }
-
-  // clear() plus returning all capacity to the OS. For tables whose duty
-  // has ended: an ex-center vehicle re-elected months later rebuilds from
-  // hand-offs anyway, and at scale most vehicles are ex-centers — keeping
-  // peak capacity per agent "for reuse" dominated bytes-per-vehicle.
-  void release() {
-    table_.release();
-    wheel_.release();
-    rearm_ = std::vector<ExpiryWheel::Item>{};
-  }
-
-  // Heap footprint: arena pages + key index + pending wheel items.
-  [[nodiscard]] std::size_t bytes() const {
-    return table_.bytes() + wheel_.bytes();
-  }
-
-  [[nodiscard]] auto begin() const { return table_.begin(); }
-  [[nodiscard]] auto end() const { return table_.end(); }
-
- private:
-  ArenaTable<VehicleId, Rec> table_;
-  ExpiryWheel wheel_;
-  std::vector<ExpiryWheel::Item> rearm_;  // reused purge scratch
-};
-
-}  // namespace detail
-
 // L1: full records, keyed by vehicle.
-class L1Table : public detail::LocationTableBase<L1Record> {};
+class L1Table : public FreshnessTable<L1Record> {};
 
 // L2: {vehicle, time, sender L1 grid}.
-class L2Table : public detail::LocationTableBase<L2Summary> {};
+class L2Table : public FreshnessTable<L2Summary> {};
 
 // L3: {vehicle, time, sender L2 RSU, owning L3 region}.
-class L3Table : public detail::LocationTableBase<L3Summary> {};
+class L3Table : public FreshnessTable<L3Summary> {};
 
 }  // namespace hlsrg

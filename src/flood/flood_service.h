@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/location_service.h"
+#include "core/query_state.h"
 #include "flood/flood_config.h"
 #include "geom/aabb.h"
 #include "mobility/mobility_model.h"
@@ -63,6 +64,12 @@ class FloodService final : public LocationService, public MovementListener {
   [[nodiscard]] GpsrRouter& gpsr() { return *gpsr_; }
   [[nodiscard]] GeocastService& geocast() { return *geocast_; }
   [[nodiscard]] const Aabb& map_bounds() const { return map_bounds_; }
+  // Epoch of the agents' one-shot query marks (core/query_state.h). Every
+  // copy of a query's probes is made within its probe and one reactive
+  // retry, two ACK timeouts; that is the mark horizon.
+  [[nodiscard]] std::int64_t mark_epoch() const {
+    return QueryState::epoch(sim_->now(), cfg_.ack_timeout + cfg_.ack_timeout);
+  }
   [[nodiscard]] Vec2 vehicle_pos(VehicleId v) const {
     return mobility_->position(v);
   }

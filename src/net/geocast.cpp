@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/flat_table.h"
+#include "util/open_address_map.h"
 
 namespace hlsrg {
 

@@ -15,8 +15,8 @@
 // The views take an O(n log n) snapshot; that is the price of a stable
 // order and is paid only on the cold paths that enumerate whole tables
 // (crash drains, topology dumps, report serialization). Hot paths should
-// use util/flat_table.h (FlatTable is sorted by construction) or redesign
-// so they never enumerate.
+// keep a canonical view of their own (FreshnessTable::snapshot() in
+// util/freshness_table.h) or redesign so they never enumerate.
 #pragma once
 
 #include <algorithm>
@@ -94,8 +94,8 @@ template <typename Container>
 
 // Ordered container aliases for state that is enumerated as often as it is
 // probed: the tree containers iterate in key order natively, so loops over
-// them are deterministic without a snapshot. Prefer these (or FlatTable)
-// over unordered containers + sorted_view when iteration dominates.
+// them are deterministic without a snapshot. Prefer these over unordered
+// containers + sorted_view when iteration dominates.
 template <typename Key, typename Value, typename Compare = std::less<Key>>
 using map = std::map<Key, Value, Compare>;
 

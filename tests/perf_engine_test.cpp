@@ -29,7 +29,7 @@
 #include "roadnet/road_network.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "util/flat_table.h"
+#include "util/open_address_map.h"
 
 namespace hlsrg {
 namespace {

@@ -1,4 +1,4 @@
-// Tests for util: tagged ids, the flat table, text formatting, and the
+// Tests for util: tagged ids, text formatting, and the
 // bucketed axis index against a std::upper_bound reference.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "sim/rng.h"
 #include "util/args.h"
 #include "util/axis_index.h"
-#include "util/flat_table.h"
 #include "util/format.h"
 #include "util/tagged_id.h"
 
@@ -62,61 +61,6 @@ TEST(TaggedIdTest, StreamsValueOrInvalid) {
   std::ostringstream os;
   os << VehicleId{std::uint32_t{5}} << ' ' << VehicleId{};
   EXPECT_EQ(os.str(), "5 <invalid>");
-}
-
-// --- FlatTable -------------------------------------------------------------
-
-TEST(FlatTableTest, UpsertInsertsAndOverwrites) {
-  FlatTable<VehicleId, int> t;
-  EXPECT_TRUE(t.upsert(VehicleId{std::uint32_t{3}}, 30));
-  EXPECT_TRUE(t.upsert(VehicleId{std::uint32_t{1}}, 10));
-  EXPECT_FALSE(t.upsert(VehicleId{std::uint32_t{3}}, 33));
-  EXPECT_EQ(t.size(), 2u);
-  ASSERT_NE(t.find(VehicleId{std::uint32_t{3}}), nullptr);
-  EXPECT_EQ(*t.find(VehicleId{std::uint32_t{3}}), 33);
-}
-
-TEST(FlatTableTest, FindMissingReturnsNull) {
-  FlatTable<VehicleId, int> t;
-  t.upsert(VehicleId{std::uint32_t{1}}, 1);
-  EXPECT_EQ(t.find(VehicleId{std::uint32_t{2}}), nullptr);
-}
-
-TEST(FlatTableTest, KeysStaySorted) {
-  FlatTable<VehicleId, int> t;
-  for (std::uint32_t v : {9u, 3u, 7u, 1u, 5u}) t.upsert(VehicleId{v}, static_cast<int>(v));
-  std::uint32_t prev = 0;
-  for (const auto& [k, val] : t) {
-    EXPECT_GE(k.value(), prev);
-    prev = k.value();
-  }
-}
-
-TEST(FlatTableTest, EraseRemovesOnlyTarget) {
-  FlatTable<VehicleId, int> t;
-  t.upsert(VehicleId{std::uint32_t{1}}, 1);
-  t.upsert(VehicleId{std::uint32_t{2}}, 2);
-  EXPECT_TRUE(t.erase(VehicleId{std::uint32_t{1}}));
-  EXPECT_FALSE(t.erase(VehicleId{std::uint32_t{1}}));
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_NE(t.find(VehicleId{std::uint32_t{2}}), nullptr);
-}
-
-TEST(FlatTableTest, EraseIfRemovesMatching) {
-  FlatTable<VehicleId, int> t;
-  for (std::uint32_t v = 0; v < 10; ++v) t.upsert(VehicleId{v}, static_cast<int>(v));
-  const std::size_t removed =
-      t.erase_if([](VehicleId, int value) { return value % 2 == 0; });
-  EXPECT_EQ(removed, 5u);
-  EXPECT_EQ(t.size(), 5u);
-  for (const auto& [k, v] : t) EXPECT_EQ(v % 2, 1);
-}
-
-TEST(FlatTableTest, MutableFindAllowsInPlaceEdit) {
-  FlatTable<VehicleId, int> t;
-  t.upsert(VehicleId{std::uint32_t{1}}, 1);
-  *t.find(VehicleId{std::uint32_t{1}}) = 99;
-  EXPECT_EQ(*t.find(VehicleId{std::uint32_t{1}}), 99);
 }
 
 // --- TextTable / format ------------------------------------------------------
