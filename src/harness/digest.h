@@ -6,7 +6,9 @@
 // if something leaks between them (a shared RNG, a global, a data race). The
 // digest walks simulated behaviour only: the simulation clock, per-vehicle
 // kinematic state, the protocol metrics with every per-kind ledger row and
-// every query latency sample, and (for HLSRG) every location table. Engine
+// every query latency sample, and every protocol table: HLSRG's L1/L2/L3
+// tables, RLSMP's leader flags and cell/cluster tables, FLOOD's caches, and
+// the HELLO neighbor tables when beacons are on. Engine
 // bookkeeping (events scheduled, dispatched, cancelled or pending) is left
 // out, so a change to how work is scheduled keeps the digest; EngineStats
 // reports those counts. Host-side measurements like wall-clock time are

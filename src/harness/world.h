@@ -54,6 +54,8 @@ class World {
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
   [[nodiscard]] const RsuGrid* rsus() const { return rsus_.get(); }
   [[nodiscard]] const CellGrid* cells() const { return cells_.get(); }
+  // Null unless HELLO beaconing is on.
+  [[nodiscard]] const BeaconService* beacons() const { return beacons_.get(); }
   // Null unless the scenario carries a non-empty fault plan.
   [[nodiscard]] const FaultInjector* fault() const { return fault_.get(); }
 
