@@ -113,22 +113,22 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
 
     // Each table's location string, built once per table.
     const std::string l2_where = where + " l2_table";
-    for (const auto& [vehicle, s] : agent.l2_table()) {
-      check_entry(ctx, l2_where, vehicle, s.time, l2_max);
+    for (const L2Summary& s : agent.l2_table().snapshot()) {
+      check_entry(ctx, l2_where, s.vehicle, s.time, l2_max);
       if (!coord_in_range(ctx, s.l1, GridLevel::kL1)) {
-        violation(ctx, l2_where, vehicle,
+        violation(ctx, l2_where, s.vehicle,
                   "references out-of-range L1 grid " + coord_str(s.l1));
       }
     }
     const std::string l3_where = where + " l3_table";
-    for (const auto& [vehicle, s] : agent.l3_table()) {
-      check_entry(ctx, l3_where, vehicle, s.time, l3_max);
+    for (const L3Summary& s : agent.l3_table().snapshot()) {
+      check_entry(ctx, l3_where, s.vehicle, s.time, l3_max);
       if (!coord_in_range(ctx, s.l2, GridLevel::kL2)) {
-        violation(ctx, l3_where, vehicle,
+        violation(ctx, l3_where, s.vehicle,
                   "references out-of-range L2 grid " + coord_str(s.l2));
       }
       if (!coord_in_range(ctx, s.owner_l3, GridLevel::kL3)) {
-        violation(ctx, l3_where, vehicle,
+        violation(ctx, l3_where, s.vehicle,
                   "references out-of-range L3 region " +
                       coord_str(s.owner_l3));
       }
@@ -138,10 +138,10 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
     const SimTime full_expiry = at_l2 ? cfg.l2_expiry : cfg.l3_expiry;
     const SimTime full_max = at_l2 ? l2_max : l3_max;
     const std::string full_where = where + " full_table";
-    for (const auto& [vehicle, rec] : agent.full_table()) {
-      check_entry(ctx, full_where, vehicle, rec.time, full_max);
+    for (const L1Record& rec : agent.full_table().snapshot()) {
+      check_entry(ctx, full_where, rec.vehicle, rec.time, full_max);
       if (!coord_in_range(ctx, rec.l1, GridLevel::kL1)) {
-        violation(ctx, full_where, vehicle,
+        violation(ctx, full_where, rec.vehicle,
                   "references out-of-range L1 grid " + coord_str(rec.l1));
       }
       // Summarization: full and thinned tables are written together
@@ -151,21 +151,21 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
         SimTime summary_time = SimTime::max();
         bool summarized = false;
         if (at_l2) {
-          if (const L2Summary* s = agent.l2_table().find(vehicle)) {
+          if (const L2Summary* s = agent.l2_table().find(rec.vehicle)) {
             summarized = true;
             summary_time = s->time;
           }
         } else {
-          if (const L3Summary* s = agent.l3_table().find(vehicle)) {
+          if (const L3Summary* s = agent.l3_table().find(rec.vehicle)) {
             summarized = true;
             summary_time = s->time;
           }
         }
         if (!summarized) {
-          violation(ctx, full_where, vehicle,
+          violation(ctx, full_where, rec.vehicle,
                     "is fresh but has no summary-table entry");
         } else if (summary_time < rec.time) {
-          violation(ctx, full_where, vehicle,
+          violation(ctx, full_where, rec.vehicle,
                     "is newer than its summary-table entry");
         }
       }
@@ -187,10 +187,10 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
     std::ostringstream os;
     os << "center vehicle " << agent.vehicle() << " l1_table";
     const std::string where = os.str();
-    for (const auto& [vehicle, rec] : agent.table()) {
-      check_entry(ctx, where, vehicle, rec.time, l1_max);
+    for (const L1Record& rec : agent.table().snapshot()) {
+      check_entry(ctx, where, rec.vehicle, rec.time, l1_max);
       if (!coord_in_range(ctx, rec.l1, GridLevel::kL1)) {
-        violation(ctx, where, vehicle,
+        violation(ctx, where, rec.vehicle,
                   "references out-of-range L1 grid " + coord_str(rec.l1));
       }
     }

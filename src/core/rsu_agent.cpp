@@ -58,7 +58,7 @@ void HlsrgRsuAgent::set_up(bool up) {
     l2_table_.release();
     l3_table_.release();
     full_table_.release();
-    seen_queries_.clear();
+    queries_ = QueryState{};
     cache_.clear();
     busy_until_ = SimTime{};
   }
@@ -128,7 +128,10 @@ void HlsrgRsuAgent::on_receive(const Packet& packet, NodeId /*from*/) {
     }
     case PacketKind::kQueryRequest: {
       const auto& q = payload_as<QueryPayload>(packet);
-      if (!seen_queries_.insert(q.dedup_key()).second) return;
+      if (!queries_.mark(QueryState::Mark::kLookedUp, q.dedup_key(),
+                         svc_->mark_epoch())) {
+        return;
+      }
       schedule_lookup([this, q] { dispatch_query(q); });
       return;
     }
@@ -140,8 +143,11 @@ void HlsrgRsuAgent::on_receive(const Packet& packet, NodeId /*from*/) {
       const auto& batch = payload_as<BatchedQueryPayload>(packet);
       std::vector<QueryPayload> fresh;
       fresh.reserve(batch.queries.size());
+      const std::int64_t epoch = svc_->mark_epoch();
       for (const QueryPayload& q : batch.queries) {
-        if (seen_queries_.insert(q.dedup_key()).second) fresh.push_back(q);
+        if (queries_.mark(QueryState::Mark::kLookedUp, q.dedup_key(), epoch)) {
+          fresh.push_back(q);
+        }
       }
       if (fresh.empty()) return;
       schedule_lookup([this, fresh = std::move(fresh)] {

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <functional>
-#include <unordered_set>
 
 #include "core/location_table.h"
 #include "core/messages.h"
+#include "core/query_state.h"
 #include "net/node_registry.h"
 #include "service/batcher.h"
 #include "service/hot_cache.h"
@@ -114,7 +114,7 @@ class HlsrgRsuAgent final : public PacketSink {
   L1Table full_table_;
   // Requests already processed here, keyed by QueryPayload::dedup_key()
   // (duplicate suppression across the mesh, per attempt).
-  std::unordered_set<std::uint64_t> seen_queries_;
+  QueryState queries_;
   // Service tier: hot-destination cache + batching window. Both idle (and
   // cost nothing) until configure_tier enables them.
   HotDestinationCache cache_;

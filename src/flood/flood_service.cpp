@@ -53,8 +53,8 @@ QueryTracker::QueryId FloodService::issue_query(VehicleId src, VehicleId dst) {
 ServiceStats FloodService::service_stats() const {
   ServiceStats s;
   for (const auto& agent : vehicle_agents_) {
-    s.table_records += agent.cache_size();
-    s.table_bytes += agent.cache_bytes();
+    s.table_records += agent.cache().size();
+    s.table_bytes += agent.cache().bytes();
   }
   s.table_bytes += registry_->bytes();
   return s;
@@ -71,7 +71,7 @@ void FloodService::sample_region_stats(
   for (std::size_t i = 0; i < vehicle_agents_.size(); ++i) {
     const int r = registry_->vehicle_region(VehicleId{i});
     table_records[static_cast<std::size_t>(r)] +=
-        vehicle_agents_[i].cache_size();
+        vehicle_agents_[i].cache().size();
   }
 }
 

@@ -24,7 +24,7 @@ TEST(FloodServiceTest, CachesFillDuringWarmup) {
   auto& svc = dynamic_cast<FloodService&>(world.service());
   std::size_t total = 0;
   for (std::size_t i = 0; i < 200; ++i) {
-    total += svc.vehicle_agent(VehicleId{i}).cache_size();
+    total += svc.vehicle_agent(VehicleId{i}).cache().size();
   }
   // Average cache knows a large share of the fleet.
   EXPECT_GT(total / 200, 200u / 4);

@@ -21,7 +21,7 @@ TEST(RsuBehaviorTest, L2TablesCarryTheRecordsGrid) {
   const auto& h = world.hierarchy();
   for (const auto& rsu : svc.rsu_agents()) {
     if (rsu.level() != GridLevel::kL2) continue;
-    for (const auto& [vid, summary] : rsu.l2_table()) {
+    for (const L2Summary& summary : rsu.l2_table().snapshot()) {
       EXPECT_GE(summary.l1.col, 0);
       EXPECT_LT(summary.l1.col, h.cols(GridLevel::kL1));
       EXPECT_GE(summary.l1.row, 0);
@@ -39,7 +39,7 @@ TEST(RsuBehaviorTest, L3TablesFedByL2Pushes) {
   for (const auto& rsu : svc.rsu_agents()) {
     if (rsu.level() != GridLevel::kL3) continue;
     EXPECT_GT(rsu.l3_table().size(), 0u);
-    for (const auto& [vid, summary] : rsu.l3_table()) {
+    for (const L3Summary& summary : rsu.l3_table().snapshot()) {
       // Owner region on a 2 km map is always (0,0) — the only L3.
       EXPECT_EQ(summary.owner_l3, (GridCoord{0, 0}));
     }
