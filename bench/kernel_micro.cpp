@@ -350,6 +350,31 @@ void BM_L3TableMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_L3TableMerge);
 
+// Per-vehicle L1 table churn: a center vehicle's table takes a handful of
+// updates, loses one vehicle to a grid change, purges the stale ones and is
+// released when the vehicle leaves the center. Every iteration starts from
+// an empty table, so it runs the small-table growth path that
+// BM_L3TableMerge (one table at steady state) never reaches.
+void BM_L1TableChurn(benchmark::State& state) {
+  constexpr std::uint32_t kRecords = 6;
+  std::vector<L1Record> records(kRecords);
+  for (std::uint32_t i = 0; i < kRecords; ++i) {
+    records[i].vehicle = VehicleId{i * 1301 + 17};  // scattered over a fleet
+    records[i].time = SimTime::from_sec(1.0 + i);
+  }
+  L1Table table;
+  for (auto _ : state) {
+    for (const L1Record& r : records) table.record(r);
+    table.erase(records[2].vehicle);
+    // Cutoff 3.5 s: evicts the records stamped 1 s and 2 s.
+    benchmark::DoNotOptimize(
+        table.purge(SimTime::from_sec(5.5), SimTime::from_sec(2.0)));
+    table.release();
+  }
+  state.SetItemsProcessed(kRecords * state.iterations());
+}
+BENCHMARK(BM_L1TableChurn);
+
 void BM_MapBuild(benchmark::State& state) {
   for (auto _ : state) {
     const RoadNetwork net = build_manhattan_map({});

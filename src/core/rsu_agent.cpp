@@ -414,7 +414,9 @@ void HlsrgRsuAgent::handle_query_l2(const QueryPayload& query) {
   l2_table_.purge(svc_->sim().now(), svc_->cfg().l2_expiry);
   full_table_.purge(svc_->sim().now(), svc_->cfg().l2_expiry);
   const Vec2 here = svc_->registry().position(node_);
-  if (const L1Record* rec = full_table_.find(query.target)) {
+  if (const L1Record* found = full_table_.find(query.target)) {
+    // A copy: find() pointers do not outlive an insert into the table.
+    const L1Record rec = *found;
     // Case (1a): the RSU holds the fresh detail itself — "the RSU will ...
     // act as the location server of this request".
     svc_->metrics().rsu_lookup_hits++;
@@ -422,9 +424,9 @@ void HlsrgRsuAgent::handle_query_l2(const QueryPayload& query) {
     svc_->sim().instant_span(SpanKind::kTableLookup, SpanStatus::kOk,
                              node_.value(), query.target.value(), here,
                              query.query_id, 2, "full_table");
-    cache_.fill(*rec, svc_->sim().now());
-    send_cache_fill(*rec, query);
-    svc_->send_notification(node_, *rec, query);
+    cache_.fill(rec, svc_->sim().now());
+    send_cache_fill(rec, query);
+    svc_->send_notification(node_, rec, query);
     return;
   }
   if (const L2Summary* s = l2_table_.find(query.target)) {
@@ -443,13 +445,14 @@ void HlsrgRsuAgent::handle_query_l2(const QueryPayload& query) {
   // serve. Local tables stay authoritative (checked above); the cache only
   // shortcuts what would otherwise leave this RSU.
   if (svc_->tier().enabled && svc_->tier().caching) {
-    if (const L1Record* rec = cache_.probe(query.target, svc_->sim().now())) {
+    if (const L1Record* hit = cache_.probe(query.target, svc_->sim().now())) {
+      const L1Record rec = *hit;  // probe() pointers die on the next fill
       svc_->metrics().cache_hits++;
       svc_->sim().count_region_cache_hit(here);
       svc_->sim().instant_span(SpanKind::kCacheHit, SpanStatus::kOk,
                                node_.value(), query.target.value(), here,
                                query.query_id, 2);
-      svc_->send_notification(node_, *rec, query);
+      svc_->send_notification(node_, rec, query);
       return;
     }
     svc_->metrics().cache_misses++;
@@ -502,29 +505,32 @@ void HlsrgRsuAgent::handle_query_l3(const QueryPayload& query) {
   l3_table_.purge(svc_->sim().now(), svc_->cfg().l3_expiry);
   full_table_.purge(svc_->sim().now(), svc_->cfg().l3_expiry);
   const Vec2 here = svc_->registry().position(node_);
-  if (const L1Record* rec = full_table_.find(query.target)) {
+  if (const L1Record* found = full_table_.find(query.target)) {
+    // A copy: find() pointers do not outlive an insert into the table.
+    const L1Record rec = *found;
     // The L3 RSU heard the update itself: serve directly.
     svc_->metrics().rsu_lookup_hits++;
     svc_->sim().count_region_served(here);
     svc_->sim().instant_span(SpanKind::kTableLookup, SpanStatus::kOk,
                              node_.value(), query.target.value(), here,
                              query.query_id, 3, "full_table");
-    cache_.fill(*rec, svc_->sim().now());
-    send_cache_fill(*rec, query);
-    svc_->send_notification(node_, *rec, query);
+    cache_.fill(rec, svc_->sim().now());
+    send_cache_fill(rec, query);
+    svc_->send_notification(node_, rec, query);
     return;
   }
   // Service tier: a fresh cached record beats another wired leg to the
   // owner L2 (see handle_query_l2 for the probe-order rationale).
   if (svc_->tier().enabled && svc_->tier().caching) {
-    if (const L1Record* rec = cache_.probe(query.target, svc_->sim().now())) {
+    if (const L1Record* hit = cache_.probe(query.target, svc_->sim().now())) {
+      const L1Record rec = *hit;  // probe() pointers die on the next fill
       svc_->metrics().cache_hits++;
       svc_->sim().count_region_cache_hit(here);
       svc_->sim().instant_span(SpanKind::kCacheHit, SpanStatus::kOk,
                                node_.value(), query.target.value(), here,
                                query.query_id, 3);
-      send_cache_fill(*rec, query);
-      svc_->send_notification(node_, *rec, query);
+      send_cache_fill(rec, query);
+      svc_->send_notification(node_, rec, query);
       return;
     }
     svc_->metrics().cache_misses++;

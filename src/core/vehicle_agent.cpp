@@ -296,13 +296,15 @@ void HlsrgVehicleAgent::win_election(const QueryPayload& query) {
                            svc_->make_packet(PacketKind::kServerClaim, node_, claim));
 
   table_.purge(svc_->sim().now(), svc_->cfg().l1_expiry);
-  if (const L1Record* rec = table_.find(query.target)) {
+  if (const L1Record* found = table_.find(query.target)) {
+    // A copy: find() pointers do not outlive an insert into the table.
+    const L1Record rec = *found;
     svc_->metrics().server_lookup_hits++;
     svc_->sim().count_region_served(svc_->vehicle_pos(vehicle_));
     svc_->sim().instant_span(SpanKind::kTableLookup, SpanStatus::kOk,
                              vehicle_.value(), query.target.value(),
                              svc_->vehicle_pos(vehicle_), query.query_id, 1);
-    serve(*rec, query);
+    serve(rec, query);
   } else {
     svc_->metrics().server_lookup_misses++;
     svc_->sim().instant_span(SpanKind::kTableLookup, SpanStatus::kFailed,

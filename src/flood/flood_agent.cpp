@@ -102,7 +102,9 @@ void FloodVehicleAgent::start_query(QueryTracker::QueryId qid,
   probe->target = target;
   svc_->metrics().query_packets_originated++;
 
-  if (const CacheEntry* hit = cache_.find(target)) {
+  if (const CacheEntry* found = cache_.find(target)) {
+    // A copy: find() pointers do not outlive an insert into the cache.
+    const CacheEntry hit = *found;
     svc_->sim().count_region_served(probe->src_pos);
     // Proactive path (DREAM's "expected zone"): flood a disk-shaped region
     // around the cached position, sized by how far the target could have
@@ -111,12 +113,12 @@ void FloodVehicleAgent::start_query(QueryTracker::QueryId qid,
     svc_->sim().instant_span(SpanKind::kTableLookup, SpanStatus::kOk,
                              vehicle_.value(), target.value(), probe->src_pos,
                              qid, -1, "cache");
-    const double age_sec = (svc_->sim().now() - hit->time).sec();
+    const double age_sec = (svc_->sim().now() - hit.time).sec();
     constexpr double kMaxSpeedMps = 60.0 / 3.6;
     const double drift =
         std::clamp(100.0 + age_sec * kMaxSpeedMps, 100.0, 900.0);
-    const Aabb zone{{hit->pos.x - drift, hit->pos.y - drift},
-                    {hit->pos.x + drift, hit->pos.y + drift}};
+    const Aabb zone{{hit.pos.x - drift, hit.pos.y - drift},
+                    {hit.pos.x + drift, hit.pos.y + drift}};
     svc_->geocast().flood(node_, svc_->make_packet(PacketKind::kFloodProbe, node_, probe),
                           GeocastRegion::from_box(zone),
                           &svc_->metrics().query_transmissions);

@@ -275,7 +275,9 @@ void RlsmpVehicleAgent::lsc_win_election(QueryId qid,
   svc_->medium().broadcast(node_, svc_->make_packet(PacketKind::kLscClaim, node_, claim));
 
   purge_tables();
-  if (const CellRecord* rec = cluster_table_.find(query.target)) {
+  if (const CellRecord* found = cluster_table_.find(query.target)) {
+    // A copy: find() pointers do not outlive an insert into the table.
+    const CellRecord rec = *found;
     svc_->metrics().server_lookup_hits++;
     svc_->sim().count_region_served(svc_->vehicle_pos(vehicle_));
     svc_->sim().instant_span(SpanKind::kTableLookup, SpanStatus::kOk,
@@ -285,8 +287,8 @@ void RlsmpVehicleAgent::lsc_win_election(QueryId qid,
     // Known: forward to the cell leader of Dv's cell.
     auto fwd = std::make_shared<RlsmpQueryPayload>(query);
     fwd->to_cell_leader = true;
-    fwd->target_cell = rec->cell;
-    svc_->gpsr().send(node_, svc_->cells().cell_center(rec->cell), std::nullopt,
+    fwd->target_cell = rec.cell;
+    svc_->gpsr().send(node_, svc_->cells().cell_center(rec.cell), std::nullopt,
                       svc_->make_packet(PacketKind::kRlsmpQuery, node_, fwd),
                       &svc_->metrics().query_transmissions,
                       /*deliver=*/{}, /*fail=*/{},

@@ -1,4 +1,4 @@
-// Open-addressing hash map for hot lookup paths (the ArenaTable key index,
+// Open-addressing hash map for hot lookup paths (the FreshnessTable key index,
 // the geocast flood's seen-node map): linear probing over trivially
 // copyable keys and values, one contiguous slot array plus a one-byte state
 // array, power-of-two capacity. Erase writes a tombstone; the load factor
@@ -139,7 +139,7 @@ class OpenAddressMap {
     tombstones_ = 0;
   }
 
-  // Drops every entry and frees the slot arrays (see ArenaTable::release).
+  // Drops every entry and frees the slot arrays (see FreshnessTable::release).
   void release() {
     slots_ = std::vector<Slot>{};
     states_ = std::vector<std::uint8_t>{};

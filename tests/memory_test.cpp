@@ -1,8 +1,9 @@
-// Tests for the million-entity memory layer (DESIGN.md §15): the arena
-// table family fuzzed against std::map, the open-addressing map's tombstone
-// compaction fuzzed against std::unordered_map, the expiry wheel against
-// the full-scan eviction predicate, the freshness table over a NodeId key,
-// and the per-query state with its bound on a hotspot-shaped world.
+// Tests for the million-entity memory layer (DESIGN.md §15): the freshness
+// table's dense record vector and key index fuzzed against std::map, its
+// footprint bound, the open-addressing map's tombstone compaction fuzzed
+// against std::unordered_map, the expiry wheel against the full-scan
+// eviction predicate, the freshness table over a NodeId key, and the
+// per-query state with its bound on a hotspot-shaped world.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +21,8 @@
 #include "core/vehicle_agent.h"
 #include "harness/world.h"
 #include "rlsmp/rlsmp_agent.h"
-#include "util/arena_table.h"
 #include "util/expiry_wheel.h"
+#include "util/freshness_table.h"
 #include "util/open_address_map.h"
 
 namespace hlsrg {
@@ -40,10 +41,44 @@ struct Mix64 {
   }
 };
 
-// --- ArenaTable ------------------------------------------------------------
+// --- Dense record vector and key index --------------------------------------
+//
+// These cases first tested the arena-backed table that FreshnessTable used
+// to sit on; they keep their names, now over FreshnessTable itself. Probe
+// carries its key, and Upsert stamps every call with a newer time, so a
+// record() of a held key always overwrites.
+
+struct Probe {
+  VehicleId vehicle;
+  SimTime time;
+  std::uint64_t value = 0;
+};
+using ProbeTable = FreshnessTable<Probe>;
+
+VehicleId probe_key(std::uint64_t key) {
+  return VehicleId{static_cast<std::uint32_t>(key)};
+}
+
+struct Upsert {
+  std::int64_t clock = 0;
+  // Returns true if the call inserted.
+  bool operator()(ProbeTable& table, std::uint64_t key, std::uint64_t value) {
+    const std::size_t before = table.size();
+    table.record({probe_key(key), SimTime::from_us(++clock), value});
+    return table.size() > before;
+  }
+};
+
+// Returns true if `key` was held.
+bool erase_key(ProbeTable& table, std::uint64_t key) {
+  const std::size_t before = table.size();
+  table.erase(probe_key(key));
+  return table.size() < before;
+}
 
 TEST(ArenaTableTest, FuzzMatchesStdMap) {
-  ArenaTable<std::uint64_t, std::uint64_t> table;
+  ProbeTable table;
+  Upsert upsert;
   std::map<std::uint64_t, std::uint64_t> model;
   Mix64 rng{1234};
   for (int step = 0; step < 20000; ++step) {
@@ -52,90 +87,64 @@ TEST(ArenaTableTest, FuzzMatchesStdMap) {
     const std::uint64_t op = (r >> 32) % 10;
     if (op < 6) {
       const std::uint64_t value = rng.next();
-      const bool inserted = table.upsert(key, value);
+      const bool inserted = upsert(table, key, value);
       EXPECT_EQ(inserted, model.find(key) == model.end());
       model[key] = value;
     } else if (op < 9) {
-      EXPECT_EQ(table.erase(key), model.erase(key) == 1);
+      EXPECT_EQ(erase_key(table, key), model.erase(key) == 1);
     } else {
-      const std::uint64_t* rec = table.find(key);
+      const Probe* rec = table.find(probe_key(key));
       const auto it = model.find(key);
       ASSERT_EQ(rec != nullptr, it != model.end());
       if (rec != nullptr) {
-        EXPECT_EQ(*rec, it->second);
+        EXPECT_EQ(rec->value, it->second);
       }
     }
     ASSERT_EQ(table.size(), model.size());
   }
   // snapshot() is key-sorted, so it must mirror the model's iteration.
-  const std::vector<std::uint64_t> snap = table.snapshot();
+  const std::vector<Probe> snap = table.snapshot();
   ASSERT_EQ(snap.size(), model.size());
   std::size_t i = 0;
-  for (const auto& [key, value] : model) EXPECT_EQ(snap[i++], value);
-}
-
-TEST(ArenaTableTest, RecordAddressesSurviveGrowth) {
-  // Pages come whole from the arena; growing the table must never move an
-  // existing record (agents hold pointers across inserts).
-  ArenaTable<std::uint64_t, std::uint64_t> table;
-  table.upsert(5, 55);
-  const std::uint64_t* early = table.find(5);
-  for (std::uint64_t k = 1000; k < 6000; ++k) table.upsert(k, k);
-  EXPECT_EQ(table.find(5), early);
-  EXPECT_EQ(*early, 55u);
-}
-
-TEST(ArenaTableTest, ClearRecyclesPagesWithoutGrowingTheArena) {
-  ArenaTable<std::uint64_t, std::uint64_t> table;
-  for (std::uint64_t k = 0; k < 4096; ++k) table.upsert(k, k);
-  const std::size_t bytes_full = table.bytes();
-  table.clear();
-  EXPECT_TRUE(table.empty());
-  for (std::uint64_t k = 0; k < 4096; ++k) table.upsert(k, k + 1);
-  // Refilling to the same population reuses the recycled pages.
-  EXPECT_EQ(table.bytes(), bytes_full);
-  EXPECT_EQ(*table.find(7), 8u);
+  for (const auto& [key, value] : model) {
+    EXPECT_EQ(snap[i].vehicle.value(), key);
+    EXPECT_EQ(snap[i++].value, value);
+  }
 }
 
 TEST(ArenaTableTest, ReleaseReturnsAllMemoryAndTheTableStaysUsable) {
-  ArenaTable<std::uint64_t, std::uint64_t> table;
-  for (std::uint64_t k = 0; k < 1000; ++k) table.upsert(k, k);
+  ProbeTable table;
+  Upsert upsert;
+  for (std::uint64_t k = 0; k < 1000; ++k) upsert(table, k, k);
   EXPECT_GT(table.bytes(), 0u);
   table.release();
   EXPECT_TRUE(table.empty());
-  // Unlike clear(), release() returns the pages, index, and arena chunks.
+  // Unlike clear(), release() returns the records, index and wheel.
   EXPECT_EQ(table.bytes(), 0u);
-  table.upsert(42, 7);
-  EXPECT_EQ(*table.find(42), 7u);
-  // A released-then-small table pays the small-table floor, not its old
-  // 1000-entry peak.
+  upsert(table, 42, 7);
+  EXPECT_EQ(table.find(probe_key(42))->value, 7u);
+  // A released-then-small table pays for one record, not its old
+  // 1000-record peak.
   EXPECT_LT(table.bytes(), 2048u);
 }
 
-TEST(ArenaTableTest, SmallTablePaysTheSmallPageFloor) {
-  // The geometric page ramp: three records must not cost a full
-  // 256-record page (the per-vehicle L1 table is the common case, and at
-  // 100k vehicles the occupied-but-small floor dominates bytes/vehicle).
-  using Table = ArenaTable<std::uint64_t, std::uint64_t>;
-  Table table;
-  for (std::uint64_t k = 0; k < 3; ++k) table.upsert(k, k);
-  EXPECT_LT(table.bytes(), Table::kPageRecords * sizeof(Table::Entry));
-}
-
 TEST(ArenaTableTest, UnsortedRecordsIsAPermutationOfSnapshot) {
-  ArenaTable<std::uint64_t, std::uint64_t> table;
+  ProbeTable table;
+  Upsert upsert;
   Mix64 rng{5};
-  for (int i = 0; i < 700; ++i) table.upsert(rng.next() % 900, rng.next());
-  for (int i = 0; i < 300; ++i) table.erase(rng.next() % 900);
-  std::vector<std::uint64_t> dense = table.unsorted_records();
-  std::vector<std::uint64_t> sorted = table.snapshot();
+  for (int i = 0; i < 700; ++i) upsert(table, rng.next() % 900, rng.next());
+  for (int i = 0; i < 300; ++i) erase_key(table, rng.next() % 900);
+  std::vector<std::uint64_t> dense;
+  std::vector<std::uint64_t> sorted;
+  for (const Probe& p : table.unsorted_records()) dense.push_back(p.value);
+  for (const Probe& p : table.snapshot()) sorted.push_back(p.value);
   ASSERT_EQ(dense.size(), table.size());
   std::sort(dense.begin(), dense.end());
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(dense, sorted);
 }
 
-// Reference model of an ArenaTable: values by key plus the dense order
+// Reference model of the table: values by key plus the dense order
 // (append on insert, swap-pop on erase).
 struct DenseModel {
   std::map<std::uint64_t, std::uint64_t> values;
@@ -160,27 +169,30 @@ struct DenseModel {
   }
 };
 
-void expect_matches(const ArenaTable<std::uint64_t, std::uint64_t>& table,
-                    const DenseModel& model) {
+void expect_matches(const ProbeTable& table, const DenseModel& model) {
   ASSERT_EQ(table.size(), model.order.size());
+  const std::vector<Probe> dense = table.unsorted_records();
   for (std::size_t i = 0; i < model.order.size(); ++i) {
-    const auto& e = table.entry_at(i);
-    ASSERT_EQ(e.key, model.order[i]) << "dense slot " << i;
-    ASSERT_EQ(e.rec, model.values.at(e.key));
-    const std::uint64_t* found = table.find(e.key);
+    const Probe& e = dense[i];
+    ASSERT_EQ(e.vehicle.value(), model.order[i]) << "dense slot " << i;
+    ASSERT_EQ(e.value, model.values.at(model.order[i]));
+    const Probe* found = table.find(e.vehicle);
     ASSERT_NE(found, nullptr);
-    ASSERT_EQ(*found, e.rec);
+    ASSERT_EQ(found->value, e.value);
   }
   std::vector<std::uint64_t> want;
+  std::vector<std::uint64_t> got;
   for (const auto& [key, value] : model.values) want.push_back(value);
-  ASSERT_EQ(table.snapshot(), want);
+  for (const Probe& p : table.snapshot()) got.push_back(p.value);
+  ASSERT_EQ(got, want);
 }
 
 TEST(ArenaTableTest, IndexSwitchFuzzMatchesDenseModel) {
   // Upsert / erase / clear / release against the model while the key range
   // changes every epoch, so tables cross the hashed -> direct switch and
   // back (a key far past the direct span, or release()).
-  ArenaTable<std::uint64_t, std::uint64_t> table;
+  ProbeTable table;
+  Upsert upsert;
   DenseModel model;
   Mix64 rng{2024};
   constexpr std::uint64_t kRanges[] = {60, 700, 3000, 20000};
@@ -193,20 +205,20 @@ TEST(ArenaTableTest, IndexSwitchFuzzMatchesDenseModel) {
     const std::uint64_t key = r % range;
     if (op < 560) {
       const std::uint64_t value = rng.next();
-      ASSERT_EQ(table.upsert(key, value), model.upsert(key, value));
+      ASSERT_EQ(upsert(table, key, value), model.upsert(key, value));
     } else if (op < 820) {
-      ASSERT_EQ(table.erase(key), model.erase(key));
+      ASSERT_EQ(erase_key(table, key), model.erase(key));
     } else if (op < 990) {
-      const std::uint64_t* rec = table.find(key);
+      const Probe* rec = table.find(probe_key(key));
       const auto it = model.values.find(key);
       ASSERT_EQ(rec != nullptr, it != model.values.end());
       if (rec != nullptr) {
-        ASSERT_EQ(*rec, it->second);
+        ASSERT_EQ(rec->value, it->second);
       }
     } else if (op < 993) {
       // A key far beyond any span: must not size a slot array to it.
-      const std::uint64_t huge = (std::uint64_t{1} << 40) + (r % 7);
-      ASSERT_EQ(table.upsert(huge, r), model.upsert(huge, r));
+      const std::uint64_t huge = (std::uint64_t{1} << 30) + (r % 7);
+      ASSERT_EQ(upsert(table, huge, r), model.upsert(huge, r));
       ++huge_inserts;
       ASSERT_LT(table.bytes(), std::size_t{1} << 24);
     } else {
@@ -235,42 +247,82 @@ TEST(ArenaTableTest, IndexSwitchFuzzMatchesDenseModel) {
 }
 
 TEST(ArenaTableTest, DirectIndexFollowsTheByteRule) {
-  using Table = ArenaTable<std::uint64_t, std::uint64_t>;
   using Index = OpenAddressMap<std::uint64_t, std::uint32_t>;
   // Dense keys from 1000 up: the table starts hashed (a 16-slot index
   // cannot pay for 1001 slots) and switches on the insert at which
   // 4 B x (max key + 1) first fits in the hash index's bytes; an
   // insert-only index holds exactly bytes_for(size).
-  Table dense;
+  ProbeTable dense;
+  Upsert upsert;
   bool was_direct = false;
   for (std::uint64_t k = 1000; k < 3000; ++k) {
-    dense.upsert(k, k);
+    upsert(dense, k, k);
     const bool rule = 4 * (k + 1) <= Index::bytes_for(k - 999);
     ASSERT_EQ(dense.direct_indexed(), was_direct || rule) << k;
     was_direct = dense.direct_indexed();
   }
   EXPECT_TRUE(dense.direct_indexed());
   // Sparse keys (one in a thousand) never pay for a slot array.
-  Table sparse;
-  for (std::uint64_t k = 0; k < 2000; ++k) sparse.upsert(k * 1000, k);
+  ProbeTable sparse;
+  for (std::uint64_t k = 0; k < 2000; ++k) upsert(sparse, k * 1000, k);
   EXPECT_FALSE(sparse.direct_indexed());
-  // Same record count, so the footprints differ by the index alone: the
-  // slot array spans at most twice the 3000 key values.
+  // Same record count and wheel items, so the footprints differ by the
+  // index alone: the slot array spans at most twice the 3000 key values.
   EXPECT_LE(dense.bytes() + Index::bytes_for(2000),
             sparse.bytes() + 2 * sizeof(std::uint32_t) * 3000);
   // A key just past the span grows the array in place.
-  dense.upsert(3100, 1);
+  upsert(dense, 3100, 1);
   EXPECT_TRUE(dense.direct_indexed());
-  EXPECT_EQ(*dense.find(3100), 1u);
+  EXPECT_EQ(dense.find(probe_key(3100))->value, 1u);
   // clear() keeps the representation; release() returns to hashing.
   dense.clear();
   EXPECT_TRUE(dense.direct_indexed());
-  EXPECT_EQ(dense.find(7), nullptr);
-  dense.upsert(7, 70);
-  EXPECT_EQ(*dense.find(7), 70u);
+  EXPECT_EQ(dense.find(probe_key(7)), nullptr);
+  upsert(dense, 7, 70);
+  EXPECT_EQ(dense.find(probe_key(7))->value, 70u);
   dense.release();
   EXPECT_FALSE(dense.direct_indexed());
-  EXPECT_EQ(dense.find(7), nullptr);
+  EXPECT_EQ(dense.find(probe_key(7)), nullptr);
+}
+
+TEST(FreshnessTableTest, RecordAcceptsARecordOfItsOwn) {
+  // record() and merge() are handed records that live in the table's own
+  // vector, at full capacity, so the next insert would reallocate.
+  ProbeTable table;
+  Upsert upsert;
+  for (std::uint64_t k = 0; k < 8; ++k) upsert(table, k, k * 10);
+  table.record(*table.find(probe_key(3)));
+  table.merge(table.unsorted_records());
+  ASSERT_EQ(table.size(), 8u);
+  EXPECT_EQ(table.find(probe_key(3))->value, 30u);
+  upsert(table, 8, 80);
+  EXPECT_EQ(table.find(probe_key(8))->value, 80u);
+  EXPECT_EQ(table.find(probe_key(7))->value, 70u);
+}
+
+TEST(FreshnessTableTest, FootprintStaysNearTheRecords) {
+  // Bound per table of n location records: the record vector at below
+  // twice n (any growth factor up to 2), one 16 B wheel item per record
+  // with the same slack, the hash index of n keys (a direct index is only
+  // chosen when it costs no more) and one 64 B wheel bucket. 3 records is
+  // a per-vehicle L1 table, 150 an L2 table, 8,000 a near-fleet L3 table.
+  using Index = OpenAddressMap<std::uint64_t, std::uint32_t>;
+  constexpr std::size_t kWheelItem = sizeof(ExpiryWheel::Item);
+  static_assert(kWheelItem == 16);
+  for (const std::size_t n : {std::size_t{3}, std::size_t{150},
+                              std::size_t{8000}}) {
+    L1Table table;
+    for (std::size_t i = 0; i < n; ++i) {
+      L1Record rec;
+      rec.vehicle = VehicleId{i * 8000 / n};  // spread over an 8,000 fleet
+      rec.time = SimTime::from_sec(1.0);
+      table.record(rec);
+    }
+    ASSERT_EQ(table.size(), n);
+    const std::size_t bound =
+        n * 2 * (sizeof(L1Record) + kWheelItem) + Index::bytes_for(n) + 64;
+    EXPECT_LE(table.bytes(), bound) << n << " records";
+  }
 }
 
 // --- OpenAddressMap --------------------------------------------------------
