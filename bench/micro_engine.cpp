@@ -1,10 +1,11 @@
 // Engine throughput bench — the perf-gate fixture.
 //
 // Runs the three protocols on small paper scenarios and reports host
-// throughput (simulated seconds and broadcasts per wall second) and peak RSS
-// per measurement via the standard BENCH_micro_engine.json report.
-// scripts/bench_compare.py gates these engine fields against bench_baseline/
-// in CI (perf-smoke); --audit-determinism turns the same run into a hard
+// throughput (simulated seconds per wall second) and peak RSS per
+// measurement via the standard BENCH_micro_engine.json report.
+// scripts/bench_compare.py gates these engine fields, and the run metrics
+// (radio broadcasts, peak outstanding queries), against bench_baseline/ in
+// CI (perf-smoke); --audit-determinism turns the same run into a hard
 // within-binary determinism check. Kernel-level microbenchmarks (event
 // queue, RNG, index primitives) live in kernel_micro (google-benchmark).
 #include "common.h"
@@ -30,14 +31,13 @@ int main(int argc, char** argv) {
   driver.begin_section("Engine throughput", "sim s/sec");
   std::printf("== Engine throughput ==\n");
   TextTable table;
-  table.add_row({"point", "events", "sim s/sec", "bcast/sec", "peak RSS MB"});
+  table.add_row({"point", "events", "sim s/sec", "peak RSS MB"});
   for (const Point& p : points) {
     const ScenarioConfig cfg = paper_scenario(p.vehicles, 7100);
     const ReplicaSet set = driver.run(p.label, cfg, p.protocol);
     const EngineStats& e = set.engine_total;
     table.add_row({p.label, std::to_string(e.events_processed),
                    fmt_double(e.sim_seconds_per_sec(), 1),
-                   fmt_double(e.broadcasts_per_sec(), 0),
                    fmt_double(static_cast<double>(e.peak_rss_bytes) / 1e6, 1)});
   }
   std::fputs(table.render().c_str(), stdout);

@@ -1,10 +1,11 @@
 // Scenario CLI: a flag-driven simulation driver (the "ns-2 command line" of
 // this repository). Runs one scenario under any protocol and prints the full
-// metric set; optionally writes a per-event CSV trace and/or a JSON run
-// report (the same run report the benches embed — see docs/PROTOCOL.md).
+// metric set; optionally writes the run's span trace (Chrome-trace JSON or a
+// span-tree text dump) and/or a JSON run report (the same run report the
+// benches embed — see docs/PROTOCOL.md).
 //
 //   $ ./scenario_cli --protocol hlsrg --vehicles 500 --size 2000 --seed 42
-//   $ ./scenario_cli --workload poisson --no-rsus --trace out.csv
+//   $ ./scenario_cli --workload poisson --no-rsus --spans spans.txt
 //   $ ./scenario_cli --map data/demo_irregular_2km.map --irregular
 //   $ ./scenario_cli --replicas 8 --threads 4 --out run.json
 //   $ ./scenario_cli --trace-out=trace.json     # open in Perfetto
@@ -38,7 +39,6 @@ int main(int argc, char** argv) {
   bool irregular = false;
   int replicas = 1;
   int threads = 0;
-  std::string trace_path;
   std::string trace_out_path;
   std::string spans_path;
   int trace_cap = 0;
@@ -69,14 +69,12 @@ int main(int argc, char** argv) {
                   &cfg.map_file);
   args.add_string("--save-map", "FILE", "write the generated map to FILE",
                   &save_map_path);
-  args.add_string("--trace", "FILE", "write per-event CSV trace (1 replica)",
-                  &trace_path);
   args.add_string("--trace-out", "FILE",
                   "write Chrome-trace JSON spans (1 replica; Perfetto-ready)",
                   &trace_out_path);
   args.add_string("--spans", "FILE", "write the span-tree text dump (1 replica)",
                   &spans_path);
-  args.add_int("--trace-cap", "N", "cap trace events/spans at N (0 = default)",
+  args.add_int("--trace-cap", "N", "cap the trace at N spans (0 = default)",
                &trace_cap);
   args.add_string("--out", "FILE", "write a JSON run report to FILE",
                   &out_path);
@@ -163,14 +161,13 @@ int main(int argc, char** argv) {
   if (no_handoff) cfg.hlsrg.enable_handoff = false;
   replicas = std::max(1, replicas);
   if (!obs_out_path.empty()) cfg.profile = true;
-  const bool tracing =
-      !trace_path.empty() || !trace_out_path.empty() || !spans_path.empty();
+  const bool tracing = !trace_out_path.empty() || !spans_path.empty();
   if (trace_cap > 0 && !tracing) {
     // Fail fast instead of silently ignoring the cap: without a trace sink
     // the TraceLog is never attached, so the flag would do nothing.
     std::fprintf(stderr,
                  "--trace-cap has no effect without a trace output; add "
-                 "--trace, --trace-out, or --spans\n");
+                 "--trace-out or --spans\n");
     return 1;
   }
   if (fault_seed != 0 && fault_plan_path.empty()) {
@@ -182,7 +179,7 @@ int main(int argc, char** argv) {
   }
   if (replicas > 1 && (tracing || !save_map_path.empty())) {
     std::fprintf(stderr,
-                 "--trace/--trace-out/--spans/--save-map need --replicas 1\n");
+                 "--trace-out/--spans/--save-map need --replicas 1\n");
     return 1;
   }
 
@@ -209,10 +206,7 @@ int main(int argc, char** argv) {
       std::printf("map:        wrote %s\n", save_map_path.c_str());
     }
     TraceLog trace;
-    if (trace_cap > 0) {
-      trace.set_capacity(static_cast<std::size_t>(trace_cap),
-                         static_cast<std::size_t>(trace_cap));
-    }
+    if (trace_cap > 0) trace.set_capacity(static_cast<std::size_t>(trace_cap));
     if (tracing) world.attach_trace(&trace);
 
     metrics = world.run();
@@ -233,16 +227,6 @@ int main(int argc, char** argv) {
     regions = world.regions();
     if (world.profiler() != nullptr) profile = *world.profiler();
 
-    if (!trace_path.empty()) {
-      std::ofstream file(trace_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 1;
-      }
-      file << trace.to_csv();
-      std::printf("trace:      %zu events -> %s\n", trace.size(),
-                  trace_path.c_str());
-    }
     if (!trace_out_path.empty()) {
       const std::vector<WallSpan> wall = {
           WallSpan{"build", 0, build_begin, build_end},
@@ -267,11 +251,10 @@ int main(int argc, char** argv) {
       std::printf("spans:      %zu spans -> %s\n", trace.span_count(),
                   spans_path.c_str());
     }
-    if (engine.trace_events_dropped + engine.trace_spans_dropped > 0) {
+    if (engine.trace_spans_dropped > 0) {
       std::fprintf(stderr,
-                   "warning: trace capacity hit (%llu events, %llu spans "
-                   "dropped); raise --trace-cap\n",
-                   static_cast<unsigned long long>(engine.trace_events_dropped),
+                   "warning: trace capacity hit (%llu spans dropped); raise "
+                   "--trace-cap\n",
                    static_cast<unsigned long long>(engine.trace_spans_dropped));
     }
   } else {

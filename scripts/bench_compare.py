@@ -37,11 +37,12 @@ report object each covers:
 --groups restricts the comparison to a comma-separated subset of
 derived,metrics,latency,engine,memory (default
 "derived,metrics,latency,engine"; "engine" admits both the engine and the
-timing groups). The CI perf-smoke job uses "--groups engine
---include-engine --include-timing" to gate throughput alone: functional
-counters can drift across compilers/libm (Poisson workload timing goes
-through std::log) without being perf regressions, and they are already
-gated deterministically elsewhere. The memory gate runs as a separate
+timing groups). The CI perf-smoke job uses "--groups engine,metrics
+--include-engine --include-timing" with a loose threshold (0.9) to gate
+throughput and the run counters (radio broadcasts, peak outstanding
+queries): functional counters can drift across compilers/libm (Poisson
+workload timing goes through std::log) without being perf regressions, so
+the loose threshold flags only collapses; they are gated tightly elsewhere. The memory gate runs as a separate
 invocation ("--groups memory") against the scale_map deep rows.
 
 A field regresses when it moves against its direction by more than

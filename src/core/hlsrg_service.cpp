@@ -254,8 +254,6 @@ void HlsrgService::send_notification(NodeId origin,
   const Packet pkt = make_packet(PacketKind::kNotification, origin, note);
   metrics().query_packets_originated++;
   metrics().notifications_sent++;
-  sim_->trace_event({{}, TraceEventKind::kNotification, query.target,
-                     query.src_vehicle, target_record.pos, query.query_id});
   // Open until the query settles (the notification has no ACK of its own);
   // the route/flood legs below nest under it.
   const SpanId note_span = sim_->begin_span(

@@ -12,7 +12,6 @@ QueryTracker::QueryId QueryTracker::issue(VehicleId src, VehicleId dst) {
   // settles hangs under it (directly or via propagated context).
   records_.back().span = sim_->begin_span(
       SpanKind::kQuery, src.value(), dst.value(), Vec2{}, id);
-  sim_->trace_event({{}, TraceEventKind::kQueryIssued, src, dst, {}, id});
   const std::size_t out = records_.size() - settled_count_;
   if (out > peak_outstanding_) {
     peak_outstanding_ = out;
@@ -34,7 +33,6 @@ void QueryTracker::succeed(QueryId id) {
   if (TraceLog* trace = sim_->trace()) {
     trace->end_open_spans_for_query(id, sim_->now(), SpanStatus::kOk);
   }
-  sim_->trace_event({{}, TraceEventKind::kQuerySucceeded, r.src, r.dst, {}, id});
 }
 
 void QueryTracker::fail(QueryId id) {
@@ -48,7 +46,6 @@ void QueryTracker::fail(QueryId id) {
   if (TraceLog* trace = sim_->trace()) {
     trace->end_open_spans_for_query(id, sim_->now(), SpanStatus::kFailed);
   }
-  sim_->trace_event({{}, TraceEventKind::kQueryFailed, r.src, r.dst, {}, id});
 }
 
 bool QueryTracker::settled(QueryId id) const {

@@ -50,8 +50,6 @@ void HlsrgVehicleAgent::send_initial_update() {
   svc_->metrics().update_packets_originated++;
   svc_->sim().count_region_update(rec.pos);
   svc_->metrics().update_transmissions++;
-  svc_->sim().trace_event(
-      {{}, TraceEventKind::kUpdateSent, vehicle_, VehicleId{}, rec.pos, 0});
   const int receivers = svc_->medium().broadcast(
       node_, svc_->make_packet(PacketKind::kLocationUpdate, node_, payload));
   svc_->sim().instant_span(SpanKind::kUpdate, SpanStatus::kOk,
@@ -95,8 +93,10 @@ void HlsrgVehicleAgent::push_table_to_l2() {
   const GridCoord l2 = GridHierarchy::parent(center_cell_, GridLevel::kL2);
   const NodeId rsu = svc_->rsus()->node_at(l2, GridLevel::kL2);
   svc_->metrics().aggregation_packets++;
-  svc_->sim().trace_event({{}, TraceEventKind::kTablePush, vehicle_,
-                           VehicleId{}, svc_->vehicle_pos(vehicle_), 0});
+  svc_->sim().instant_span(SpanKind::kTablePush, SpanStatus::kOk,
+                           vehicle_.value(), rsu.value(),
+                           svc_->vehicle_pos(vehicle_), kNoQuery, 1, nullptr,
+                           static_cast<std::int32_t>(payload->records.size()));
   svc_->gpsr().send(node_, svc_->registry().position(rsu), rsu,
                     svc_->make_packet(PacketKind::kTablePush, node_, payload),
                     &svc_->metrics().aggregation_transmissions);
@@ -141,8 +141,6 @@ void HlsrgVehicleAgent::send_update(const UpdateDecision& decision,
   svc_->metrics().update_packets_originated++;
   svc_->sim().count_region_update(payload->record.pos);
   svc_->metrics().update_transmissions++;
-  svc_->sim().trace_event({{}, TraceEventKind::kUpdateSent, vehicle_,
-                           VehicleId{}, payload->record.pos, 0});
   // Sent from the intersection (paper 2.2.1), not from the end-of-tick pose
   // the vehicle has since driven on to: stop lines of neighbouring artery
   // intersections sit exactly one radio range apart (DESIGN.md §10).
@@ -177,8 +175,10 @@ void HlsrgVehicleAgent::leave_center() {
   const Packet handoff = svc_->make_packet(PacketKind::kTableHandoff, node_, payload);
   svc_->metrics().aggregation_packets++;
   svc_->metrics().aggregation_transmissions++;
-  svc_->sim().trace_event({{}, TraceEventKind::kTableHandoff, vehicle_,
-                           VehicleId{}, svc_->vehicle_pos(vehicle_), 0});
+  svc_->sim().instant_span(SpanKind::kTableHandoff, SpanStatus::kOk,
+                           vehicle_.value(), kNoQuery,
+                           svc_->vehicle_pos(vehicle_), kNoQuery, 1, nullptr,
+                           static_cast<std::int32_t>(payload->records.size()));
   svc_->medium().broadcast(node_, handoff);
 
   // "and send the table to their corresponding Level 2 grid center, a RSU"
@@ -485,10 +485,6 @@ void HlsrgVehicleAgent::answer_notification(
   const Packet pkt = svc_->make_packet(PacketKind::kAck, node_, ack);
   svc_->metrics().query_packets_originated++;
   svc_->metrics().acks_sent++;
-  svc_->sim().trace_event({{}, TraceEventKind::kAckSent, vehicle_,
-                           notification.src_vehicle,
-                           svc_->vehicle_pos(vehicle_),
-                           notification.query_id});
   // The ACK leg stays open until the query settles (the source's tracker
   // closes it); nest it under the propagated context when one survived the
   // flood, else directly under the query root.

@@ -31,8 +31,8 @@ void FloodVehicleAgent::flood_own_location() {
   payload->time = svc_->sim().now();
   svc_->metrics().update_packets_originated++;
   svc_->sim().count_region_update(payload->pos);
-  svc_->sim().trace_event({{}, TraceEventKind::kUpdateSent, vehicle_,
-                           VehicleId{}, payload->pos, 0});
+  svc_->sim().instant_span(SpanKind::kUpdate, SpanStatus::kOk,
+                           vehicle_.value(), kNoQuery, payload->pos);
   svc_->geocast().flood(
       node_, svc_->make_packet(PacketKind::kFloodUpdate, node_, payload),
       GeocastRegion::from_box(svc_->map_bounds(), /*margin=*/100.0),
@@ -60,9 +60,6 @@ void FloodVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
       ack->responder = vehicle_;
       svc_->metrics().query_packets_originated++;
       svc_->metrics().acks_sent++;
-      svc_->sim().trace_event({{}, TraceEventKind::kAckSent, vehicle_,
-                               p.src_vehicle, svc_->vehicle_pos(vehicle_),
-                               p.query_id});
       // ACK leg back to the querier, open until the query settles. Geocast
       // floods deliver without span context, so fall back to the query root.
       Simulator& sim = svc_->sim();

@@ -27,10 +27,11 @@ void RlsmpVehicleAgent::send_initial_update() {
   svc_->metrics().update_packets_originated++;
   svc_->sim().count_region_update(payload->record.pos);
   svc_->metrics().update_transmissions++;
-  svc_->sim().trace_event({{}, TraceEventKind::kUpdateSent, vehicle_,
-                           VehicleId{}, payload->record.pos, 0});
-  svc_->medium().broadcast(node_,
-                           svc_->make_packet(PacketKind::kCellUpdate, node_, payload));
+  const int receivers = svc_->medium().broadcast(
+      node_, svc_->make_packet(PacketKind::kCellUpdate, node_, payload));
+  svc_->sim().instant_span(SpanKind::kUpdate, SpanStatus::kOk,
+                           vehicle_.value(), kNoQuery, payload->record.pos,
+                           kNoQuery, -1, "ignition", receivers);
 }
 
 bool RlsmpVehicleAgent::lsc_duty() const {
@@ -78,10 +79,11 @@ void RlsmpVehicleAgent::send_cell_update(CellCoord old_cell,
   svc_->metrics().update_packets_originated++;
   svc_->sim().count_region_update(payload->record.pos);
   svc_->metrics().update_transmissions++;
-  svc_->sim().trace_event({{}, TraceEventKind::kUpdateSent, vehicle_,
-                           VehicleId{}, payload->record.pos, 0});
-  svc_->medium().broadcast(node_,
-                           svc_->make_packet(PacketKind::kCellUpdate, node_, payload));
+  const int receivers = svc_->medium().broadcast(
+      node_, svc_->make_packet(PacketKind::kCellUpdate, node_, payload));
+  svc_->sim().instant_span(SpanKind::kUpdate, SpanStatus::kOk,
+                           vehicle_.value(), kNoQuery, payload->record.pos,
+                           kNoQuery, -1, "cell_crossing", receivers);
 }
 
 void RlsmpVehicleAgent::leave_leader_region() {
@@ -370,9 +372,6 @@ void RlsmpVehicleAgent::handle_cell_leader_query(
   note->src_pos = query.src_pos;
   svc_->metrics().query_packets_originated++;
   svc_->metrics().notifications_sent++;
-  svc_->sim().trace_event({{}, TraceEventKind::kNotification, query.target,
-                           query.src_vehicle, svc_->vehicle_pos(vehicle_),
-                           query.query_id});
   // Open until the query settles; the cell flood nests under it. The leader
   // handles this off a GPSR delivery, so the propagated context (if any) is
   // the query root.
@@ -397,9 +396,6 @@ void RlsmpVehicleAgent::answer_notify(const RlsmpNotifyPayload& notify) {
   ack->responder = vehicle_;
   svc_->metrics().query_packets_originated++;
   svc_->metrics().acks_sent++;
-  svc_->sim().trace_event({{}, TraceEventKind::kAckSent, vehicle_,
-                           notify.src_vehicle, svc_->vehicle_pos(vehicle_),
-                           notify.query_id});
   // ACK leg back to Sv, open until the query settles.
   Simulator& sim = svc_->sim();
   SpanScope anchor(sim, sim.active_span() != kNoSpan

@@ -187,9 +187,6 @@ struct EngineSpec {
   /* host time spent running the replica */                              \
   F(double, wall_clock_sec, kSum, kTiming, kLower)                       \
   R(sim_seconds_per_sec, sim_time_sec)                                   \
-  /* radio broadcast transmissions */                                    \
-  F(std::uint64_t, broadcasts, kSum, kEngine, kUnchanged)                \
-  R(broadcasts_per_sec, broadcasts)                                      \
   /* neighbor-index rebuild passes (full or incremental) */              \
   F(std::uint64_t, index_rebuilds, kSum, kEngine, kLower)                \
   /* per-node contention-density recounts (density cache misses) */      \
@@ -198,12 +195,8 @@ struct EngineSpec {
   F(std::uint64_t, peak_rss_bytes, kMax, kMemory, kLower)                \
   /* protocol-table + registry heap bytes at end of run */               \
   F(std::uint64_t, table_bytes, kMax, kMemory, kLower)                   \
-  /* trace records past the cap */                                       \
-  F(std::uint64_t, trace_events_dropped, kSum, kEngine, kLower)          \
-  /* spans past the cap */                                               \
-  F(std::uint64_t, trace_spans_dropped, kSum, kEngine, kLower)           \
-  /* unsettled-query high-water mark (admission pressure) */             \
-  F(std::uint64_t, peak_outstanding_queries, kMax, kEngine, kUnchanged)
+  /* spans past the trace cap */                                         \
+  F(std::uint64_t, trace_spans_dropped, kSum, kEngine, kLower)
 
 // RunMetrics counters: X(name, merge, digest, better). Semantics:
 //   *_originated : packets created by their source (what the paper counts as

@@ -77,28 +77,15 @@ class Simulator {
     s.events_processed = queue_.events_dispatched();
     s.events_scheduled = queue_.events_scheduled();
     s.peak_queue_depth = queue_.peak_depth();
-    s.broadcasts = metrics_.radio_broadcasts;
-    s.peak_outstanding_queries = metrics_.peak_outstanding;
     s.sim_time_sec = queue_.now().sec();
-    if (trace_ != nullptr) {
-      s.trace_events_dropped = trace_->dropped_events();
-      s.trace_spans_dropped = trace_->dropped_spans();
-    }
+    if (trace_ != nullptr) s.trace_spans_dropped = trace_->dropped_spans();
     return s;
   }
 
-  // Optional event trace: null (default) means tracing is off. The log must
+  // Optional span trace: null (default) means tracing is off. The log must
   // outlive the simulation.
   void set_trace(TraceLog* trace) { trace_ = trace; }
   [[nodiscard]] TraceLog* trace() { return trace_; }
-
-  // Records an event when tracing is enabled; otherwise a no-op.
-  void trace_event(TraceEvent event) {
-    if (trace_ != nullptr) {
-      event.time = now();
-      trace_->record(event);
-    }
-  }
 
   // ---- span context ------------------------------------------------------
   // The active span is the parent for spans begun synchronously under it;
@@ -135,7 +122,7 @@ class Simulator {
     if (trace_ != nullptr) trace_->end_span(id, now(), status, pos, value);
   }
 
-  // Zero-duration span (table lookups, update broadcasts).
+  // Zero-duration span (table lookups, updates, table hand-offs and pushes).
   void instant_span(SpanKind kind, SpanStatus status, std::uint32_t subject,
                     std::uint32_t other, Vec2 pos,
                     std::uint32_t query_id = kNoQuery, int level = -1,

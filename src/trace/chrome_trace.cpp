@@ -14,9 +14,8 @@ namespace {
 constexpr int kSimPid = 1;
 constexpr int kEnginePid = 2;
 constexpr int kProfilePid = 3;
-// tid layout under kSimPid: 999 = instant trace events, 1000 + query_id =
-// per-query span trees, 1 + kind = spans whose root has no query id.
-constexpr std::int64_t kEventsTid = 999;
+// tid layout under kSimPid: 1000 + query_id = per-query span trees,
+// 1 + kind = spans whose root has no query id.
 constexpr std::int64_t kQueryTidBase = 1000;
 
 std::int64_t track_for(const TraceLog& log, const Span& span) {
@@ -109,9 +108,6 @@ JsonValue chrome_trace_document(const TraceLog& log,
   for (const Span& s : log.spans()) {
     max_sec = std::max(max_sec, std::max(s.begin.sec(), s.end.sec()));
   }
-  for (const TraceEvent& e : log.events()) {
-    max_sec = std::max(max_sec, e.time.sec());
-  }
 
   std::map<std::int64_t, std::string> sim_threads;
   for (const Span& s : log.spans()) {
@@ -140,28 +136,6 @@ JsonValue chrome_trace_document(const TraceLog& log,
       ev.set("s", "t");
     }
     ev.set("args", span_args(s));
-    events.push_back(std::move(ev));
-  }
-
-  if (!log.events().empty()) {
-    sim_threads.emplace(kEventsTid, "events");
-  }
-  for (const TraceEvent& e : log.events()) {
-    JsonValue ev = JsonValue::object();
-    ev.set("name", trace_event_name(e.kind));
-    ev.set("cat", "event");
-    ev.set("ph", "i");
-    ev.set("s", "t");
-    ev.set("pid", kSimPid);
-    ev.set("tid", kEventsTid);
-    ev.set("ts", e.time.sec() * 1e6);
-    JsonValue args = JsonValue::object();
-    if (e.subject.valid()) args.set("subject", std::uint64_t{e.subject.value()});
-    if (e.other.valid()) args.set("other", std::uint64_t{e.other.value()});
-    args.set("query_id", std::uint64_t{e.query_id});
-    args.set("x", e.pos.x);
-    args.set("y", e.pos.y);
-    ev.set("args", std::move(args));
     events.push_back(std::move(ev));
   }
 

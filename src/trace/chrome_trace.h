@@ -2,8 +2,9 @@
 //
 // Three processes in the output: pid 1 is *simulated* time — one thread
 // track per traced query (named "query <id>") carrying its span tree as
-// complete ("X") events, plus shared tracks for non-query span trees and
-// instant trace events; pid 2 is *wall-clock* engine time — one track per
+// complete ("X") events and instant ("i") spans, plus one shared track per
+// kind for span trees outside any query (updates, table hand-offs and
+// pushes); pid 2 is *wall-clock* engine time — one track per
 // replica worker with the harness phases (build/run/digest); pid 3 (only
 // when a profiler is passed) is the aggregated phase profile — the node
 // tree laid out as synthetic nested "X" events whose durations are the

@@ -2,11 +2,12 @@
 //
 // A span is a timed interval in *simulated* time with a parent link: the
 // root of each tree is a logical protocol operation (a query, an update, a
-// notification) and the children are the legs it decomposed into — GPSR
-// routes, individual radio hops, wired RSU hops, table lookups, the ACK leg
-// back to the source. Span context propagates synchronously through the
-// simulator's active-span register (see SpanScope in sim/simulator.h) and
-// across event-queue hops by value, captured in the transport closures.
+// notification, a table hand-off or push) and the children are the legs it
+// decomposed into — GPSR routes, individual radio hops, wired RSU hops,
+// table lookups, the ACK leg back to the source. Span context propagates
+// synchronously through the simulator's active-span register (see SpanScope
+// in sim/simulator.h) and across event-queue hops by value, captured in the
+// transport closures.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,8 @@ inline constexpr std::uint32_t kNoQuery = 0xffffffffu;
 
 enum class SpanKind : std::uint8_t {
   kQuery,         // root: issue -> settle, subject = Sv, other = Dv
-  kUpdate,        // instant: location update broadcast, value = receivers
+  kUpdate,        // instant: location update sent, value = one-hop
+                  // receivers (0 for FLOOD's map-wide flood)
   kNotification,  // location server answers: notify toward Dv
   kAckLeg,        // Dv's ACK back toward Sv; closed when the query settles
   kGpsrRoute,     // one GPSR send end to end, value = hops
@@ -42,6 +44,10 @@ enum class SpanKind : std::uint8_t {
   kCacheHit,      // instant: RSU hot-destination cache answered a query
   kShed,          // instant: admission control refused a query or retry,
                   // detail names which
+  kTableHandoff,  // instant: a leaving L1 center broadcasts its table,
+                  // value = records
+  kTablePush,     // instant: an L1 center sends its table to its L2 RSU,
+                  // other = the RSU's node, value = records
 };
 
 [[nodiscard]] const char* span_kind_name(SpanKind kind);

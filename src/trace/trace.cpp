@@ -1,7 +1,6 @@
 #include "trace/trace.h"
 
 #include <cstdio>
-#include <cstring>
 
 namespace hlsrg {
 namespace {
@@ -18,45 +17,7 @@ std::string format_fixed(double v, int precision) {
   return buf;
 }
 
-// RFC-4180 quoting: wrap fields containing separators/quotes/newlines and
-// double any embedded quotes. Numeric fields never trigger it; it keeps the
-// export safe if a detail/name field ever grows free text.
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
-  std::string out;
-  out.reserve(field.size() + 2);
-  out += '"';
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
-
-const char* trace_event_name(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kUpdateSent:
-      return "update_sent";
-    case TraceEventKind::kQueryIssued:
-      return "query_issued";
-    case TraceEventKind::kQuerySucceeded:
-      return "query_succeeded";
-    case TraceEventKind::kQueryFailed:
-      return "query_failed";
-    case TraceEventKind::kNotification:
-      return "notification";
-    case TraceEventKind::kAckSent:
-      return "ack_sent";
-    case TraceEventKind::kTableHandoff:
-      return "table_handoff";
-    case TraceEventKind::kTablePush:
-      return "table_push";
-  }
-  return "unknown";
-}
 
 const char* span_kind_name(SpanKind kind) {
   switch (kind) {
@@ -86,6 +47,10 @@ const char* span_kind_name(SpanKind kind) {
       return "cache_hit";
     case SpanKind::kShed:
       return "shed";
+    case SpanKind::kTableHandoff:
+      return "table_handoff";
+    case SpanKind::kTablePush:
+      return "table_push";
   }
   return "unknown";
 }
@@ -100,62 +65,6 @@ const char* span_status_name(SpanStatus status) {
       return "failed";
   }
   return "unknown";
-}
-
-std::size_t TraceLog::count(TraceEventKind kind) const {
-  std::size_t n = 0;
-  for (const TraceEvent& e : events_) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
-}
-
-std::vector<TraceEvent> TraceLog::for_vehicle(VehicleId v) const {
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& e : events_) {
-    if (e.subject == v || e.other == v) out.push_back(e);
-  }
-  return out;
-}
-
-std::vector<TraceEvent> TraceLog::for_query(std::uint32_t query_id) const {
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& e : events_) {
-    // query_id 0 is a valid id, so filter by kinds that carry one.
-    switch (e.kind) {
-      case TraceEventKind::kQueryIssued:
-      case TraceEventKind::kQuerySucceeded:
-      case TraceEventKind::kQueryFailed:
-      case TraceEventKind::kNotification:
-      case TraceEventKind::kAckSent:
-        if (e.query_id == query_id) out.push_back(e);
-        break;
-      default:
-        break;
-    }
-  }
-  return out;
-}
-
-std::string TraceLog::to_csv() const {
-  std::string out = "time_s,kind,subject,other,x,y,query_id\n";
-  for (const TraceEvent& e : events_) {
-    out += format_fixed(e.time.sec(), 6);
-    out += ',';
-    out += csv_escape(trace_event_name(e.kind));
-    out += ',';
-    if (e.subject.valid()) out += std::to_string(e.subject.value());
-    out += ',';
-    if (e.other.valid()) out += std::to_string(e.other.value());
-    out += ',';
-    out += format_fixed(e.pos.x, 3);
-    out += ',';
-    out += format_fixed(e.pos.y, 3);
-    out += ',';
-    out += std::to_string(e.query_id);
-    out += '\n';
-  }
-  return out;
 }
 
 SpanId TraceLog::begin_span(Span span, SimTime begin) {
@@ -210,8 +119,7 @@ std::vector<Span> TraceLog::spans_for_query(std::uint32_t query_id) const {
 
 namespace {
 
-void append_span_line(std::string& out, const TraceLog& log, const Span& s,
-                      int depth) {
+void append_span_line(std::string& out, const Span& s, int depth) {
   out.append(static_cast<std::size_t>(depth) * 2, ' ');
   out += span_kind_name(s.kind);
   out += " [";
@@ -246,18 +154,34 @@ void append_span_line(std::string& out, const TraceLog& log, const Span& s,
     out += s.detail;
   }
   out += '\n';
-  for (const Span& child : log.children_of(s.id)) {
-    append_span_line(out, log, child, depth + 1);
+}
+
+// Children lists indexed by parent id (kNoSpan holds the roots), each in
+// record order, which is begin order.
+using ChildLists = std::vector<std::vector<std::uint32_t>>;
+
+void append_children(std::string& out, const std::vector<Span>& spans,
+                     const ChildLists& children, SpanId parent, int depth) {
+  for (const std::uint32_t i : children[parent]) {
+    append_span_line(out, spans[i], depth);
+    append_children(out, spans, children, i + 1, depth + 1);
   }
 }
 
 }  // namespace
 
 std::string TraceLog::span_tree_text() const {
-  std::string out;
-  for (const Span& s : spans_) {
-    if (s.parent == kNoSpan) append_span_line(out, *this, s, 0);
+  // Bucket the children by parent in one pass: the dump stays linear in
+  // the span count.
+  ChildLists children(spans_.size() + 1);
+  for (std::size_t i = 0; i < spans_.size(); ++i) {
+    const SpanId parent = spans_[i].parent;
+    if (parent < children.size()) {
+      children[parent].push_back(static_cast<std::uint32_t>(i));
+    }
   }
+  std::string out;
+  append_children(out, spans_, children, kNoSpan, 0);
   return out;
 }
 

@@ -1,17 +1,16 @@
-// Optional per-run trace: semantic events plus query-lifecycle spans.
+// Optional per-run trace: query-lifecycle span trees and instant spans.
 //
-// When a TraceLog is attached to the Simulator, protocol code records
-// semantic events (updates sent, queries issued/settled, notifications,
-// ACKs, aggregation pushes) and span trees (query -> GPSR route -> radio
-// hop, wired hop, table lookup, ACK leg) with sim-time stamps and positions.
+// When a TraceLog is attached to the Simulator, protocol code records span
+// trees (query -> GPSR route -> radio hop, wired hop, table lookup, ACK leg)
+// and instant spans for the protocol events the evaluation counts (location
+// updates, table hand-offs and pushes), with sim-time stamps and positions.
 // The trace costs nothing when detached (a null check) and gives
 // examples/tests a way to assert on protocol *behaviour* rather than just
-// aggregate counters, plus CSV / Chrome-trace / span-tree exports for
-// offline analysis (see trace/chrome_trace.h).
+// aggregate counters, plus Chrome-trace / span-tree exports for offline
+// analysis (see trace/chrome_trace.h).
 //
-// Memory is bounded: past the configured caps, new events/spans are counted
-// in dropped_events()/dropped_spans() instead of stored, so long runs cannot
-// exhaust the host.
+// Memory is bounded: past the configured cap, new spans are counted in
+// dropped_spans() instead of stored, so long runs cannot exhaust the host.
 #pragma once
 
 #include <cstdint>
@@ -21,78 +20,21 @@
 #include "geom/vec2.h"
 #include "sim/time.h"
 #include "trace/span.h"
-#include "util/tagged_id.h"
 
 namespace hlsrg {
 
-enum class TraceEventKind : std::uint8_t {
-  kUpdateSent,      // subject = updating vehicle
-  kQueryIssued,     // subject = source, other = target
-  kQuerySucceeded,  // subject = source, other = target
-  kQueryFailed,     // subject = source, other = target
-  kNotification,    // subject = target being searched
-  kAckSent,         // subject = responder
-  kTableHandoff,    // subject = leaving center vehicle
-  kTablePush,       // subject = pushing vehicle (or RSU summary)
-};
-
-[[nodiscard]] const char* trace_event_name(TraceEventKind kind);
-
-struct TraceEvent {
-  SimTime time;
-  TraceEventKind kind;
-  VehicleId subject;
-  VehicleId other;        // second participant where applicable
-  Vec2 pos;               // where it happened (when known)
-  std::uint32_t query_id = 0;
-};
-
 class TraceLog {
  public:
-  // Default caps bound a trace to ~100 MB worst case; raise or lower per
-  // run (scenario_cli --trace-cap). 0 disables the respective storage
-  // entirely (everything is counted as dropped).
+  // The default cap bounds a trace to ~100 MB worst case; raise or lower
+  // per run (scenario_cli --trace-cap). 0 disables span storage entirely
+  // (every span is counted as dropped).
   static constexpr std::size_t kDefaultCap = std::size_t{1} << 20;
 
   TraceLog() = default;
 
-  void set_capacity(std::size_t max_events, std::size_t max_spans) {
-    max_events_ = max_events;
-    max_spans_ = max_spans;
-  }
+  void set_capacity(std::size_t max_spans) { max_spans_ = max_spans; }
 
-  void record(TraceEvent event) {
-    if (events_.size() >= max_events_) {
-      ++dropped_events_;
-      return;
-    }
-    events_.push_back(event);
-  }
-
-  [[nodiscard]] const std::vector<TraceEvent>& events() const {
-    return events_;
-  }
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  [[nodiscard]] std::uint64_t dropped_events() const {
-    return dropped_events_;
-  }
   [[nodiscard]] std::uint64_t dropped_spans() const { return dropped_spans_; }
-
-  // Number of events of one kind.
-  [[nodiscard]] std::size_t count(TraceEventKind kind) const;
-
-  // Events touching one vehicle (as subject or other), in time order.
-  [[nodiscard]] std::vector<TraceEvent> for_vehicle(VehicleId v) const;
-
-  // Events for one query id, in time order.
-  [[nodiscard]] std::vector<TraceEvent> for_query(std::uint32_t query_id) const;
-
-  // CSV export: time_s,kind,subject,other,x,y,query_id. Floats are emitted
-  // with fixed precision and a '.' decimal separator regardless of the
-  // process locale, so the output is byte-stable across platforms.
-  [[nodiscard]] std::string to_csv() const;
-
-  // ---- spans ------------------------------------------------------------
 
   // Opens a span at `begin`; `span.id` is assigned (index + 1) and `parent`
   // is kept as passed. Returns kNoSpan when the span cap is reached.
@@ -128,11 +70,8 @@ class TraceLog {
   [[nodiscard]] std::string span_tree_text() const;
 
  private:
-  std::vector<TraceEvent> events_;
   std::vector<Span> spans_;
-  std::size_t max_events_ = kDefaultCap;
   std::size_t max_spans_ = kDefaultCap;
-  std::uint64_t dropped_events_ = 0;
   std::uint64_t dropped_spans_ = 0;
 };
 

@@ -164,36 +164,28 @@ TEST(SpanLogTest, SettleSweepClosesOpenSpansOfQuery) {
   EXPECT_EQ(log.span(u)->status, SpanStatus::kOpen);  // untouched
 }
 
-TEST(SpanLogTest, CapCountsDroppedSpansAndEvents) {
+TEST(SpanLogTest, CapCountsDroppedSpans) {
   TraceLog log;
-  log.set_capacity(2, 1);
+  log.set_capacity(1);
   for (int i = 0; i < 5; ++i) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kUpdateSent;
-    log.record(e);
     Span s;
     s.kind = SpanKind::kUpdate;
     log.begin_span(s, SimTime{});
   }
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.dropped_events(), 3u);
   EXPECT_EQ(log.span_count(), 1u);
   EXPECT_EQ(log.dropped_spans(), 4u);
 }
 
-TEST(SpanLogTest, CsvUsesDotDecimalSeparator) {
+TEST(SpanLogTest, SpanTreeTextUsesDotDecimalSeparator) {
   TraceLog log;
-  TraceEvent e;
-  e.time = SimTime::from_ms(1500);
-  e.kind = TraceEventKind::kAckSent;
-  e.subject = VehicleId{4u};
-  e.pos = Vec2{12.5, -3.25};
-  e.query_id = 9;
-  log.record(e);
-  const std::string csv = log.to_csv();
-  EXPECT_NE(csv.find("1.500000"), std::string::npos);
-  EXPECT_NE(csv.find("12.500"), std::string::npos);
-  EXPECT_EQ(csv.find(','), csv.find(",kind"));  // header intact
+  Span s;
+  s.kind = SpanKind::kAckLeg;
+  s.subject = 4;
+  s.query_id = 9;
+  const SpanId id = log.begin_span(s, SimTime::from_ms(1500));
+  log.end_span(id, SimTime::from_ms(2250), SpanStatus::kOk);
+  EXPECT_EQ(log.span_tree_text(),
+            "ack_leg [ok] 1.500000s -> 2.250000s subject=4 query=9\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -361,6 +353,29 @@ TEST(ChromeTraceTest, DocumentRoundTripsThroughJsonParser) {
   EXPECT_TRUE(saw_engine);
 }
 
+TEST(ChromeTraceTest, ProtocolEventsAreInstantSpans) {
+  TraceLog trace;
+  {
+    ScenarioConfig cfg = paper_scenario(150, 74);
+    World world(cfg, Protocol::kHlsrg);
+    world.attach_trace(&trace);
+    world.run_until(SimTime::from_sec(150));
+  }
+  const JsonValue doc = chrome_trace_document(trace, {});
+  std::set<std::string> instants;
+  for (const JsonValue& e : doc.at("traceEvents").items()) {
+    // One trace stream: every simulated-time entry is a span.
+    if (e.at("ph").as_string() == "M") continue;
+    EXPECT_EQ(e.at("cat").as_string(), "span");
+    if (e.at("ph").as_string() == "i") {
+      instants.insert(e.at("name").as_string());
+    }
+  }
+  for (const char* kind : {"update", "table_handoff", "table_push"}) {
+    EXPECT_TRUE(instants.count(kind)) << kind;
+  }
+}
+
 TEST(ChromeTraceTest, WriteChromeTraceProducesParsableFile) {
   TraceLog trace;
   Span s;
@@ -402,7 +417,7 @@ TEST(ObservabilityReportTest, RunReportCarriesObservabilityAndPercentiles) {
                    set.merged.query_latency.p90_ms());
   EXPECT_EQ(doc.at("latency").at("count").as_uint64(),
             set.merged.queries_succeeded);
-  EXPECT_TRUE(doc.at("engine").contains("trace_events_dropped"));
+  EXPECT_TRUE(doc.at("engine").contains("trace_spans_dropped"));
 
   // Derived metrics expose the delay percentiles the figures want.
   const JsonValue derived =

@@ -11,6 +11,12 @@
 namespace hlsrg {
 namespace {
 
+std::size_t count_spans(const TraceLog& trace, SpanKind kind) {
+  std::size_t n = 0;
+  for (const Span& s : trace.spans()) n += s.kind == kind ? 1 : 0;
+  return n;
+}
+
 TEST(RsuBehaviorTest, L2TablesCarryTheRecordsGrid) {
   // Every L2 summary must reference the L1 grid the *record* was made in —
   // that is what the query path descends to.
@@ -75,8 +81,8 @@ TEST(NotificationBehaviorTest, EveryAckFollowsANotificationOrProbe) {
   world.attach_trace(&trace);
   world.run();
   // ACKs can only be triggered by a notification reaching the target.
-  EXPECT_LE(trace.count(TraceEventKind::kAckSent),
-            trace.count(TraceEventKind::kNotification));
+  EXPECT_LE(count_spans(trace, SpanKind::kAckLeg),
+            count_spans(trace, SpanKind::kNotification));
   // And successes cannot exceed ACKs.
   EXPECT_LE(world.metrics().queries_succeeded, world.metrics().acks_sent);
 }
@@ -87,8 +93,8 @@ TEST(CollectionBehaviorTest, HandoffsAndPushesHappen) {
   TraceLog trace;
   world.attach_trace(&trace);
   world.run_until(SimTime::from_sec(150));
-  EXPECT_GT(trace.count(TraceEventKind::kTableHandoff), 0u);
-  EXPECT_GT(trace.count(TraceEventKind::kTablePush), 0u);
+  EXPECT_GT(count_spans(trace, SpanKind::kTableHandoff), 0u);
+  EXPECT_GT(count_spans(trace, SpanKind::kTablePush), 0u);
 }
 
 TEST(CollectionBehaviorTest, CollectionTimerIsArmedOnlyAroundCenterDuty) {

@@ -209,15 +209,15 @@ TEST(QueryPathTest, AckCarriesQueryIdBackToSource) {
   const auto qid = w.service_->issue_query(source, target);
   w.sim_.run_until(SimTime::from_sec(20));
   ASSERT_TRUE(w.service_->tracker().succeeded(qid));
-  const auto story = trace.for_query(qid);
+  const auto story = trace.spans_for_query(qid);
   ASSERT_GE(story.size(), 3u);
-  EXPECT_EQ(story.front().kind, TraceEventKind::kQueryIssued);
+  EXPECT_EQ(story.front().kind, SpanKind::kQuery);
   bool saw_ack = false;
-  for (const TraceEvent& e : story) {
-    if (e.kind == TraceEventKind::kAckSent) {
+  for (const Span& s : story) {
+    if (s.kind == SpanKind::kAckLeg) {
       saw_ack = true;
-      EXPECT_EQ(e.subject, target);
-      EXPECT_EQ(e.other, source);
+      EXPECT_EQ(s.subject, target.value());
+      EXPECT_EQ(s.other, source.value());
     }
   }
   EXPECT_TRUE(saw_ack);

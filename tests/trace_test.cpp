@@ -1,73 +1,111 @@
-// Tests for the event trace: recording, filtering, CSV export, and the
-// protocol hooks that feed it.
+// Tests for the span trace: recording, filtering, the span-tree dump, and
+// the protocol hooks that feed it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "harness/digest.h"
 #include "harness/world.h"
 #include "trace/trace.h"
 
 namespace hlsrg {
 namespace {
 
-TraceEvent make_event(TraceEventKind kind, std::uint32_t subject,
-                      std::uint32_t query = 0) {
-  TraceEvent e;
-  e.time = SimTime::from_sec(1);
-  e.kind = kind;
-  e.subject = VehicleId{subject};
-  e.query_id = query;
-  return e;
+Span make_span(SpanKind kind, std::uint32_t subject,
+               std::uint32_t query = kNoQuery, SpanId parent = kNoSpan) {
+  Span s;
+  s.kind = kind;
+  s.subject = subject;
+  s.query_id = query;
+  s.parent = parent;
+  return s;
+}
+
+std::uint64_t count_kind(const TraceLog& log, SpanKind kind) {
+  return static_cast<std::uint64_t>(
+      std::count_if(log.spans().begin(), log.spans().end(),
+                    [kind](const Span& s) { return s.kind == kind; }));
+}
+
+// One span per event the run metrics count: query roots (and how they
+// closed), updates, notifications and ACK legs.
+void expect_count_laws(const TraceLog& trace, const RunMetrics& m,
+                       const char* protocol) {
+  ASSERT_EQ(trace.dropped_spans(), 0u) << protocol;
+  std::uint64_t roots = 0, ok = 0, failed = 0;
+  for (const Span& s : trace.spans()) {
+    if (s.kind != SpanKind::kQuery || s.parent != kNoSpan) continue;
+    ++roots;
+    if (s.status == SpanStatus::kOk) ++ok;
+    if (s.status == SpanStatus::kFailed) ++failed;
+  }
+  EXPECT_EQ(roots, m.queries_issued) << protocol;
+  EXPECT_EQ(ok, m.queries_succeeded) << protocol;
+  EXPECT_EQ(failed, m.queries_failed) << protocol;
+  EXPECT_EQ(count_kind(trace, SpanKind::kUpdate), m.update_packets_originated)
+      << protocol;
+  EXPECT_EQ(count_kind(trace, SpanKind::kNotification), m.notifications_sent)
+      << protocol;
+  EXPECT_EQ(count_kind(trace, SpanKind::kAckLeg), m.acks_sent) << protocol;
 }
 
 TEST(TraceLogTest, RecordAndCount) {
   TraceLog log;
-  log.record(make_event(TraceEventKind::kUpdateSent, 1));
-  log.record(make_event(TraceEventKind::kUpdateSent, 2));
-  log.record(make_event(TraceEventKind::kQueryIssued, 1, 7));
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.count(TraceEventKind::kUpdateSent), 2u);
-  EXPECT_EQ(log.count(TraceEventKind::kQueryIssued), 1u);
-  EXPECT_EQ(log.count(TraceEventKind::kAckSent), 0u);
-}
-
-TEST(TraceLogTest, FilterByVehicle) {
-  TraceLog log;
-  log.record(make_event(TraceEventKind::kUpdateSent, 1));
-  TraceEvent e = make_event(TraceEventKind::kQueryIssued, 2, 3);
-  e.other = VehicleId{1u};
-  log.record(e);
-  log.record(make_event(TraceEventKind::kUpdateSent, 5));
-  EXPECT_EQ(log.for_vehicle(VehicleId{1u}).size(), 2u);  // subject + other
-  EXPECT_EQ(log.for_vehicle(VehicleId{5u}).size(), 1u);
-  EXPECT_TRUE(log.for_vehicle(VehicleId{99u}).empty());
+  log.begin_span(make_span(SpanKind::kUpdate, 1), SimTime::from_sec(1));
+  log.begin_span(make_span(SpanKind::kUpdate, 2), SimTime::from_sec(1));
+  log.begin_span(make_span(SpanKind::kQuery, 1, 7), SimTime::from_sec(1));
+  EXPECT_EQ(log.span_count(), 3u);
+  EXPECT_EQ(count_kind(log, SpanKind::kUpdate), 2u);
+  EXPECT_EQ(count_kind(log, SpanKind::kQuery), 1u);
+  EXPECT_EQ(count_kind(log, SpanKind::kAckLeg), 0u);
 }
 
 TEST(TraceLogTest, FilterByQueryIgnoresNonQueryKinds) {
+  // Query id 0 is valid; spans outside any query carry kNoQuery.
   TraceLog log;
-  log.record(make_event(TraceEventKind::kUpdateSent, 1, 0));
-  log.record(make_event(TraceEventKind::kQueryIssued, 1, 0));
-  log.record(make_event(TraceEventKind::kQuerySucceeded, 1, 0));
-  log.record(make_event(TraceEventKind::kQueryIssued, 2, 1));
-  EXPECT_EQ(log.for_query(0).size(), 2u);
-  EXPECT_EQ(log.for_query(1).size(), 1u);
+  log.begin_span(make_span(SpanKind::kUpdate, 1), SimTime{});
+  const SpanId root =
+      log.begin_span(make_span(SpanKind::kQuery, 1, 0), SimTime{});
+  log.begin_span(make_span(SpanKind::kAckLeg, 4, 0, root), SimTime{});
+  log.begin_span(make_span(SpanKind::kQuery, 2, 1), SimTime{});
+  EXPECT_EQ(log.spans_for_query(0).size(), 2u);
+  EXPECT_EQ(log.spans_for_query(1).size(), 1u);
 }
 
-TEST(TraceLogTest, CsvHasHeaderAndRows) {
+TEST(TraceLogTest, SpanTreeTextKeepsBeginOrderAcrossInterleavedTrees) {
   TraceLog log;
-  log.record(make_event(TraceEventKind::kAckSent, 4, 9));
-  const std::string csv = log.to_csv();
-  EXPECT_NE(csv.find("time_s,kind,subject"), std::string::npos);
-  EXPECT_NE(csv.find("ack_sent"), std::string::npos);
-  EXPECT_NE(csv.find(",9"), std::string::npos);
+  const SpanId q1 = log.begin_span(make_span(SpanKind::kQuery, 1, 1),
+                                   SimTime::from_sec(1));
+  const SpanId q2 = log.begin_span(make_span(SpanKind::kQuery, 2, 2),
+                                   SimTime::from_sec(2));
+  // A child of the first root begun after the second root, with a child of
+  // its own begun after a leg of the second tree.
+  const SpanId route = log.begin_span(
+      make_span(SpanKind::kGpsrRoute, 11, 1, q1), SimTime::from_sec(3));
+  log.begin_span(make_span(SpanKind::kAckLeg, 22, 2, q2),
+                 SimTime::from_sec(4));
+  log.begin_span(make_span(SpanKind::kRadioHop, 12, kNoQuery, route),
+                 SimTime::from_sec(5));
+  log.begin_span(make_span(SpanKind::kUpdate, 3), SimTime::from_sec(6));
+  log.begin_span(make_span(SpanKind::kTableLookup, 13, 1, q1),
+                 SimTime::from_sec(7));
+  EXPECT_EQ(log.span_tree_text(),
+            "query [open] 1.000000s -> 1.000000s subject=1 query=1\n"
+            "  gpsr_route [open] 3.000000s -> 3.000000s subject=11 query=1\n"
+            "    radio_hop [open] 5.000000s -> 5.000000s subject=12\n"
+            "  table_lookup [open] 7.000000s -> 7.000000s subject=13 "
+            "query=1\n"
+            "query [open] 2.000000s -> 2.000000s subject=2 query=2\n"
+            "  ack_leg [open] 4.000000s -> 4.000000s subject=22 query=2\n"
+            "update [open] 6.000000s -> 6.000000s subject=3\n");
 }
 
-TEST(TraceEventNameTest, AllKindsNamed) {
-  for (auto kind : {TraceEventKind::kUpdateSent, TraceEventKind::kQueryIssued,
-                    TraceEventKind::kQuerySucceeded,
-                    TraceEventKind::kQueryFailed, TraceEventKind::kNotification,
-                    TraceEventKind::kAckSent, TraceEventKind::kTableHandoff,
-                    TraceEventKind::kTablePush}) {
-    EXPECT_STRNE(trace_event_name(kind), "unknown");
+TEST(SpanKindNameTest, AllKindsNamed) {
+  for (int k = 0; k <= static_cast<int>(SpanKind::kTablePush); ++k) {
+    EXPECT_STRNE(span_kind_name(static_cast<SpanKind>(k)), "unknown") << k;
   }
+  EXPECT_STREQ(span_kind_name(SpanKind::kTableHandoff), "table_handoff");
+  EXPECT_STREQ(span_kind_name(SpanKind::kTablePush), "table_push");
 }
 
 // --- protocol integration ---------------------------------------------------
@@ -78,29 +116,27 @@ TEST(TraceIntegrationTest, HlsrgRunEmitsCoherentTrace) {
   TraceLog trace;
   world.attach_trace(&trace);
   world.run();
+  expect_count_laws(trace, world.metrics(), "HLSRG");
 
-  const RunMetrics& m = world.metrics();
-  EXPECT_EQ(trace.count(TraceEventKind::kQueryIssued), m.queries_issued);
-  EXPECT_EQ(trace.count(TraceEventKind::kQuerySucceeded),
-            m.queries_succeeded);
-  EXPECT_EQ(trace.count(TraceEventKind::kQueryFailed), m.queries_failed);
-  EXPECT_EQ(trace.count(TraceEventKind::kUpdateSent),
-            m.update_packets_originated);
-  EXPECT_EQ(trace.count(TraceEventKind::kNotification), m.notifications_sent);
-  EXPECT_EQ(trace.count(TraceEventKind::kAckSent), m.acks_sent);
-
-  // Events are in nondecreasing time order (single-threaded DES).
-  for (std::size_t i = 1; i < trace.events().size(); ++i) {
-    EXPECT_GE(trace.events()[i].time, trace.events()[i - 1].time);
+  // Spans begin in nondecreasing time order (single-threaded DES).
+  for (std::size_t i = 1; i < trace.spans().size(); ++i) {
+    EXPECT_GE(trace.spans()[i].begin, trace.spans()[i - 1].begin);
   }
 
-  // Every successful query's trace reads issue -> ... -> success.
-  for (const TraceEvent& e : trace.events()) {
-    if (e.kind != TraceEventKind::kQuerySucceeded) continue;
-    const auto story = trace.for_query(e.query_id);
+  // Every successful query's story opens with its root, and no
+  // notification or ACK of it begins after it settled.
+  for (const Span& root : trace.spans()) {
+    if (root.kind != SpanKind::kQuery || root.status != SpanStatus::kOk) {
+      continue;
+    }
+    const auto story = trace.spans_for_query(root.query_id);
     ASSERT_GE(story.size(), 2u);
-    EXPECT_EQ(story.front().kind, TraceEventKind::kQueryIssued);
-    EXPECT_EQ(story.back().kind, TraceEventKind::kQuerySucceeded);
+    EXPECT_EQ(story.front().id, root.id);
+    for (const Span& s : story) {
+      if (s.kind == SpanKind::kNotification || s.kind == SpanKind::kAckLeg) {
+        EXPECT_LE(s.begin, root.end);
+      }
+    }
   }
 }
 
@@ -117,7 +153,8 @@ TEST(TraceIntegrationTest, DetachedTraceCostsNothing) {
             without.metrics().radio_broadcasts);
   EXPECT_EQ(with.metrics().queries_succeeded,
             without.metrics().queries_succeeded);
-  EXPECT_GT(trace.size(), 0u);
+  EXPECT_EQ(state_digest(with), state_digest(without));
+  EXPECT_GT(trace.span_count(), 0u);
 }
 
 TEST(TraceIntegrationTest, RlsmpAndFloodAlsoTrace) {
@@ -127,10 +164,9 @@ TEST(TraceIntegrationTest, RlsmpAndFloodAlsoTrace) {
     TraceLog trace;
     world.attach_trace(&trace);
     world.run();
-    EXPECT_GT(trace.count(TraceEventKind::kUpdateSent), 0u)
+    EXPECT_GT(count_kind(trace, SpanKind::kUpdate), 0u)
         << protocol_name(protocol);
-    EXPECT_EQ(trace.count(TraceEventKind::kQueryIssued),
-              world.metrics().queries_issued);
+    expect_count_laws(trace, world.metrics(), protocol_name(protocol));
   }
 }
 

@@ -112,9 +112,9 @@ TEST(WorkloadTest, HotspotTargetsOnlyHotVehicles) {
   TraceLog trace;
   world.attach_trace(&trace);
   world.run();
-  for (const TraceEvent& e : trace.events()) {
-    if (e.kind != TraceEventKind::kQueryIssued) continue;
-    EXPECT_LT(e.other.value(), 3u);
+  for (const Span& s : trace.spans()) {
+    if (s.kind != SpanKind::kQuery) continue;
+    EXPECT_LT(s.other, 3u);
   }
 }
 
