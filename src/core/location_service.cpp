@@ -31,7 +31,7 @@ void QueryTracker::succeed(QueryId id) {
   sim_->metrics().queries_succeeded++;
   sim_->metrics().query_latency.add(sim_->now() - r.issued);
   if (TraceLog* trace = sim_->trace()) {
-    trace->end_open_spans_for_query(id, sim_->now(), SpanStatus::kOk);
+    trace->end_open_spans_for_query(r.span, sim_->now(), SpanStatus::kOk);
   }
 }
 
@@ -44,7 +44,7 @@ void QueryTracker::fail(QueryId id) {
   r.completed = sim_->now();
   sim_->metrics().queries_failed++;
   if (TraceLog* trace = sim_->trace()) {
-    trace->end_open_spans_for_query(id, sim_->now(), SpanStatus::kFailed);
+    trace->end_open_spans_for_query(r.span, sim_->now(), SpanStatus::kFailed);
   }
 }
 

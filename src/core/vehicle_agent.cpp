@@ -185,7 +185,7 @@ void HlsrgVehicleAgent::leave_center() {
   push_table_to_l2();
   // Duty is over: release, don't clear — at scale most vehicles are
   // ex-centers, and each clear()'d table would keep its peak capacity
-  // (pages + index + wheel) alive for the rest of the run.
+  // (records + index) alive for the rest of the run.
   table_.release();
 }
 

@@ -91,9 +91,12 @@ void TraceLog::end_span(SpanId id, SimTime end, SpanStatus status,
   if (value >= 0) s.value = value;
 }
 
-void TraceLog::end_open_spans_for_query(std::uint32_t query_id, SimTime end,
+void TraceLog::end_open_spans_for_query(SpanId root, SimTime end,
                                         SpanStatus status) {
-  for (Span& s : spans_) {
+  if (root == kNoSpan || root > spans_.size()) return;
+  const std::uint32_t query_id = spans_[root - 1].query_id;
+  for (std::size_t i = root - 1; i < spans_.size(); ++i) {
+    Span& s = spans_[i];
     if (s.query_id != query_id || s.status != SpanStatus::kOpen) continue;
     s.status = status;
     s.end = end;

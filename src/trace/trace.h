@@ -45,10 +45,12 @@ class TraceLog {
   void end_span(SpanId id, SimTime end, SpanStatus status,
                 Vec2 end_pos = Vec2{}, std::int32_t value = -1);
 
-  // Closes every still-open span carrying `query_id` (root + in-flight
-  // legs) with the query's outcome — called when a query settles.
-  void end_open_spans_for_query(std::uint32_t query_id, SimTime end,
-                                SpanStatus status);
+  // Closes every still-open span carrying the query id of `root` (root +
+  // in-flight legs) with the query's outcome — called when a query
+  // settles. Scans from `root` on, since no span of a query begins before
+  // its root; a kNoSpan root (dropped by the cap, which then drops every
+  // later span too) is a no-op.
+  void end_open_spans_for_query(SpanId root, SimTime end, SpanStatus status);
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
   [[nodiscard]] std::size_t span_count() const { return spans_.size(); }

@@ -25,12 +25,15 @@
 // The index only maps keys to dense slots, so dense order — and with it
 // unsorted_records(), purges and merges — is the same under either one.
 //
-// Expiry runs off an ExpiryWheel armed once per live record (on insert,
-// re-armed lazily at purge time when a surfaced record turns out fresh), so
-// a purge costs O(surfaced items) instead of O(table) and the wheel holds
-// ~one 16-byte item per record instead of one per update. The live record's
-// timestamp always decides eviction with the full-scan predicate
-// (time + expiry < now), so eviction sets and times equal a scan's.
+// Expiry is a linear sweep behind a skip test, like the Purge() of ns-3
+// GPSR's PositionTable. The table keeps min_time_, a lower bound on its
+// records' times: an insert lowers it, while an overwrite only raises a
+// record's time and an erase only removes records, so neither can break
+// it. purge() returns at once while the cutoff is at or below the bound,
+// and otherwise makes one pass that evicts with the predicate
+// time + expiry < now and then tightens the bound to the survivors' minimum.
+// A sweep is cheap where it runs: every periodic purge is followed by an
+// O(table) copy or sort of the same table anyway.
 //
 // A find() pointer stays valid until the next record(), merge(), erase()
 // or purge() on the same table: an insert may reallocate the vector, and
@@ -45,13 +48,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/time.h"
-#include "util/expiry_wheel.h"
 #include "util/open_address_map.h"
 
 namespace hlsrg {
@@ -66,11 +69,7 @@ class FreshnessTable {
   using Key = std::remove_cvref_t<decltype(std::declval<const Rec&>().*KeyOf)>;
 
   // Inserts/overwrites if `rec` is newer than any existing entry. Only an
-  // insert arms the wheel: updates just advance the live timestamp, and
-  // purge() re-arms fresh records when their item surfaces. That keeps the
-  // wheel at ~one item per live record instead of one per update — under
-  // beacon-rate traffic the per-update items were the table's dominant
-  // footprint (nothing expires inside a short run, so they never drained).
+  // insert can lower min_time_; an overwrite only ever raises a time.
   void record(const Rec& rec) {
     const std::uint64_t k = key_of(rec);
     if (!direct_.empty() && !extend_direct(k)) to_hashed();
@@ -88,7 +87,7 @@ class FreshnessTable {
       max_key_ = std::max(max_key_, k);
       if (max_key_ < index_.bytes() / sizeof(std::uint32_t)) to_direct();
     }
-    wheel_.note(k, records_.back().time.us());
+    min_time_ = std::min(min_time_, rec.time.us());
   }
 
   // Removes the record for `k`. The last record swap-pops into the hole,
@@ -116,31 +115,23 @@ class FreshnessTable {
   }
 
   // Evicts entries older than `expiry` relative to `now`; returns count.
-  // O(records whose armed time the cutoff passed), not O(table). An item
-  // surfaces when the cutoff passes the time it was armed at; the LIVE
-  // record's timestamp then decides. A record's armed time never exceeds
-  // its live time, so `live < cutoff` implies its item surfaces in the
-  // same drain — eviction sets and times are bit-identical to the full
-  // scan's `time + expiry < now`. Fresh records re-arm at their current
-  // timestamp (outside the drain: note() mutates the bucket list); erased
-  // keys' stale items simply drop.
+  // O(1) while no record can be older than the cutoff, else one O(table)
+  // pass. Eviction sets and times are those of a scan on every call.
   std::size_t purge(SimTime now, SimTime expiry) {
     const std::int64_t cutoff = (now - expiry).us();
-    std::size_t purged = 0;
-    rearm_.clear();
-    wheel_.drain(cutoff, [&](std::uint64_t key, std::int64_t /*armed*/) {
-      const Key k{static_cast<typename Key::underlying_type>(key)};
-      const Rec* rec = find(k);
-      if (rec == nullptr) return;
-      if (rec->time.us() < cutoff) {
-        erase(k);
-        ++purged;
+    if (cutoff <= min_time_) return 0;
+    const std::size_t before = records_.size();
+    min_time_ = kNoTime;
+    for (std::size_t i = 0; i < records_.size();) {
+      const std::int64_t time = records_[i].time.us();
+      if (time < cutoff) {
+        erase(records_[i].*KeyOf);  // swap-pops an unvisited record into i
       } else {
-        rearm_.push_back(ExpiryWheel::Item{key, rec->time.us()});
+        min_time_ = std::min(min_time_, time);
+        ++i;
       }
-    });
-    for (const ExpiryWheel::Item& it : rearm_) wheel_.note(it.key, it.time);
-    return purged;
+    }
+    return before - records_.size();
   }
 
   // Canonical key-sorted copy (wire payloads, neighbor lists, digests).
@@ -169,7 +160,7 @@ class FreshnessTable {
     index_.clear();
     std::fill(direct_.begin(), direct_.end(), kNoSlot);
     max_key_ = 0;
-    wheel_.clear();
+    min_time_ = kNoTime;
   }
 
   // clear() plus returning all capacity to the OS. For tables whose duty
@@ -181,14 +172,13 @@ class FreshnessTable {
     index_.release();
     direct_ = std::vector<std::uint32_t>{};
     max_key_ = 0;
-    wheel_.release();
-    rearm_ = std::vector<ExpiryWheel::Item>{};
+    min_time_ = kNoTime;
   }
 
-  // Heap footprint: record vector + key index + pending wheel items.
+  // Heap footprint: record vector + key index.
   [[nodiscard]] std::size_t bytes() const {
     return records_.capacity() * sizeof(Rec) + index_.bytes() +
-           direct_.capacity() * sizeof(std::uint32_t) + wheel_.bytes();
+           direct_.capacity() * sizeof(std::uint32_t);
   }
 
   // True while the key index is the direct slot array (tests).
@@ -196,6 +186,9 @@ class FreshnessTable {
 
  private:
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  // min_time_ of an empty table: above every time, so purge() skips.
+  static constexpr std::int64_t kNoTime =
+      std::numeric_limits<std::int64_t>::max();
 
   static std::uint64_t key_of(const Rec& rec) { return (rec.*KeyOf).value(); }
 
@@ -256,8 +249,8 @@ class FreshnessTable {
   // Largest key inserted into the hashed index since the last clear() or
   // release().
   std::uint64_t max_key_ = 0;
-  ExpiryWheel wheel_;
-  std::vector<ExpiryWheel::Item> rearm_;  // reused purge scratch
+  // Lower bound on every record's time (us); kNoTime when empty.
+  std::int64_t min_time_ = kNoTime;
 };
 
 }  // namespace hlsrg

@@ -1,9 +1,9 @@
 // Tests for the million-entity memory layer (DESIGN.md §15): the freshness
 // table's dense record vector and key index fuzzed against std::map, its
 // footprint bound, the open-addressing map's tombstone compaction fuzzed
-// against std::unordered_map, the expiry wheel against the full-scan
-// eviction predicate, the freshness table over a NodeId key, and the
-// per-query state with its bound on a hotspot-shaped world.
+// against std::unordered_map, the lower-bound purge against a full-scan
+// eviction model, the freshness table over a NodeId key, and the per-query
+// state with its bound on a hotspot-shaped world.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "core/vehicle_agent.h"
 #include "harness/world.h"
 #include "rlsmp/rlsmp_agent.h"
-#include "util/expiry_wheel.h"
 #include "util/freshness_table.h"
 #include "util/open_address_map.h"
 
@@ -119,7 +118,7 @@ TEST(ArenaTableTest, ReleaseReturnsAllMemoryAndTheTableStaysUsable) {
   EXPECT_GT(table.bytes(), 0u);
   table.release();
   EXPECT_TRUE(table.empty());
-  // Unlike clear(), release() returns the records, index and wheel.
+  // Unlike clear(), release() returns the records and the index.
   EXPECT_EQ(table.bytes(), 0u);
   upsert(table, 42, 7);
   EXPECT_EQ(table.find(probe_key(42))->value, 7u);
@@ -266,8 +265,8 @@ TEST(ArenaTableTest, DirectIndexFollowsTheByteRule) {
   ProbeTable sparse;
   for (std::uint64_t k = 0; k < 2000; ++k) upsert(sparse, k * 1000, k);
   EXPECT_FALSE(sparse.direct_indexed());
-  // Same record count and wheel items, so the footprints differ by the
-  // index alone: the slot array spans at most twice the 3000 key values.
+  // Same record count, so the footprints differ by the index alone: the
+  // slot array spans at most twice the 3000 key values.
   EXPECT_LE(dense.bytes() + Index::bytes_for(2000),
             sparse.bytes() + 2 * sizeof(std::uint32_t) * 3000);
   // A key just past the span grows the array in place.
@@ -302,13 +301,10 @@ TEST(FreshnessTableTest, RecordAcceptsARecordOfItsOwn) {
 
 TEST(FreshnessTableTest, FootprintStaysNearTheRecords) {
   // Bound per table of n location records: the record vector at below
-  // twice n (any growth factor up to 2), one 16 B wheel item per record
-  // with the same slack, the hash index of n keys (a direct index is only
-  // chosen when it costs no more) and one 64 B wheel bucket. 3 records is
-  // a per-vehicle L1 table, 150 an L2 table, 8,000 a near-fleet L3 table.
+  // twice n (any growth factor up to 2) and the hash index of n keys (a
+  // direct index is only chosen when it costs no more). 3 records is a
+  // per-vehicle L1 table, 150 an L2 table, 8,000 a near-fleet L3 table.
   using Index = OpenAddressMap<std::uint64_t, std::uint32_t>;
-  constexpr std::size_t kWheelItem = sizeof(ExpiryWheel::Item);
-  static_assert(kWheelItem == 16);
   for (const std::size_t n : {std::size_t{3}, std::size_t{150},
                               std::size_t{8000}}) {
     L1Table table;
@@ -319,8 +315,7 @@ TEST(FreshnessTableTest, FootprintStaysNearTheRecords) {
       table.record(rec);
     }
     ASSERT_EQ(table.size(), n);
-    const std::size_t bound =
-        n * 2 * (sizeof(L1Record) + kWheelItem) + Index::bytes_for(n) + 64;
+    const std::size_t bound = n * 2 * sizeof(L1Record) + Index::bytes_for(n);
     EXPECT_LE(table.bytes(), bound) << n << " records";
   }
 }
@@ -410,82 +405,99 @@ TEST(OpenAddressMapTest, TryInsertReportsWhetherItInserted) {
   EXPECT_EQ(map.size(), 1u);
 }
 
-// --- ExpiryWheel -----------------------------------------------------------
+// --- LocationTable purge = lower-bound skip + full sweep -------------------
 
-TEST(ExpiryWheelTest, DrainMatchesFullScanPredicate) {
-  // The wheel must evict exactly the full-scan set {time < cutoff}, across
-  // bucket boundaries and with out-of-order notes (handoff merges backfill
-  // old timestamps).
-  ExpiryWheel wheel;
-  std::vector<std::pair<std::uint64_t, std::int64_t>> pending;
-  Mix64 rng{7};
-  for (int round = 1; round <= 40; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      const std::uint64_t key = rng.next() % 1000;
-      const std::int64_t time =
-          static_cast<std::int64_t>(rng.next() % 5000000) +
-          static_cast<std::int64_t>(round) * 2000000;
-      wheel.note(key, time);
-      pending.emplace_back(key, time);
-    }
-    const std::int64_t cutoff = static_cast<std::int64_t>(round) * 2000000;
-    std::vector<std::pair<std::uint64_t, std::int64_t>> drained;
-    wheel.drain(cutoff, [&](std::uint64_t key, std::int64_t time) {
-      drained.emplace_back(key, time);
-    });
-    std::vector<std::pair<std::uint64_t, std::int64_t>> expected;
-    std::vector<std::pair<std::uint64_t, std::int64_t>> survivors;
-    for (const auto& item : pending) {
-      (item.second < cutoff ? expected : survivors).push_back(item);
-    }
-    std::sort(drained.begin(), drained.end());
-    std::sort(expected.begin(), expected.end());
-    ASSERT_EQ(drained, expected) << "round " << round;
-    pending = std::move(survivors);
-    ASSERT_EQ(wheel.pending(), pending.size());
-  }
-}
-
-// --- LocationTable purge = wheel drain + live-record confirmation ----------
-
-TEST(LocationTableTest, WheelPurgeMatchesFullScanEviction) {
-  // End-to-end equivalence on the real table: record() overwrites make wheel
-  // items stale, and purge() must still evict exactly the records the old
-  // O(table) scan would have (time + expiry < now).
+TEST(LocationTableTest, PurgeMatchesFullScanEviction) {
+  // purge() skips while its lower bound on record times says nothing can
+  // expire; the model below scans every record on every purge. They must
+  // evict the same records (time + expiry < now) under overwrites, erases,
+  // a different expiry per purge, clear()/release() followed by a refill
+  // older than the old bound, and merges that backfill records older than
+  // the current bound.
   L1Table table;
   std::map<VehicleId, L1Record> model;
   Mix64 rng{21};
   SimTime now = SimTime::from_sec(0.0);
-  const SimTime expiry = SimTime::from_sec(132.0);
-  for (int round = 0; round < 120; ++round) {
+  const auto model_record = [&](const L1Record& rec) {
+    const auto it = model.find(rec.vehicle);
+    if (it == model.end() || it->second.time < rec.time) {
+      model[rec.vehicle] = rec;
+    }
+  };
+  const auto record = [&](const L1Record& rec) {
+    table.record(rec);
+    model_record(rec);
+  };
+  // A record for a random key, timestamped up to `behind_ms` before now.
+  const auto make = [&](int round, int i, std::uint64_t behind_ms) {
+    L1Record rec;
+    rec.vehicle = VehicleId{static_cast<std::uint32_t>(rng.next() % 400)};
+    rec.time =
+        now - SimTime::from_ms(static_cast<double>(rng.next() % behind_ms));
+    rec.pos = Vec2{static_cast<double>(round), static_cast<double>(i)};
+    return rec;
+  };
+  for (int round = 0; round < 200; ++round) {
     now = now + SimTime::from_sec(10.0);
-    for (int i = 0; i < 50; ++i) {
-      L1Record rec;
-      rec.vehicle = VehicleId{static_cast<std::uint32_t>(rng.next() % 400)};
-      // Timestamps jitter up to 200 s behind `now`: some records arrive
-      // already expired, some lose the newest-wins race.
-      rec.time = now - SimTime::from_ms(static_cast<double>(rng.next() % 200000));
-      rec.pos = Vec2{static_cast<double>(round), static_cast<double>(i)};
-      table.record(rec);
-      const auto it = model.find(rec.vehicle);
-      if (it == model.end() || it->second.time < rec.time) {
-        model[rec.vehicle] = rec;
+    if (round % 40 == 39) {
+      // Reset, then refill with records older than any held before: they
+      // must expire on time, whatever bound the reset left behind.
+      if (round % 80 == 39) {
+        table.clear();
+      } else {
+        table.release();
+      }
+      model.clear();
+      for (int i = 0; i < 100; ++i) {
+        L1Record rec = make(round, i, 100000);
+        rec.time = rec.time - SimTime::from_sec(200.0);
+        record(rec);
       }
     }
-    table.purge(now, expiry);
+    for (int i = 0; i < 50; ++i) {
+      const std::uint64_t op = rng.next() % 10;
+      if (op == 0) {
+        const VehicleId k{static_cast<std::uint32_t>(rng.next() % 400)};
+        table.erase(k);
+        model.erase(k);
+      } else if (op == 1) {
+        // A hand-off payload: records far older than the table's newest,
+        // many older than its bound, some already expired.
+        std::vector<L1Record> payload;
+        for (int j = 0; j < 8; ++j) {
+          L1Record rec = make(round, i, 150000);
+          rec.time = rec.time - SimTime::from_sec(100.0);
+          payload.push_back(rec);
+        }
+        table.merge(payload);
+        for (const L1Record& rec : payload) model_record(rec);
+      } else {
+        // Timestamps jitter up to 200 s behind `now`: some records arrive
+        // already expired, some lose the newest-wins race.
+        record(make(round, i, 200000));
+      }
+    }
+    // A different horizon per purge: the bound is on record times, so it
+    // must not assume one fixed expiry.
+    const SimTime expiry =
+        SimTime::from_sec(30.0 + static_cast<double>(rng.next() % 270));
+    std::size_t evicted = 0;
     for (auto it = model.begin(); it != model.end();) {
       if (it->second.time < now - expiry) {
         it = model.erase(it);
+        ++evicted;
       } else {
         ++it;
       }
     }
+    ASSERT_EQ(table.purge(now, expiry), evicted) << "round " << round;
     ASSERT_EQ(table.size(), model.size()) << "round " << round;
     for (const auto& [vehicle, rec] : model) {
       const L1Record* got = table.find(vehicle);
       ASSERT_NE(got, nullptr);
       EXPECT_EQ(got->time.us(), rec.time.us());
       EXPECT_EQ(got->pos.x, rec.pos.x);
+      EXPECT_EQ(got->pos.y, rec.pos.y);
     }
   }
 }

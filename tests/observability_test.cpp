@@ -135,7 +135,7 @@ TEST(SpanLogTest, EndSpanIsIdempotent) {
   ASSERT_NE(id, kNoSpan);
   log.end_span(id, SimTime::from_sec(2.0), SpanStatus::kOk, Vec2{}, 4);
   // A later settle sweep must not relabel the self-closed leg.
-  log.end_open_spans_for_query(3, SimTime::from_sec(9.0), SpanStatus::kFailed);
+  log.end_open_spans_for_query(id, SimTime::from_sec(9.0), SpanStatus::kFailed);
   const Span* got = log.span(id);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->status, SpanStatus::kOk);
@@ -157,7 +157,11 @@ TEST(SpanLogTest, SettleSweepClosesOpenSpansOfQuery) {
   Span unrelated;
   unrelated.kind = SpanKind::kRadioHop;  // transport: query_id stays kNoQuery
   const SpanId u = log.begin_span(unrelated, SimTime::from_sec(0.6));
-  log.end_open_spans_for_query(7, SimTime::from_sec(2.0), SpanStatus::kOk);
+  // A query whose root the cap dropped has no spans to close.
+  log.end_open_spans_for_query(kNoSpan, SimTime::from_sec(1.0),
+                               SpanStatus::kFailed);
+  EXPECT_EQ(log.span(r)->status, SpanStatus::kOpen);
+  log.end_open_spans_for_query(r, SimTime::from_sec(2.0), SpanStatus::kOk);
   EXPECT_EQ(log.span(r)->status, SpanStatus::kOk);
   EXPECT_EQ(log.span(l)->status, SpanStatus::kOk);
   EXPECT_EQ(log.span(l)->end, SimTime::from_sec(2.0));
