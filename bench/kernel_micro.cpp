@@ -317,7 +317,7 @@ void BM_MobilityTick(benchmark::State& state) {
   mob.start();
   double t = 0.0;
   for (auto _ : state) {
-    t += cfg.tick_sec;
+    t += kMobilityTickSec;
     sim.run_until(SimTime::from_sec(t));
   }
   state.SetItemsProcessed(8000 * state.iterations());

@@ -54,7 +54,6 @@ ScenarioConfig base_scenario(int vehicles) {
   cfg.warmup = SimTime::from_sec(40.0);
   cfg.query_window = SimTime::from_sec(25.0);
   cfg.grace = SimTime::from_sec(40.0);
-  cfg.service.enabled = true;
   cfg.service.hotspot_fraction = 0.8;
   // Per-lookup serving cost at each RSU — the finite resource the sweep
   // saturates. ~40 lookups/sec per RSU; the upstream L3 is the bottleneck.

@@ -114,11 +114,8 @@ int main(int argc, char** argv) {
                 "disable the role table-handoff protocol (churn control: "
                 "successors rebuild from beacons only)",
                 &no_handoff);
-  args.add_flag("--service-tier",
-                "enable the heavy-traffic service tier (src/service)",
-                &cfg.service.enabled);
   args.add_double("--open-loop-rate", "R",
-                  "open-loop Poisson arrivals per second (needs --service-tier)",
+                  "open-loop Poisson arrivals per second",
                   &cfg.service.open_loop_rate_per_sec);
   args.add_double("--open-loop-ramp", "R",
                   "open-loop rate ramp in arrivals/s^2",
@@ -318,7 +315,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.wired_drops),
                 static_cast<unsigned long long>(m.rsu_suppressed));
   }
-  if (cfg.service.enabled) {
+  if (cfg.service.active()) {
     std::printf("service:    %llu offered, %llu shed (+%llu retry sheds), "
                 "served %.1f%%, peak %llu outstanding\n",
                 static_cast<unsigned long long>(m.queries_offered),
@@ -372,7 +369,7 @@ int main(int argc, char** argv) {
     doc.set("schema", "hlsrg-run/v1");
     doc.set("replicas", replicas);
     doc.set("derived",
-            derived_metrics_json(metrics, cfg.service.enabled,
+            derived_metrics_json(metrics, cfg.service.active(),
                                  static_cast<std::size_t>(replicas),
                                  directions));
     JsonValue per_replica = JsonValue::array();

@@ -91,12 +91,9 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
                          "<= l2 <= l3");
   }
 
-  const SimTime l1_max =
-      cfg.l1_expiry + cfg.l2_push_period + cfg.l2_push_period;
-  const SimTime l2_max =
-      cfg.l2_expiry + cfg.l2_push_period + cfg.l2_push_period;
-  const SimTime l3_max =
-      cfg.l3_expiry + cfg.l3_gossip_period + cfg.l3_gossip_period;
+  const SimTime l1_max = cfg.l1_expiry + kL2PushPeriod + kL2PushPeriod;
+  const SimTime l2_max = cfg.l2_expiry + kL2PushPeriod + kL2PushPeriod;
+  const SimTime l3_max = cfg.l3_expiry + kL3GossipPeriod + kL3GossipPeriod;
 
   for (const auto& agent : svc->rsu_agents()) {
     const std::string where =

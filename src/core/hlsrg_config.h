@@ -1,6 +1,8 @@
 // Tunables for the HLSRG protocol. Defaults follow the paper where it gives
-// numbers (expiry times, back-off windows, the 5 s retry); the rest are
-// engineering choices documented inline and swept by the ablation benches.
+// numbers (expiry times, the 5 s retry); the rest are engineering choices
+// documented inline and swept by the ablation benches. The back-off
+// election windows are fixed by the paper (election_backoff in
+// core/query_state.h).
 #pragma once
 
 #include "sim/time.h"
@@ -15,37 +17,13 @@ struct HlsrgConfig {
   // intersection plus red-light queues on its four approaches, and keeps the
   // expected center occupancy around two vehicles at the paper's densities.
   double center_radius_m = 150.0;
-  // How far ahead of the recorded position the directional road geocast
-  // searches for the destination. 2.2 min of travel at ~30 km/h is ~1100 m.
-  double search_ahead_m = 1200.0;
-  // Corridor half-width for the road geocast; covers the road plus adjacent
-  // queueing space at intersections.
-  double corridor_half_width_m = 60.0;
-  // Extra slack behind the recorded position (the destination may have been
-  // updated slightly ahead of where it now is after queueing).
-  double corridor_behind_m = 150.0;
 
   // --- table freshness (paper 2.2.2) --------------------------------------
   SimTime l1_expiry = SimTime::from_min(2.2);
   SimTime l2_expiry = SimTime::from_min(2.2);
   SimTime l3_expiry = SimTime::from_min(4.4);
 
-  // --- aggregation cadence -------------------------------------------------
-  // L2 RSUs push summaries to their L3 RSU "periodically" (paper); cadence
-  // is an engineering choice.
-  SimTime l2_push_period = SimTime::from_sec(10.0);
-  // L3 RSUs exchange summaries so "any Level 3 RSU owns vehicle's
-  // information"; realized as periodic neighbor gossip.
-  SimTime l3_gossip_period = SimTime::from_sec(15.0);
-
   // --- query handling (paper 2.3) ------------------------------------------
-  // Back-off election at the L1 center: holders draw slots 0..15, non-holders
-  // 17..31 ("bit times" in the paper; one slot here is a contention slot).
-  SimTime election_slot = SimTime::from_ms(0.2);
-  int holder_slots_lo = 0;
-  int holder_slots_hi = 15;
-  int nonholder_slots_lo = 17;
-  int nonholder_slots_hi = 31;
   // "a vehicle can send a location request packet to its nearest Level 3 RSU
   // directly if it doesn't receive an ACK after sending a request packet 5
   // seconds".
@@ -98,6 +76,13 @@ struct HlsrgConfig {
   // die and queries can only be served from L1 centers (A2 ablation).
   bool use_rsus = true;
 };
+
+// L2 RSUs push summaries to their L3 RSU "periodically" (paper 2.2.2); L3
+// RSUs exchange summaries so "any Level 3 RSU owns vehicle's information",
+// realized as periodic neighbor gossip. Both cadences are engineering
+// choices.
+inline constexpr SimTime kL2PushPeriod = SimTime::from_sec(10.0);
+inline constexpr SimTime kL3GossipPeriod = SimTime::from_sec(15.0);
 
 // Timeout armed for query attempt k (1-based): ack_timeout * base^(k-1),
 // capped. Exactly ack_timeout for every attempt when base == 1.0.

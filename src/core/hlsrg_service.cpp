@@ -7,6 +7,17 @@
 
 namespace hlsrg {
 
+// Road geocast of a notification whose target last updated on an artery:
+// it searches this far ahead of the recorded position (2.2 min of travel
+// at ~30 km/h is ~1100 m).
+constexpr double kSearchAheadM = 1200.0;
+// Corridor half-width: the road plus adjacent queueing space at
+// intersections. Also the margin of the L1-grid flood.
+constexpr double kCorridorHalfWidthM = 60.0;
+// Slack behind the recorded position (the destination may have been
+// updated slightly ahead of where it now is after queueing).
+constexpr double kCorridorBehindM = 150.0;
+
 HlsrgService::HlsrgService(Simulator& sim, const RoadNetwork& net,
                            const GridHierarchy& hierarchy,
                            MobilityModel& mobility, NodeRegistry& registry,
@@ -26,8 +37,8 @@ HlsrgService::HlsrgService(Simulator& sim, const RoadNetwork& net,
       cfg_(cfg),
       rules_(net, hierarchy, mobility.turn_policy(), cfg_),
       tracker_(sim) {
-  HLSRG_CHECK_MSG(!cfg_.use_rsus || rsus_ != nullptr,
-                  "use_rsus requires a deployed RsuGrid");
+  HLSRG_CHECK_MSG(cfg_.use_rsus == (rsus_ != nullptr),
+                  "use_rsus must match whether an RsuGrid is deployed");
 
   l1_cols_ = hierarchy.cols(GridLevel::kL1);
   const int l1_rows = hierarchy.rows(GridLevel::kL1);
@@ -62,7 +73,7 @@ HlsrgService::HlsrgService(Simulator& sim, const RoadNetwork& net,
   }
 
   // RSU agents (sinks installed onto the infra-registered nodes).
-  if (rsus_ != nullptr && cfg_.use_rsus) {
+  if (rsus_ != nullptr) {
     rsu_agents_.reserve(rsus_->all().size());
     for (const RsuGrid::Rsu& r : rsus_->all()) {
       rsu_agents_.emplace_back(*this, r.id, r.level, r.coord, r.node);
@@ -75,8 +86,7 @@ HlsrgService::HlsrgService(Simulator& sim, const RoadNetwork& net,
   // go dark) and reacts to the parking lifecycle. Constructed only when the
   // knob is on, so fixed-RSU runs carry no churn state at all.
   if (cfg_.parked_rsu_hosting) {
-    HLSRG_CHECK_MSG(rsus_ != nullptr && cfg_.use_rsus,
-                    "parked_rsu_hosting requires RSUs");
+    HLSRG_CHECK_MSG(rsus_ != nullptr, "parked_rsu_hosting requires RSUs");
     churn_ = std::make_unique<ChurnManager>(*this);
   }
 
@@ -139,7 +149,7 @@ void HlsrgService::configure_tier(const ServiceTierConfig& cfg) {
 std::int64_t HlsrgService::mark_epoch() const {
   SimTime h;
   for (int k = 1; k <= cfg_.max_attempts; ++k) h += retry_timeout(cfg_, k);
-  if (tier_.enabled && tier_.rsu_lookup_time > SimTime{}) {
+  if (tier_.rsu_lookup_time > SimTime{}) {
     if (tier_.max_outstanding == 0) return 0;
     h += SimTime::from_us(tier_.rsu_lookup_time.us() *
                           static_cast<std::int64_t>(tier_.max_outstanding));
@@ -149,9 +159,7 @@ std::int64_t HlsrgService::mark_epoch() const {
 
 std::optional<QueryTracker::QueryId> HlsrgService::serve_cached(
     VehicleId src, VehicleId dst) {
-  if (!tier_.enabled || !tier_.caching || rsus_ == nullptr || !cfg_.use_rsus) {
-    return std::nullopt;
-  }
+  if (!tier_.caching || rsus_ == nullptr) return std::nullopt;
   // Only the source's home L2 RSU is worth a detour: the first attempt
   // already passes near it, so a warm cache there turns the whole hierarchy
   // walk into one radio round-trip.
@@ -268,8 +276,8 @@ void HlsrgService::send_notification(NodeId origin,
     // server, so the notification is routed there first and the corridor
     // flood starts from whichever node is found nearby.
     const GeocastRegion region = GeocastRegion::corridor(
-        target_record.pos, target_record.dir, cfg_.corridor_half_width_m,
-        cfg_.search_ahead_m, cfg_.corridor_behind_m);
+        target_record.pos, target_record.dir, kCorridorHalfWidthM,
+        kSearchAheadM, kCorridorBehindM);
     gpsr_->send(
         origin, target_record.pos, std::nullopt, pkt,
         &metrics().query_transmissions,
@@ -283,7 +291,7 @@ void HlsrgService::send_notification(NodeId origin,
     // this Level 1 grid"; flood the grid.
     const GeocastRegion region = GeocastRegion::from_box(
         hierarchy_->cell_box(target_record.l1, GridLevel::kL1),
-        /*margin=*/cfg_.corridor_half_width_m);
+        /*margin=*/kCorridorHalfWidthM);
     geocast_->flood(origin, pkt, region, &metrics().query_transmissions);
   }
 }

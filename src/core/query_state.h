@@ -1,7 +1,8 @@
 // One agent's bookkeeping for the queries it takes part in, shared by the
 // HLSRG, RLSMP and FLOOD vehicle agents and the HLSRG RSUs (DESIGN.md
 // §15): armed back-off elections, own-query ACK timeouts, and one-shot
-// dedup marks.
+// dedup marks. Beside it, the back-off delay both protocols' elections
+// draw.
 //
 // Timers are few at once: one unsorted vector, linear find, swap-pop
 // erase. A mark is one u64, the key in the low 56 bits and its kind in the
@@ -21,10 +22,24 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/rng.h"
 #include "sim/time.h"
 #include "util/check.h"
 
 namespace hlsrg {
+
+// Back-off election at a center (paper 2.3.2, same for RLSMP's LSCs): a
+// vehicle holding the target's record waits 0..15 slots, any other 17..31,
+// so a holder always answers first. One draw from `rng`. The paper counts
+// "bit times"; one slot here is a 0.2 ms contention slot.
+inline constexpr SimTime kElectionSlot = SimTime::from_ms(0.2);
+
+[[nodiscard]] inline SimTime election_backoff(Rng& rng, bool holder) {
+  const int lo = holder ? 0 : 17;
+  const int hi = holder ? 15 : 31;
+  const auto slots = rng.uniform_int(lo, hi);
+  return SimTime::from_us(kElectionSlot.us() * slots);
+}
 
 class QueryState {
  public:

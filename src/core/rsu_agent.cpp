@@ -14,16 +14,15 @@ HlsrgRsuAgent::HlsrgRsuAgent(HlsrgService& service, RsuId rsu, GridLevel level,
 
 void HlsrgRsuAgent::start_timers() {
   if (level_ == GridLevel::kL2) {
-    svc_->sim().schedule_after(svc_->cfg().l2_push_period,
-                               [this] { push_summary_to_l3(); });
+    svc_->sim().schedule_after(kL2PushPeriod, [this] { push_summary_to_l3(); });
   } else {
-    svc_->sim().schedule_after(svc_->cfg().l3_gossip_period,
+    svc_->sim().schedule_after(kL3GossipPeriod,
                                [this] { gossip_to_neighbors(); });
   }
 }
 
 void HlsrgRsuAgent::configure_tier(const ServiceTierConfig& cfg) {
-  if (cfg.enabled && cfg.caching) {
+  if (cfg.caching) {
     cache_.configure(cfg.cache_ttl, cfg.cache_capacity);
   } else {
     cache_.configure(cfg.cache_ttl, 0);  // capacity 0 = never fills
@@ -224,8 +223,7 @@ void HlsrgRsuAgent::dispatch_query(const QueryPayload& query) {
 }
 
 void HlsrgRsuAgent::schedule_lookup(std::function<void()> lookup) {
-  const SimTime cost =
-      svc_->tier().enabled ? svc_->tier().rsu_lookup_time : SimTime{};
+  const SimTime cost = svc_->tier().rsu_lookup_time;
   if (!(cost > SimTime{})) {
     lookup();
     return;
@@ -252,7 +250,7 @@ void HlsrgRsuAgent::invalidate_cache(VehicleId vehicle, SimTime fresh_time) {
 
 void HlsrgRsuAgent::send_cache_fill(const L1Record& record,
                                     const QueryPayload& query) {
-  if (!svc_->tier().enabled || !svc_->tier().caching) return;
+  if (!svc_->tier().caching) return;
   if (!query.via_rsu.valid() || query.via_rsu == node_) return;
   auto fill = std::make_shared<CacheFillPayload>();
   fill->record = record;
@@ -262,7 +260,7 @@ void HlsrgRsuAgent::send_cache_fill(const L1Record& record,
 }
 
 void HlsrgRsuAgent::send_query_wired(const QueryPayload& query, NodeId dest) {
-  if (svc_->tier().enabled && svc_->tier().batching) {
+  if (svc_->tier().batching) {
     enqueue_for_batch(query, dest);
     return;
   }
@@ -344,8 +342,7 @@ void HlsrgRsuAgent::wired_query_failed(const QueryPayload& query, NodeId dest) {
 
 void HlsrgRsuAgent::push_summary_to_l3() {
   if (!up_) {  // idle while crashed; keep the timer cadence
-    svc_->sim().schedule_after(svc_->cfg().l2_push_period,
-                               [this] { push_summary_to_l3(); });
+    svc_->sim().schedule_after(kL2PushPeriod, [this] { push_summary_to_l3(); });
     return;
   }
   l2_table_.purge(svc_->sim().now(), svc_->cfg().l2_expiry);
@@ -361,13 +358,12 @@ void HlsrgRsuAgent::push_summary_to_l3() {
                        svc_->make_packet(PacketKind::kL2Summary, node_, payload),
                        &svc_->metrics().aggregation_transmissions);
   }
-  svc_->sim().schedule_after(svc_->cfg().l2_push_period,
-                             [this] { push_summary_to_l3(); });
+  svc_->sim().schedule_after(kL2PushPeriod, [this] { push_summary_to_l3(); });
 }
 
 void HlsrgRsuAgent::gossip_to_neighbors() {
   if (!up_) {  // idle while crashed; keep the timer cadence
-    svc_->sim().schedule_after(svc_->cfg().l3_gossip_period,
+    svc_->sim().schedule_after(kL3GossipPeriod,
                                [this] { gossip_to_neighbors(); });
     return;
   }
@@ -390,7 +386,7 @@ void HlsrgRsuAgent::gossip_to_neighbors() {
                          &svc_->metrics().aggregation_transmissions);
     }
   }
-  svc_->sim().schedule_after(svc_->cfg().l3_gossip_period,
+  svc_->sim().schedule_after(kL3GossipPeriod,
                              [this] { gossip_to_neighbors(); });
 }
 
@@ -444,7 +440,7 @@ void HlsrgRsuAgent::handle_query_l2(const QueryPayload& query) {
   // cache — a fresh remote record here turns the wired walk into a local
   // serve. Local tables stay authoritative (checked above); the cache only
   // shortcuts what would otherwise leave this RSU.
-  if (svc_->tier().enabled && svc_->tier().caching) {
+  if (svc_->tier().caching) {
     if (const L1Record* hit = cache_.probe(query.target, svc_->sim().now())) {
       const L1Record rec = *hit;  // probe() pointers die on the next fill
       svc_->metrics().cache_hits++;
@@ -521,7 +517,7 @@ void HlsrgRsuAgent::handle_query_l3(const QueryPayload& query) {
   }
   // Service tier: a fresh cached record beats another wired leg to the
   // owner L2 (see handle_query_l2 for the probe-order rationale).
-  if (svc_->tier().enabled && svc_->tier().caching) {
+  if (svc_->tier().caching) {
     if (const L1Record* hit = cache_.probe(query.target, svc_->sim().now())) {
       const L1Record rec = *hit;  // probe() pointers die on the next fill
       svc_->metrics().cache_hits++;

@@ -18,7 +18,7 @@ HlsrgVehicleAgent::HlsrgVehicleAgent(HlsrgService& service, VehicleId vehicle,
   // center entry (arm_collection_timer), not here — vehicles that never pull
   // center duty never hold a standing event.
   const double jitter =
-      svc_->sim().protocol_rng().uniform(0.0, svc_->cfg().l2_push_period.sec());
+      svc_->sim().protocol_rng().uniform(0.0, kL2PushPeriod.sec());
   collection_phase_ = SimTime::from_sec(jitter);
   // Ignition announcement: a vehicle entering the network updates once so
   // the service can locate it before its first turn/boundary crossing.
@@ -63,7 +63,7 @@ void HlsrgVehicleAgent::arm_collection_timer() {
   // Next tick on this vehicle's phase grid: smallest
   // collection_phase_ + k * period strictly in the future. Re-arming after a
   // lapse lands on the same instants the old always-on timer would have hit.
-  const std::int64_t period = svc_->cfg().l2_push_period.us();
+  const std::int64_t period = kL2PushPeriod.us();
   const std::int64_t phase = collection_phase_.us();
   const std::int64_t now = svc_->sim().now().us();
   std::int64_t next = phase;
@@ -81,12 +81,11 @@ void HlsrgVehicleAgent::collection_tick() {
   }
   table_.purge(svc_->sim().now(), svc_->cfg().l1_expiry);
   if (!table_.empty()) push_table_to_l2();
-  svc_->sim().schedule_after(svc_->cfg().l2_push_period,
-                             [this] { collection_tick(); });
+  svc_->sim().schedule_after(kL2PushPeriod, [this] { collection_tick(); });
 }
 
 void HlsrgVehicleAgent::push_table_to_l2() {
-  if (!svc_->cfg().use_rsus || svc_->rsus() == nullptr) return;
+  if (svc_->rsus() == nullptr) return;
   auto payload = std::make_shared<TablePayload>();
   payload->l1 = center_cell_;
   payload->records = table_.unsorted_records();
@@ -270,12 +269,7 @@ void HlsrgVehicleAgent::handle_center_request(const Packet& packet) {
 void HlsrgVehicleAgent::run_election(const QueryPayload& query) {
   table_.purge(svc_->sim().now(), svc_->cfg().l1_expiry);
   const bool holder = table_.find(query.target) != nullptr;
-  const auto& cfg = svc_->cfg();
-  const int lo = holder ? cfg.holder_slots_lo : cfg.nonholder_slots_lo;
-  const int hi = holder ? cfg.holder_slots_hi : cfg.nonholder_slots_hi;
-  const auto slots = svc_->sim().protocol_rng().uniform_int(lo, hi);
-  const SimTime delay =
-      SimTime::from_us(cfg.election_slot.us() * slots);
+  const SimTime delay = election_backoff(svc_->sim().protocol_rng(), holder);
   // Copy the query payload; the packet may be gone when the timer fires.
   const QueryPayload q = query;
   queries_.arm_election(
@@ -320,7 +314,7 @@ void HlsrgVehicleAgent::serve(const L1Record& target_record,
 }
 
 void HlsrgVehicleAgent::forward_up(const QueryPayload& query) {
-  if (!svc_->cfg().use_rsus || svc_->rsus() == nullptr) return;  // dead end
+  if (svc_->rsus() == nullptr) return;  // dead end
   const GridCoord l2 = GridHierarchy::parent(center_cell_, GridLevel::kL2);
   const NodeId rsu = svc_->rsus()->node_at(l2, GridLevel::kL2);
   // "send its own table and the Sv's request packet to its corresponding
@@ -377,7 +371,7 @@ void HlsrgVehicleAgent::send_request(QueryId qid, VehicleId target,
   if (preferred.valid()) {
     to_l1_center = false;
     rsu_node = preferred;
-  } else if (svc_->cfg().use_rsus && svc_->rsus() != nullptr) {
+  } else if (svc_->rsus() != nullptr) {
     const NodeId l2_node =
         svc_->rsus()->node_at(GridHierarchy::parent(l1, GridLevel::kL2),
                               GridLevel::kL2);

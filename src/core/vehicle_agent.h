@@ -89,7 +89,7 @@ class HlsrgVehicleAgent final : public PacketSink {
   // Periodic collection: while on center duty, push the table to the L2 RSU
   // ("further periodically gather to the upper level"). The timer runs only
   // while the vehicle is on center duty: entering a center arms it onto a
-  // fixed per-vehicle phase grid (jitter + k * l2_push_period), leaving lets
+  // fixed per-vehicle phase grid (jitter + k * kL2PushPeriod), leaving lets
   // it lapse at the next tick. Most vehicles are not at a center most of the
   // time, so this drops the standing per-vehicle event (and its slab slot)
   // that the always-on timer kept alive.
@@ -113,7 +113,7 @@ class HlsrgVehicleAgent final : public PacketSink {
   bool collection_armed_ = false;
   GridCoord center_cell_;
   // Per-vehicle phase of the collection grid: ticks fire at
-  // collection_phase_ + k * l2_push_period, matching the cadence the old
+  // collection_phase_ + k * kL2PushPeriod, matching the cadence the old
   // always-on timer established at construction.
   SimTime collection_phase_;
   L1Table table_;

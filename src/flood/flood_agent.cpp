@@ -7,6 +7,9 @@
 
 namespace hlsrg {
 
+// Cache freshness horizon; matched to HLSRG's L1 expiry for parity.
+constexpr SimTime kCacheExpiry = SimTime::from_min(2.2);
+
 FloodVehicleAgent::FloodVehicleAgent(FloodService& service, VehicleId vehicle,
                                      NodeId node)
     : svc_(&service), vehicle_(vehicle), node_(node) {
@@ -90,7 +93,7 @@ void FloodVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
 
 void FloodVehicleAgent::start_query(QueryTracker::QueryId qid,
                                     VehicleId target) {
-  cache_.purge(svc_->sim().now(), svc_->cfg().cache_expiry);
+  cache_.purge(svc_->sim().now(), kCacheExpiry);
   auto probe = std::make_shared<FloodProbePayload>();
   probe->query_id = qid;
   probe->src_vehicle = vehicle_;
@@ -133,7 +136,7 @@ void FloodVehicleAgent::start_query(QueryTracker::QueryId qid,
 
   queries_.arm_retry(
       qid,
-      svc_->sim().schedule_after(svc_->cfg().ack_timeout, [this, qid, target] {
+      svc_->sim().schedule_after(kFloodAckTimeout, [this, qid, target] {
         // One reactive retry after a failed probe; then give up.
         if (!queries_.disarm_retry(qid)) return;
         auto retry = std::make_shared<FloodProbePayload>();
@@ -149,7 +152,7 @@ void FloodVehicleAgent::start_query(QueryTracker::QueryId qid,
             &svc_->metrics().query_transmissions);
         queries_.arm_retry(qid,
                            svc_->sim().schedule_after(
-                               svc_->cfg().ack_timeout,
+                               kFloodAckTimeout,
                                [this, qid] {
                                  queries_.disarm_retry(qid);
                                  svc_->tracker().fail(qid);

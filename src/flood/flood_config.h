@@ -9,10 +9,9 @@ struct FloodConfig {
   // A vehicle floods a fresh location packet after driving this far since
   // its last flood (DREAM-style distance-triggered dissemination).
   double update_distance_m = 400.0;
-  // Cache freshness horizon; matched to HLSRG's L1 expiry for parity.
-  SimTime cache_expiry = SimTime::from_min(2.2);
-  // Source gives up when no ACK arrives within this deadline.
-  SimTime ack_timeout = SimTime::from_sec(10.0);
 };
+
+// Source gives up when no ACK arrives within this deadline.
+inline constexpr SimTime kFloodAckTimeout = SimTime::from_sec(10.0);
 
 }  // namespace hlsrg

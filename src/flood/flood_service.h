@@ -68,7 +68,7 @@ class FloodService final : public LocationService, public MovementListener {
   // copy of a query's probes is made within its probe and one reactive
   // retry, two ACK timeouts; that is the mark horizon.
   [[nodiscard]] std::int64_t mark_epoch() const {
-    return QueryState::epoch(sim_->now(), cfg_.ack_timeout + cfg_.ack_timeout);
+    return QueryState::epoch(sim_->now(), kFloodAckTimeout + kFloodAckTimeout);
   }
   [[nodiscard]] Vec2 vehicle_pos(VehicleId v) const {
     return mobility_->position(v);

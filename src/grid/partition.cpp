@@ -16,6 +16,9 @@ bool Partition::is_selected_boundary(RoadId road) const {
 
 namespace {
 
+// Minimum fraction of the map a road must span to be a boundary candidate.
+constexpr double kMinSpanFrac = 0.95;
+
 // Greedy single-axis selection (the paper's step 1+2: take main arteries,
 // then reject/add roads until grids are ~target sized).
 std::vector<BoundaryLine> select_axis(const RoadNetwork& net,
@@ -24,7 +27,7 @@ std::vector<BoundaryLine> select_axis(const RoadNetwork& net,
                                       const PartitionConfig& cfg) {
   // Candidates: roads of this orientation spanning the map, ascending coord.
   std::vector<BoundaryLine> candidates;
-  for (RoadId rid : net.spanning_roads(orient, cfg.min_span_frac)) {
+  for (RoadId rid : net.spanning_roads(orient, kMinSpanFrac)) {
     const Road& r = net.road(rid);
     candidates.push_back(
         {r.coord, rid, r.cls == RoadClass::kMainArtery});
@@ -42,12 +45,12 @@ std::vector<BoundaryLine> select_axis(const RoadNetwork& net,
   };
   chosen.push_back(edge_line(axis_lo));
 
-  while (chosen.back().coord + cfg.max_frac * cfg.target_size <
+  while (chosen.back().coord + kPartitionMaxFrac * cfg.target_size <
          axis_hi - kEdgeTol) {
     const double last = chosen.back().coord;
     const double ideal = last + cfg.target_size;
-    const double win_lo = last + cfg.min_frac * cfg.target_size;
-    const double win_hi = last + cfg.max_frac * cfg.target_size;
+    const double win_lo = last + kPartitionMinFrac * cfg.target_size;
+    const double win_hi = last + kPartitionMaxFrac * cfg.target_size;
 
     const BoundaryLine* best = nullptr;
     auto consider = [&](const BoundaryLine& c, bool arteries_only) {
@@ -87,8 +90,6 @@ std::vector<BoundaryLine> select_axis(const RoadNetwork& net,
 
 Partition build_partition(const RoadNetwork& net, const PartitionConfig& cfg) {
   HLSRG_CHECK(cfg.target_size > 0.0);
-  HLSRG_CHECK(cfg.min_frac > 0.0 && cfg.min_frac <= 1.0);
-  HLSRG_CHECK(cfg.max_frac >= 1.0);
   const Aabb box = net.bounds();
   Partition p;
   p.x_lines = select_axis(net, Orientation::kVertical, box.lo.x, box.hi.x, cfg);

@@ -18,14 +18,14 @@ namespace hlsrg {
 struct PartitionConfig {
   // Desired L1 grid edge length; the paper uses 500 m = one radio range.
   double target_size = 500.0;
-  // A boundary is accepted when its gap from the previous boundary is within
-  // [min_frac, max_frac] * target_size. Arteries inside the window win over
-  // normal roads; the window keeps grids "about 500 m x 500 m".
-  double min_frac = 0.6;
-  double max_frac = 1.4;
-  // Minimum fraction of the map a road must span to be a boundary candidate.
-  double min_span_frac = 0.95;
 };
+
+// A boundary is accepted when its gap from the previous boundary is within
+// [kPartitionMinFrac, kPartitionMaxFrac] * target_size. Arteries inside the
+// window win over normal roads; the window keeps grids "about 500 m x
+// 500 m".
+inline constexpr double kPartitionMinFrac = 0.6;
+inline constexpr double kPartitionMaxFrac = 1.4;
 
 // One selected boundary line.
 struct BoundaryLine {

@@ -14,9 +14,7 @@
 #include "mobility/mobility_model.h"
 #include "net/beacons.h"
 #include "net/geocast.h"
-#include "net/gpsr.h"
 #include "net/radio.h"
-#include "net/wired.h"
 #include "rlsmp/rlsmp_config.h"
 #include "roadnet/map_builder.h"
 #include "service/service_config.h"
@@ -49,11 +47,9 @@ struct ScenarioConfig {
   PartitionConfig partition;
   MobilityConfig mobility;
   RadioConfig radio;
-  GpsrConfig gpsr;
   // HELLO-beacon neighbor discovery for GPSR; off = genie neighborhood.
   BeaconConfig beacons;
   GeocastConfig geocast;
-  WiredConfig wired;
   HlsrgConfig hlsrg;
   RlsmpConfig rlsmp;
   FloodConfig flood;

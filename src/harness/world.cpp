@@ -9,6 +9,11 @@
 
 namespace hlsrg {
 
+// RLSMP cells per cluster edge. The original protocol uses 9 (81 cells) on
+// metro-scale maps; 3 keeps multiple clusters (and thus the spiral) alive
+// on the paper's 2 km evaluation map.
+constexpr int kRlsmpClusterDim = 3;
+
 World::World(const ScenarioConfig& cfg, Protocol protocol)
     : cfg_(cfg), protocol_(protocol), sim_(cfg.seed) {
   // Fault plan first: its protocol overrides must land in cfg_.hlsrg before
@@ -53,7 +58,7 @@ World::World(const ScenarioConfig& cfg, Protocol protocol)
   }
 
   medium_ = std::make_unique<RadioMedium>(sim_, registry_, cfg_.radio);
-  gpsr_ = std::make_unique<GpsrRouter>(*medium_, registry_, cfg_.gpsr);
+  gpsr_ = std::make_unique<GpsrRouter>(*medium_, registry_);
   GeocastConfig geocast_cfg = cfg_.geocast;
   if (protocol_ == Protocol::kFlood) {
     // The flooding baseline covers the whole map per flood; the default
@@ -62,7 +67,7 @@ World::World(const ScenarioConfig& cfg, Protocol protocol)
         std::max(geocast_cfg.max_transmissions, 4 * cfg_.vehicles);
   }
   geocast_ = std::make_unique<GeocastService>(*medium_, registry_, geocast_cfg);
-  wired_ = std::make_unique<WiredNetwork>(sim_, registry_, cfg_.wired);
+  wired_ = std::make_unique<WiredNetwork>(sim_, registry_);
 
   mobility_ = std::make_unique<MobilityModel>(sim_, net_, cfg_.mobility);
   mobility_->place_random_vehicles(cfg_.vehicles);
@@ -84,10 +89,10 @@ World::World(const ScenarioConfig& cfg, Protocol protocol)
     case Protocol::kRlsmp: {
       cells_ = std::make_unique<CellGrid>(
           net_.bounds(), cfg_.rlsmp.cell_size_m, cfg_.rlsmp.origin_offset_m,
-          cfg_.rlsmp.cluster_dim);
+          kRlsmpClusterDim);
       service_ = std::make_unique<RlsmpService>(sim_, *mobility_, registry_,
                                                 *medium_, *gpsr_, *geocast_,
-                                                *cells_, cfg_.rlsmp);
+                                                *cells_);
       break;
     }
     case Protocol::kFlood: {
@@ -112,12 +117,12 @@ World::World(const ScenarioConfig& cfg, Protocol protocol)
   }
 
   // Service tier: the admission seam is always built (it is the single
-  // query-issuance entry point), but with a disabled tier it neither draws
+  // query-issuance entry point), but with an inactive tier it neither draws
   // RNG nor schedules events, so seed-level behavior matches older builds.
   service_->configure_tier(cfg_.service);
   admission_ = std::make_unique<QueryAdmission>(sim_, *service_, cfg_.service);
-  if (cfg_.service.enabled && (cfg_.service.open_loop_rate_per_sec > 0.0 ||
-                               cfg_.service.open_loop_ramp_per_sec2 > 0.0)) {
+  if (cfg_.service.open_loop_rate_per_sec > 0.0 ||
+      cfg_.service.open_loop_ramp_per_sec2 > 0.0) {
     open_loop_ = std::make_unique<OpenLoopGenerator>(
         sim_, *admission_, cfg_.service, cfg_.vehicles,
         std::max(1, std::min(cfg_.hotspot_targets, cfg_.vehicles - 1)));
@@ -224,9 +229,8 @@ void World::schedule_workload() {
                       : VehicleId{static_cast<std::uint32_t>(
                             rng.uniform_int(0, n - 1))};
       } while (dst == src);
-      sim_.schedule_at(SimTime::from_sec(t), [this, src, dst] {
-        admission_->submit(src, dst, QueryOrigin::kClosedLoop);
-      });
+      sim_.schedule_at(SimTime::from_sec(t),
+                       [this, src, dst] { admission_->submit(src, dst); });
       ++planned_queries_;
     }
     return;
@@ -254,9 +258,7 @@ void World::schedule_workload() {
     const SimTime when =
         cfg_.warmup + SimTime::from_us(static_cast<std::int64_t>(
                           rng.uniform(0.0, cfg_.query_window.sec()) * 1e6));
-    sim_.schedule_at(when, [this, src, dst] {
-      admission_->submit(src, dst, QueryOrigin::kClosedLoop);
-    });
+    sim_.schedule_at(when, [this, src, dst] { admission_->submit(src, dst); });
     ++planned_queries_;
   }
 }
@@ -341,7 +343,7 @@ void World::schedule_sampler() {
                static_cast<double>(sim_.queue().size()));
     obs.sample("world.table_records", now_sec,
                static_cast<double>(service_->service_stats().table_records));
-    if (cfg_.service.enabled) {
+    if (cfg_.service.active()) {
       obs.sample("service.cache_hits", now_sec,
                  static_cast<double>(m.cache_hits));
       obs.sample("service.batch_flushes", now_sec,

@@ -18,7 +18,6 @@ MobilityModel::MobilityModel(Simulator& sim, const RoadNetwork& net,
       cfg_(cfg),
       lights_(cfg.lights),
       policy_(net, cfg.turn) {
-  HLSRG_CHECK(cfg.tick_sec > 0.0);
   HLSRG_CHECK(cfg.min_speed_kmh > 0.0 &&
               cfg.min_speed_kmh <= cfg.max_speed_kmh);
   if (cfg.churn.enabled) {
@@ -72,7 +71,7 @@ void MobilityModel::place_random_vehicles(int n) {
 void MobilityModel::start() {
   HLSRG_CHECK(!started_);
   started_ = true;
-  sim_->schedule_after(SimTime::from_sec(cfg_.tick_sec), [this] { tick(); });
+  sim_->schedule_after(SimTime::from_sec(kMobilityTickSec), [this] { tick(); });
 }
 
 void MobilityModel::add_listener(MovementListener* listener) {
@@ -119,7 +118,7 @@ void MobilityModel::churn_tick() {
   Rng& rng = sim_->mobility_rng();
   const double now = sim_->now().sec();
   const double park_p =
-      std::min(1.0, cfg_.churn.park_rate_per_sec * cfg_.tick_sec);
+      std::min(1.0, cfg_.churn.park_rate_per_sec * kMobilityTickSec);
   for (std::size_t i = 0; i < states_.size(); ++i) {
     const VehicleId v{i};
     VehicleState& s = states_[i];
@@ -151,7 +150,7 @@ void MobilityModel::tick() {
     const VehicleState& s = states_[i];
     if (s.speed <= 0.0) continue;
     const VehicleId v{i};
-    advance_vehicle(v, cfg_.tick_sec);
+    advance_vehicle(v, kMobilityTickSec);
     const Vec2 after = net_->point_on(s.seg, s.offset);
     Vec2& pose = poses_[i];
     if (pose != after) {
@@ -164,7 +163,7 @@ void MobilityModel::tick() {
   // registered first, so every pose is committed before a protocol reacts.
   for (MovementListener* l : listeners_) l->on_tick_events(events_);
   for (MovementListener* l : listeners_) l->on_tick();
-  sim_->schedule_after(SimTime::from_sec(cfg_.tick_sec), [this] { tick(); });
+  sim_->schedule_after(SimTime::from_sec(kMobilityTickSec), [this] { tick(); });
 }
 
 void MobilityModel::advance_vehicle(VehicleId v, double dt) {

@@ -2,12 +2,12 @@
 //
 // Vehicles advance along directed segments at a constant per-vehicle speed,
 // stop at red lights, and pick exits with TurnPolicy. Movement happens in
-// fixed ticks (default 500 ms — at the 60 km/h cap a vehicle moves 8.3 m per
-// tick, far below segment lengths, so intersection handling per tick is
-// exact enough for protocol purposes). Protocols observe movement through
-// MovementListener: discrete intersection passes (HLSRG's update rules key
-// off these) and per-tick moves (RLSMP detects cell crossings from these),
-// handed over as one batch per tick.
+// fixed ticks (kMobilityTickSec, 500 ms — at the 60 km/h cap a vehicle moves
+// 8.3 m per tick, far below segment lengths, so intersection handling per
+// tick is exact enough for protocol purposes). Protocols observe movement
+// through MovementListener: discrete intersection passes (HLSRG's update
+// rules key off these) and per-tick moves (RLSMP detects cell crossings from
+// these), handed over as one batch per tick.
 //
 // Deliberate abstraction: no car-following — stopped vehicles co-locate at
 // the stop line. The protocols under study read positions and radio
@@ -35,15 +35,17 @@ namespace hlsrg {
 struct ParkingChurnConfig {
   bool enabled = false;
   // Hazard rate for a moving vehicle to pull over, per second (converted to
-  // a per-tick Bernoulli probability rate * tick_sec, clamped to 1).
+  // a per-tick Bernoulli probability rate * kMobilityTickSec, clamped
+  // to 1).
   double park_rate_per_sec = 0.0;
   // Dwell = min_dwell_sec + Exp(mean = dwell_mean_sec - min_dwell_sec).
   double dwell_mean_sec = 300.0;
   double min_dwell_sec = 30.0;
 };
 
+inline constexpr double kMobilityTickSec = 0.5;
+
 struct MobilityConfig {
-  double tick_sec = 0.5;
   // Paper: "speed between 0 to 60 km/hr". Moving vehicles sample in
   // [min, max]; the 0 km/h end of the paper's range is modelled explicitly
   // by `parked_fraction` below.

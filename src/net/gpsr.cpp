@@ -9,6 +9,13 @@
 
 namespace hlsrg {
 
+// Routing gives up after this many hops (covers perimeter loops on
+// disconnected topologies).
+constexpr int kMaxHops = 64;
+// A packet addressed to a position (no target node) is delivered to the
+// first node within this distance of the destination position.
+constexpr double kDefaultDeliveryRadius = 80.0;
+
 struct GpsrRouter::RouteState {
   Vec2 dest_pos;
   std::optional<NodeId> dest_node;
@@ -27,9 +34,8 @@ struct GpsrRouter::RouteState {
   SpanId ctx = kNoSpan;   // caller context, re-established at delivery
 };
 
-GpsrRouter::GpsrRouter(RadioMedium& medium, const NodeRegistry& registry,
-                       GpsrConfig cfg)
-    : medium_(&medium), registry_(&registry), cfg_(cfg),
+GpsrRouter::GpsrRouter(RadioMedium& medium, const NodeRegistry& registry)
+    : medium_(&medium), registry_(&registry),
       hops_hist_(medium.sim().observability().histogram("gpsr.route_hops")) {}
 
 void GpsrRouter::send(NodeId src, Vec2 dest_pos,
@@ -40,7 +46,7 @@ void GpsrRouter::send(NodeId src, Vec2 dest_pos,
   st->dest_pos = dest_pos;
   st->dest_node = dest_node;
   st->delivery_radius =
-      delivery_radius > 0.0 ? delivery_radius : cfg_.default_delivery_radius;
+      delivery_radius > 0.0 ? delivery_radius : kDefaultDeliveryRadius;
   st->pkt = std::move(pkt);
   st->tx_counter = tx_counter;
   st->deliver = std::move(deliver);
@@ -149,7 +155,7 @@ void GpsrRouter::route_step(NodeId current,
     return;
   }
 
-  if (++st->hops > cfg_.max_hops) {
+  if (++st->hops > kMaxHops) {
     Simulator& sim = medium_->sim();
     sim.metrics().gpsr_failures++;
     sim.end_span(st->span, SpanStatus::kFailed, cp, st->hops);

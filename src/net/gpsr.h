@@ -17,15 +17,6 @@
 
 namespace hlsrg {
 
-struct GpsrConfig {
-  // Routing gives up after this many hops (covers perimeter loops on
-  // disconnected topologies).
-  int max_hops = 64;
-  // A packet addressed to a position (no target node) is delivered to the
-  // first node within this distance of the destination position.
-  double default_delivery_radius = 80.0;
-};
-
 class GpsrRouter {
  public:
   // Delivery outcome callbacks. `deliver` receives the node the packet was
@@ -33,8 +24,7 @@ class GpsrRouter {
   using DeliverFn = std::function<void(NodeId)>;
   using FailFn = std::function<void()>;
 
-  GpsrRouter(RadioMedium& medium, const NodeRegistry& registry,
-             GpsrConfig cfg = {});
+  GpsrRouter(RadioMedium& medium, const NodeRegistry& registry);
 
   // Switches neighbor discovery from the genie spatial index to HELLO
   // beacons (see net/beacons.h). Pass nullptr to revert. Forwarding
@@ -44,7 +34,8 @@ class GpsrRouter {
   // Routes `pkt` from `src` toward `dest_pos`.
   //  - If `dest_node` is set, delivery happens only at that node.
   //  - Otherwise the packet is delivered to the first node encountered within
-  //    `delivery_radius` (<=0 uses the config default) of `dest_pos`.
+  //    `delivery_radius` (<=0 uses a default radius) of `dest_pos`.
+  // Routing gives up after a fixed hop cap (see gpsr.cpp).
   // Each hop transmission increments *tx_counter when provided. The packet
   // is handed to the receiving node's PacketSink on delivery, in addition to
   // the `deliver` callback.
@@ -77,7 +68,6 @@ class GpsrRouter {
   RadioMedium* medium_;
   const NodeRegistry* registry_;
   BeaconService* beacons_ = nullptr;
-  GpsrConfig cfg_;
   // Always-on route-length histogram ("gpsr.route_hops"); the pointer is
   // cached because registry nodes are address-stable.
   Histogram* hops_hist_;

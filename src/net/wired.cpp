@@ -8,9 +8,11 @@
 
 namespace hlsrg {
 
-WiredNetwork::WiredNetwork(Simulator& sim, const NodeRegistry& registry,
-                           WiredConfig cfg)
-    : sim_(&sim), registry_(&registry), cfg_(cfg),
+// Latency of one wired link; the paper treats the backhaul as fast.
+constexpr double kLinkLatencyMs = 1.0;
+
+WiredNetwork::WiredNetwork(Simulator& sim, const NodeRegistry& registry)
+    : sim_(&sim), registry_(&registry),
       hops_hist_(sim.observability().histogram("wired.message_hops")),
       unreachable_counter_(&sim.observability().counter("wired.unreachable")) {
 }
@@ -101,8 +103,7 @@ bool WiredNetwork::send(NodeId from, NodeId to, const Packet& pkt,
   }
   if (tx_counter != nullptr) *tx_counter += static_cast<std::uint64_t>(hops);
   hops_hist_->record(hops);
-  const SimTime latency =
-      SimTime::from_ms(cfg_.link_latency_ms * std::max(hops, 1));
+  const SimTime latency = SimTime::from_ms(kLinkLatencyMs * std::max(hops, 1));
   const SpanId ctx = sim_->active_span();
   const SpanId span =
       sim_->begin_span(SpanKind::kWiredHop, from.value(), to.value(),

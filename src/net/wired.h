@@ -20,14 +20,9 @@
 
 namespace hlsrg {
 
-struct WiredConfig {
-  double link_latency_ms = 1.0;
-};
-
 class WiredNetwork {
  public:
-  WiredNetwork(Simulator& sim, const NodeRegistry& registry,
-               WiredConfig cfg = {});
+  WiredNetwork(Simulator& sim, const NodeRegistry& registry);
 
   // Adds a bidirectional link; idempotent.
   void connect(NodeId a, NodeId b);
@@ -77,7 +72,6 @@ class WiredNetwork {
 
   Simulator* sim_;
   const NodeRegistry* registry_;
-  WiredConfig cfg_;
   // Always-on backhaul path-length histogram ("wired.message_hops").
   Histogram* hops_hist_;
   // Always-on count of sends lost for lack of a wired path.

@@ -40,7 +40,7 @@ void BenchReport::add_result(const std::string& label,
     per_replica.push_back(engine_to_json(e, directions_));
   }
   entry.set("replica_engine", std::move(per_replica));
-  JsonValue derived = derived_metrics_json(set.merged, cfg.service.enabled,
+  JsonValue derived = derived_metrics_json(set.merged, cfg.service.active(),
                                            set.replicas.size(), directions_);
   if (set.regions.configured()) {
     // Region load-imbalance summary (obs/region_telemetry.h): how unevenly

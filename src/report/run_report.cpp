@@ -89,16 +89,14 @@ JsonValue scenario_to_json(const ScenarioConfig& cfg) {
     o.set("dwell_mean_sec", cfg.mobility.churn.dwell_mean_sec);
     o.set("min_dwell_sec", cfg.mobility.churn.min_dwell_sec);
   }
-  if (cfg.service.enabled) {
+  if (cfg.service.active()) {
     // Service-tier block only when the tier runs, so tier-free reports stay
     // byte-identical to pre-tier builds.
-    o.set("service_enabled", cfg.service.enabled);
     o.set("open_loop_rate_per_sec", cfg.service.open_loop_rate_per_sec);
     o.set("open_loop_ramp_per_sec2", cfg.service.open_loop_ramp_per_sec2);
     o.set("hotspot_fraction", cfg.service.hotspot_fraction);
     o.set("rsu_lookup_sec", cfg.service.rsu_lookup_time.sec());
     o.set("max_outstanding", cfg.service.max_outstanding);
-    o.set("shed_retries", cfg.service.shed_retries);
     o.set("batching", cfg.service.batching);
     o.set("batch_window_sec", cfg.service.batch_window.sec());
     o.set("max_batch", cfg.service.max_batch);

@@ -5,6 +5,15 @@
 
 namespace hlsrg {
 
+// Radius around a cell center within which vehicles act as the cell
+// leader / LSC storage; matched to HLSRG's center radius for fairness.
+constexpr double kLeaderRadiusM = 150.0;
+// Table freshness at leaders and LSCs.
+constexpr SimTime kEntryExpiry = SimTime::from_min(2.2);
+// Source-side failure deadline; RLSMP has no retry path, so an unanswered
+// query fails when this expires (long enough for a few spiral legs).
+constexpr SimTime kRlsmpAckTimeout = SimTime::from_sec(15.0);
+
 RlsmpVehicleAgent::RlsmpVehicleAgent(RlsmpService& service, VehicleId vehicle,
                                      NodeId node)
     : svc_(&service), vehicle_(vehicle), node_(node) {
@@ -42,8 +51,8 @@ bool RlsmpVehicleAgent::lsc_duty() const {
 
 void RlsmpVehicleAgent::purge_tables() {
   const SimTime now = svc_->sim().now();
-  cell_table_.purge(now, svc_->cfg().entry_expiry);
-  cluster_table_.purge(now, svc_->cfg().entry_expiry);
+  cell_table_.purge(now, kEntryExpiry);
+  cluster_table_.purge(now, kEntryExpiry);
 }
 
 // ---------------------------------------------------------------------------
@@ -58,8 +67,7 @@ void RlsmpVehicleAgent::handle_moved(Vec2 before, Vec2 after) {
 
   // Leader-region bookkeeping (same dwell mechanics as HLSRG centers).
   const CellCoord cell = new_cell;
-  const bool now_in =
-      distance(after, g.cell_center(cell)) <= svc_->cfg().leader_radius_m;
+  const bool now_in = distance(after, g.cell_center(cell)) <= kLeaderRadiusM;
   if (now_in && (!in_leader_ || !(cell == leader_cell_))) {
     if (in_leader_) leave_leader_region();
     in_leader_ = true;
@@ -142,7 +150,7 @@ void RlsmpVehicleAgent::aggregation_tick(std::int64_t period_index) {
                     svc_->make_packet(PacketKind::kCellSummary, node_, payload),
                     &svc_->metrics().aggregation_transmissions,
                     /*deliver=*/{}, /*fail=*/{},
-                    /*delivery_radius=*/svc_->cfg().leader_radius_m);
+                    /*delivery_radius=*/kLeaderRadiusM);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,14 +263,10 @@ void RlsmpVehicleAgent::handle_lsc_query(const Packet& packet) {
 void RlsmpVehicleAgent::run_election(const RlsmpQueryPayload& query) {
   purge_tables();
   const bool holder = cluster_table_.find(query.target) != nullptr;
-  const auto& cfg = svc_->cfg();
-  const int lo = holder ? cfg.holder_slots_lo : cfg.nonholder_slots_lo;
-  const int hi = holder ? cfg.holder_slots_hi : cfg.nonholder_slots_hi;
-  const auto slots = svc_->sim().protocol_rng().uniform_int(lo, hi);
   queries_.arm_election(
       query.query_id,
       svc_->sim().schedule_after(
-          SimTime::from_us(cfg.election_slot.us() * slots),
+          election_backoff(svc_->sim().protocol_rng(), holder),
           [this, query] { lsc_win_election(query.query_id, query); }));
 }
 
@@ -294,7 +298,7 @@ void RlsmpVehicleAgent::lsc_win_election(QueryId qid,
                       svc_->make_packet(PacketKind::kRlsmpQuery, node_, fwd),
                       &svc_->metrics().query_transmissions,
                       /*deliver=*/{}, /*fail=*/{},
-                      /*delivery_radius=*/svc_->cfg().leader_radius_m);
+                      /*delivery_radius=*/kLeaderRadiusM);
     return;
   }
   // Unknown: hold for the aggregation window, then spiral onward in a batch
@@ -317,7 +321,7 @@ void RlsmpVehicleAgent::enqueue_for_spiral(const RlsmpQueryPayload& query) {
   spiral_batch_.push_back(fwd);
   if (!spiral_timer_armed_) {
     spiral_timer_armed_ = true;
-    svc_->sim().schedule_after(svc_->cfg().query_wait,
+    svc_->sim().schedule_after(kRlsmpQueryWait,
                                [this] { flush_spiral_batch(); });
   }
 }
@@ -349,7 +353,7 @@ void RlsmpVehicleAgent::flush_spiral_batch() {
                       svc_->make_packet(PacketKind::kRlsmpBatch, node_, batch),
                       &svc_->metrics().query_transmissions,
                       /*deliver=*/{}, /*fail=*/{},
-                      /*delivery_radius=*/svc_->cfg().leader_radius_m);
+                      /*delivery_radius=*/kLeaderRadiusM);
   }
 }
 
@@ -433,10 +437,10 @@ void RlsmpVehicleAgent::start_query(QueryId qid, VehicleId target) {
                     svc_->make_packet(PacketKind::kRlsmpQuery, node_, q),
                     &svc_->metrics().query_transmissions,
                     /*deliver=*/{}, /*fail=*/{},
-                    /*delivery_radius=*/svc_->cfg().leader_radius_m);
+                    /*delivery_radius=*/kLeaderRadiusM);
 
   queries_.arm_retry(
-      qid, svc_->sim().schedule_after(svc_->cfg().ack_timeout, [this, qid] {
+      qid, svc_->sim().schedule_after(kRlsmpAckTimeout, [this, qid] {
         queries_.disarm_retry(qid);
         svc_->tracker().fail(qid);
       }));

@@ -12,29 +12,10 @@ struct RlsmpConfig {
   // Lattice offset relative to the map origin: half a cell puts arteries in
   // cell interiors (the generic lat/long-vs-street misalignment).
   double origin_offset_m = 250.0;
-  // Cells per cluster edge. The original protocol uses 9 (81 cells) on
-  // metro-scale maps; 3 keeps multiple clusters (and thus the spiral) alive
-  // on the paper's 2 km evaluation map.
-  int cluster_dim = 3;
-  // Radius around a cell center within which vehicles act as the cell
-  // leader / LSC storage; matched to HLSRG's center radius for fairness.
-  double leader_radius_m = 150.0;
-  // Table freshness at leaders and LSCs.
-  SimTime entry_expiry = SimTime::from_min(2.2);
-  // Cell leaders push aggregated summaries to their LSC at this period.
-  SimTime aggregation_period = SimTime::from_sec(10.0);
-  // "wait and aggregate query packets for a specific waiting time" before
-  // spiralling onward.
-  SimTime query_wait = SimTime::from_sec(2.0);
-  // Back-off election slots (same contention resolution as HLSRG's centers).
-  SimTime election_slot = SimTime::from_ms(0.2);
-  int holder_slots_lo = 0;
-  int holder_slots_hi = 15;
-  int nonholder_slots_lo = 17;
-  int nonholder_slots_hi = 31;
-  // Source-side failure deadline; RLSMP has no retry path, so an unanswered
-  // query fails when this expires (long enough for a few spiral legs).
-  SimTime ack_timeout = SimTime::from_sec(15.0);
 };
+
+// "wait and aggregate query packets for a specific waiting time" before
+// spiralling onward.
+inline constexpr SimTime kRlsmpQueryWait = SimTime::from_sec(2.0);
 
 }  // namespace hlsrg

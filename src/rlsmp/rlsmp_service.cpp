@@ -5,10 +5,13 @@
 
 namespace hlsrg {
 
+// Cell leaders push aggregated summaries to their LSC at this period.
+constexpr SimTime kAggregationPeriod = SimTime::from_sec(10.0);
+
 RlsmpService::RlsmpService(Simulator& sim, MobilityModel& mobility,
                            NodeRegistry& registry, RadioMedium& medium,
                            GpsrRouter& gpsr, GeocastService& geocast,
-                           const CellGrid& cells, RlsmpConfig cfg)
+                           const CellGrid& cells)
     : sim_(&sim),
       mobility_(&mobility),
       registry_(&registry),
@@ -16,7 +19,6 @@ RlsmpService::RlsmpService(Simulator& sim, MobilityModel& mobility,
       gpsr_(&gpsr),
       geocast_(&geocast),
       cells_(&cells),
-      cfg_(cfg),
       tracker_(sim) {
   const std::size_t n = mobility.vehicle_count();
   vehicle_nodes_.reserve(n);
@@ -32,8 +34,7 @@ RlsmpService::RlsmpService(Simulator& sim, MobilityModel& mobility,
     registry.set_sink(node, &vehicle_agents_.back());
   }
   mobility.add_listener(this);
-  sim.schedule_after(cfg_.aggregation_period,
-                     [this] { aggregation_tick(1); });
+  sim.schedule_after(kAggregationPeriod, [this] { aggregation_tick(1); });
 }
 
 RlsmpService::~RlsmpService() = default;
@@ -51,7 +52,7 @@ void RlsmpService::aggregation_tick(std::int64_t period_index) {
                            a->aggregation_tick(period_index);
                          });
   }
-  sim_->schedule_after(cfg_.aggregation_period, [this, period_index] {
+  sim_->schedule_after(kAggregationPeriod, [this, period_index] {
     aggregation_tick(period_index + 1);
   });
 }

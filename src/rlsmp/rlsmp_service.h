@@ -24,7 +24,7 @@ class RlsmpService final : public LocationService, public MovementListener {
  public:
   RlsmpService(Simulator& sim, MobilityModel& mobility, NodeRegistry& registry,
                RadioMedium& medium, GpsrRouter& gpsr, GeocastService& geocast,
-               const CellGrid& cells, RlsmpConfig cfg);
+               const CellGrid& cells);
   ~RlsmpService() override;
 
   // --- LocationService ------------------------------------------------------
@@ -49,7 +49,6 @@ class RlsmpService final : public LocationService, public MovementListener {
   // --- agent context ---------------------------------------------------------
   [[nodiscard]] Simulator& sim() { return *sim_; }
   [[nodiscard]] RunMetrics& metrics() { return sim_->metrics(); }
-  [[nodiscard]] const RlsmpConfig& cfg() const { return cfg_; }
   [[nodiscard]] const CellGrid& cells() const { return *cells_; }
   [[nodiscard]] MobilityModel& mobility() { return *mobility_; }
   [[nodiscard]] NodeRegistry& registry() { return *registry_; }
@@ -61,7 +60,7 @@ class RlsmpService final : public LocationService, public MovementListener {
   // aggregation windows (the wait itself, then election and GPSR transit).
   [[nodiscard]] std::int64_t mark_epoch() const {
     return QueryState::epoch(
-        sim_->now(), SimTime::from_us(2 * cfg_.query_wait.us() *
+        sim_->now(), SimTime::from_us(2 * kRlsmpQueryWait.us() *
                                       cells_->cluster_cols() *
                                       cells_->cluster_rows()));
   }
@@ -89,7 +88,6 @@ class RlsmpService final : public LocationService, public MovementListener {
   GpsrRouter* gpsr_;
   GeocastService* geocast_;
   const CellGrid* cells_;
-  RlsmpConfig cfg_;
   QueryTracker tracker_;
   PacketIdSource packet_ids_;
 

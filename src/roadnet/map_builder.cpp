@@ -12,6 +12,10 @@ namespace hlsrg {
 
 namespace {
 
+// Normal-road lines of the irregular variant are shifted by up to
+// +/- kJitterFrac * minor_spacing.
+constexpr double kJitterFrac = 0.2;
+
 // True if `coord` lies on a multiple of `spacing` (within tolerance).
 bool on_multiple(double coord, double spacing) {
   const double r = std::fmod(coord, spacing);
@@ -35,7 +39,7 @@ std::vector<LineSpec> make_lines(const MapConfig& cfg, Rng* jitter_rng) {
     double coord = std::min(c, cfg.size_m);
     if (jitter_rng != nullptr && !artery) {
       // Shift normal lines; clamp so ordering with neighbours is preserved.
-      const double j = cfg.jitter_frac * cfg.minor_spacing;
+      const double j = kJitterFrac * cfg.minor_spacing;
       coord += jitter_rng->uniform(-j, j);
     }
     lines.push_back({coord, artery ? RoadClass::kMainArtery : RoadClass::kNormal});

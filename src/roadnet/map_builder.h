@@ -31,8 +31,6 @@ struct MapConfig {
 
   // --- irregular variant --------------------------------------------------
   bool irregular = false;
-  // Normal-road lines are shifted by up to +/- jitter_frac * minor_spacing.
-  double jitter_frac = 0.2;
   // Fraction of normal-road edges randomly removed (connectivity preserved).
   double dropout = 0.15;
   // Seed for the irregular variant's randomness (jitter + dropout).

@@ -23,13 +23,6 @@
 
 namespace hlsrg {
 
-// Who is submitting; reports and tests distinguish paper-scenario load from
-// stress load.
-enum class QueryOrigin : std::uint8_t {
-  kClosedLoop,  // the scenario's requester model
-  kOpenLoop,    // the service-tier Poisson generator
-};
-
 class QueryAdmission {
  public:
   QueryAdmission(Simulator& sim, LocationService& svc,
@@ -40,9 +33,7 @@ class QueryAdmission {
 
   // Submits a query for admission. Returns the tracked query id, or nullopt
   // when admission shed it (the query was counted but never issued).
-  std::optional<QueryTracker::QueryId> submit(VehicleId src, VehicleId dst,
-                                              QueryOrigin origin) {
-    (void)origin;
+  std::optional<QueryTracker::QueryId> submit(VehicleId src, VehicleId dst) {
     RunMetrics& m = sim_->metrics();
     ++m.queries_offered;
     update_overload();
@@ -57,7 +48,7 @@ class QueryAdmission {
                          dst.value(), Vec2{}, kNoQuery, -1, "query");
       return std::nullopt;
     }
-    if (cfg_.enabled && cfg_.caching) {
+    if (cfg_.caching) {
       if (auto cached = svc_->serve_cached(src, dst)) return cached;
     }
     return svc_->issue_query(src, dst);
@@ -68,7 +59,7 @@ class QueryAdmission {
   // it settles (shed work never strands a query).
   [[nodiscard]] bool admit_retry(QueryTracker::QueryId id, int attempt) {
     update_overload();
-    if (!overloaded_ || !cfg_.shed_retries) return true;
+    if (!overloaded_) return true;
     RunMetrics& m = sim_->metrics();
     ++m.retries_shed;
     m.channel.add_shed(static_cast<int>(svc_->query_kind()));
@@ -92,7 +83,7 @@ class QueryAdmission {
   // Hysteresis: enter overload at the bound, leave at half of it, and tell
   // the protocol about each edge so it can shed secondary radio work too.
   void update_overload() {
-    if (cfg_.max_outstanding == 0 || !cfg_.enabled) return;
+    if (cfg_.max_outstanding == 0) return;
     const std::size_t out = svc_->tracker().outstanding();
     if (!overloaded_ && out >= cfg_.max_outstanding) {
       overloaded_ = true;

@@ -65,7 +65,7 @@ void OpenLoopGenerator::fire() {
   }
   if (dst == src) dst = VehicleId{(dst.value() + 1) % vehicles_};
   ++generated_;
-  admission_->submit(src, dst, QueryOrigin::kOpenLoop);
+  admission_->submit(src, dst);
   schedule_next(sim_->now());
 }
 

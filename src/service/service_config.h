@@ -6,8 +6,9 @@
 // protocol past its knee), a batching window at L2/L3 RSUs that aggregates
 // co-destined queries into one wired lookup, a hot-destination record cache
 // at RSUs, and admission control that sheds load once too many queries are
-// outstanding. Everything defaults OFF: a default-constructed config leaves
-// a run event-for-event identical to a tier-unaware build.
+// outstanding. Each mechanism is on when its own setting is, and all
+// default OFF: a default-constructed config leaves a run event-for-event
+// identical to a tier-unaware build.
 #pragma once
 
 #include <cstddef>
@@ -17,11 +18,6 @@
 namespace hlsrg {
 
 struct ServiceTierConfig {
-  // Master switch. Off, the QueryAdmission seam still routes every query
-  // (one accounting point for offered counts) but never sheds, never
-  // caches, and never batches.
-  bool enabled = false;
-
   // --- open-loop workload ---------------------------------------------------
   // Poisson arrival rate at the start of the query window; 0 disables the
   // generator. Arrivals are scheduled on the fly from a dedicated RNG
@@ -45,11 +41,10 @@ struct ServiceTierConfig {
 
   // --- admission control / load shedding ------------------------------------
   // Shed new queries once this many are outstanding (hysteresis: overload
-  // clears at half the bound). 0 = unlimited, never shed.
+  // clears at half the bound). 0 = unlimited, never shed. While overloaded,
+  // protocol retry attempts are refused as well (the query fails
+  // immediately and is counted — never silently dropped).
   std::size_t max_outstanding = 0;
-  // While overloaded, protocol retry attempts are refused as well (the
-  // query fails immediately and is counted — never silently dropped).
-  bool shed_retries = true;
 
   // --- RSU batching window --------------------------------------------------
   bool batching = false;
@@ -63,13 +58,22 @@ struct ServiceTierConfig {
   SimTime cache_ttl = SimTime::from_sec(10.0);
   std::size_t cache_capacity = 256;
 
+  // True when any mechanism is on. An inactive tier still routes every
+  // query through the QueryAdmission seam (one accounting point for
+  // offered counts) but never sheds, caches, batches or charges a lookup,
+  // and reports carry no service block.
+  [[nodiscard]] bool active() const {
+    return open_loop_rate_per_sec > 0.0 || open_loop_ramp_per_sec2 > 0.0 ||
+           rsu_lookup_time > SimTime{} || max_outstanding > 0 || batching ||
+           caching;
+  }
+
   // Convenience: one call arms the whole tier with the given knobs.
   [[nodiscard]] static ServiceTierConfig full_tier(std::size_t max_outstanding,
                                                    SimTime batch_window,
                                                    int max_batch,
                                                    SimTime cache_ttl) {
     ServiceTierConfig c;
-    c.enabled = true;
     c.max_outstanding = max_outstanding;
     c.batching = true;
     c.batch_window = batch_window;

@@ -244,7 +244,7 @@ TEST_P(GridSweep, PartitionAndHierarchyInvariants) {
     for (std::size_t i = 0; i + 1 < lines->size(); ++i) {
       const double gap = (*lines)[i + 1].coord - (*lines)[i].coord;
       EXPECT_GT(gap, 0.0);
-      EXPECT_LE(gap, pc.max_frac * pc.target_size + 1e-6);
+      EXPECT_LE(gap, kPartitionMaxFrac * pc.target_size + 1e-6);
     }
   }
 

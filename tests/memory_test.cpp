@@ -664,6 +664,36 @@ TEST(QueryStateTest, PendingFindAndErase) {
   EXPECT_FALSE(qs.disarm_retry(7).has_value());
 }
 
+// --- back-off election ---------------------------------------------------------
+
+TEST(ElectionBackoffTest, HolderWindowPrecedesNonHolderWindow) {
+  const SimTime slot = SimTime::from_ms(0.2);
+  Rng rng(1234);
+  Rng twin(1234);
+  SimTime latest_holder;
+  SimTime earliest_other = SimTime::max();
+  for (int i = 0; i < 2000; ++i) {
+    const bool holder = i % 3 != 0;
+    const SimTime d = election_backoff(rng, holder);
+    // One draw per call, exactly as uniform_int over the window would make.
+    const std::int64_t slots =
+        holder ? twin.uniform_int(0, 15) : twin.uniform_int(17, 31);
+    ASSERT_EQ(d, SimTime::from_us(slot.us() * slots));
+    if (holder) {
+      EXPECT_GE(d, SimTime{});
+      EXPECT_LE(d, SimTime::from_us(15 * slot.us()));
+      latest_holder = std::max(latest_holder, d);
+    } else {
+      EXPECT_GE(d, SimTime::from_us(17 * slot.us()));
+      EXPECT_LE(d, SimTime::from_us(31 * slot.us()));
+      earliest_other = std::min(earliest_other, d);
+    }
+  }
+  // A holder always fires before any non-holder.
+  EXPECT_LT(latest_holder, earliest_other);
+  EXPECT_EQ(rng.next(), twin.next());
+}
+
 // --- bytes() accounting ----------------------------------------------------
 
 TEST(MemoryAccountingTest, TableBytesGrowWithPopulation) {

@@ -442,7 +442,7 @@ TEST_F(MobilityModelTest, ChurnDepartsRespectMinimumDwell) {
   ASSERT_GT(listener.dwells.size(), 10u);
   for (const double d : listener.dwells) {
     // One mobility tick of slack: departures fire on tick boundaries.
-    EXPECT_GE(d, cfg.churn.min_dwell_sec - cfg.tick_sec);
+    EXPECT_GE(d, cfg.churn.min_dwell_sec - kMobilityTickSec);
   }
 }
 

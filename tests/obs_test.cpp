@@ -225,7 +225,6 @@ TEST(RegionConservationTest, ServiceTierShedsAttributed) {
   ScenarioConfig cfg = obs_scenario(120, 25);
   cfg.map.size_m = 1000.0;
   cfg.source_fraction = 0.0;
-  cfg.service.enabled = true;
   cfg.service.open_loop_rate_per_sec = 40.0;
   cfg.service.max_outstanding = 4;  // absurdly tight: shedding must fire
   World world(cfg, Protocol::kHlsrg);

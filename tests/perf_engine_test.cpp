@@ -463,7 +463,7 @@ TEST(EngineStatsTest, IndexWorkCountersAreStampedFromTheMedium) {
   // The pose bridge commits a whole mobility tick before any broadcast, so
   // the index rebuilds at most once per tick (plus the initial build).
   const auto ticks = static_cast<std::uint64_t>(
-      cfg.end_time().sec() / cfg.mobility.tick_sec);
+      cfg.end_time().sec() / kMobilityTickSec);
   EXPECT_LE(e.index_rebuilds, ticks + 1);
 }
 

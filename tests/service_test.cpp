@@ -33,7 +33,6 @@ ScenarioConfig tier_scenario(std::uint64_t seed = 41) {
   cfg.workload = ScenarioConfig::WorkloadKind::kOneShot;
   cfg.source_fraction = 0.0;
   cfg.hotspot_targets = 3;
-  cfg.service.enabled = true;
   cfg.service.open_loop_rate_per_sec = 12.0;
   cfg.service.hotspot_fraction = 0.9;
   return cfg;
@@ -195,14 +194,19 @@ TEST(OpenLoopTest, RampedRateIsLinearAndClampedAtZero) {
 }
 
 TEST(OpenLoopTest, InertTierLeavesRunIdentical) {
-  // enabled=true with every mechanism off must not perturb a single event:
-  // the admission seam routes queries but draws nothing from any RNG stream.
+  // Settings whose mechanism is off must not perturb a single event: the
+  // admission seam routes queries but draws nothing from any RNG stream.
   ScenarioConfig plain = paper_scenario(100, 7);
   plain.map.size_m = 1000.0;
   plain.query_window = SimTime::from_sec(10.0);
   plain.grace = SimTime::from_sec(15.0);
   ScenarioConfig inert = plain;
-  inert.service.enabled = true;
+  inert.service.batch_window = SimTime::from_ms(400.0);
+  inert.service.max_batch = 2;
+  inert.service.cache_ttl = SimTime::from_sec(1.0);
+  inert.service.cache_capacity = 4;
+  inert.service.hotspot_fraction = 0.1;
+  ASSERT_FALSE(inert.service.active());
   World a(plain, Protocol::kHlsrg);
   World b(inert, Protocol::kHlsrg);
   a.run_until(plain.end_time());
