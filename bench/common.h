@@ -7,9 +7,9 @@
 // pipeline (scripts/bench_compare.py).
 //
 // All bench binaries accept the uniform flag set parsed by BenchOptions:
-//   --replicas N   statistical effort per point (HLSRG_BENCH_REPLICAS env
-//                  works too; the per-bench defaults keep a full
-//                  `for b in build/bench/*` pass in the low minutes)
+//   --replicas N   statistical effort per point (the per-bench defaults
+//                  keep a full `for b in build/bench/*` pass in the low
+//                  minutes)
 //   --seed S       override every sweep point's base seed
 //   --threads T    replica-runner thread count (0 = auto)
 //   --out FILE     JSON report path (default BENCH_<name>.json in the cwd)
@@ -76,9 +76,6 @@ inline BenchOptions parse_options(int argc, char** argv, const char* name,
   BenchOptions opts;
   opts.name = name;
   opts.replicas = default_replicas;
-  if (const char* env = std::getenv("HLSRG_BENCH_REPLICAS")) {
-    opts.replicas = std::max(1, std::atoi(env));
-  }
   opts.out = std::string("BENCH_") + name + ".json";
 
   ArgParser args(std::string("bench ") + name);
@@ -172,12 +169,7 @@ class SweepDriver {
     const ReplicaSet set =
         run_replicas(effective, protocol, opts_.replicas,
                      static_cast<std::size_t>(opts_.threads), trace);
-    if (trace != nullptr) {
-      for (const EnginePhase& p : set.phases) {
-        wall_spans_.push_back(
-            WallSpan{p.name, p.replica, p.begin_sec, p.end_sec});
-      }
-    }
+    if (trace != nullptr) wall_spans_ = set.phases;
     if (capture_obs) {
       obs_regions_ = set.regions;
       obs_profile_ = set.profile;
@@ -194,7 +186,7 @@ class SweepDriver {
     report_.begin_section(title, metric);
   }
 
-  // Comparison sweep: runs HLSRG and RLSMP on every row and prints one table
+  // Paired sweep: runs HLSRG and RLSMP on every row and prints one table
   // for the metric extractor (maps a ReplicaSet to the plotted value).
   template <typename MetricFn>
   void comparison(const std::string& title, const std::string& metric_name,

@@ -1,8 +1,8 @@
 // Scenario CLI: a flag-driven simulation driver (the "ns-2 command line" of
-// this repository). Runs one scenario under any protocol and prints the full
-// metric set; optionally writes the run's span trace (Chrome-trace JSON or a
-// span-tree text dump) and/or a JSON run report (the same run report the
-// benches embed — see docs/PROTOCOL.md).
+// this repository). Runs one scenario under any protocol, over one or more
+// replicas, and prints the full metric set; optionally writes replica 0's
+// span trace (Chrome-trace JSON or a span-tree text dump) and/or a
+// one-result bench report (bench "scenario_cli", see docs/PROTOCOL.md).
 //
 //   $ ./scenario_cli --protocol hlsrg --vehicles 500 --size 2000 --seed 42
 //   $ ./scenario_cli --workload poisson --no-rsus --spans spans.txt
@@ -14,16 +14,14 @@
 #include <fstream>
 #include <string>
 
-#include "harness/digest.h"
 #include "harness/runner.h"
-#include "obs/profiler.h"
-#include "obs/region_telemetry.h"
 #include "harness/scenario.h"
 #include "harness/world.h"
-#include "report/run_report.h"
+#include "obs/profiler.h"
+#include "obs/region_telemetry.h"
+#include "report/bench_report.h"
 #include "roadnet/map_io.h"
 #include "trace/chrome_trace.h"
-#include "trace/metrics.h"
 #include "util/args.h"
 
 int main(int argc, char** argv) {
@@ -67,16 +65,16 @@ int main(int argc, char** argv) {
                 &irregular);
   args.add_string("--map", "FILE", "load the road network from FILE",
                   &cfg.map_file);
-  args.add_string("--save-map", "FILE", "write the generated map to FILE",
+  args.add_string("--save-map", "FILE", "write the scenario's map to FILE",
                   &save_map_path);
   args.add_string("--trace-out", "FILE",
-                  "write Chrome-trace JSON spans (1 replica; Perfetto-ready)",
+                  "write Chrome-trace JSON spans (replica 0; Perfetto-ready)",
                   &trace_out_path);
-  args.add_string("--spans", "FILE", "write the span-tree text dump (1 replica)",
+  args.add_string("--spans", "FILE", "write the span-tree text dump (replica 0)",
                   &spans_path);
   args.add_int("--trace-cap", "N", "cap the trace at N spans (0 = default)",
                &trace_cap);
-  args.add_string("--out", "FILE", "write a JSON run report to FILE",
+  args.add_string("--out", "FILE", "write a JSON bench report to FILE",
                   &out_path);
   args.add_flag("--profile",
                 "wall-clock phase profiler (digest-neutral; adds a profile "
@@ -174,101 +172,53 @@ int main(int argc, char** argv) {
                  "--fault-seed has no effect without --fault-plan\n");
     return 1;
   }
-  if (replicas > 1 && (tracing || !save_map_path.empty())) {
+  if (!save_map_path.empty()) {
+    std::string error;
+    if (!save_map_file(build_scenario_map(cfg), save_map_path, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+    std::printf("map:        wrote %s\n", save_map_path.c_str());
+  }
+
+  // Every invocation, one replica or many, runs through the replica runner;
+  // the trace, span dump and saved map describe replica 0.
+  TraceLog trace;
+  if (trace_cap > 0) trace.set_capacity(static_cast<std::size_t>(trace_cap));
+  const ReplicaSet set =
+      run_replicas(cfg, protocol, replicas, static_cast<std::size_t>(threads),
+                   tracing ? &trace : nullptr);
+  const PhaseProfiler* profile = set.profile.empty() ? nullptr : &set.profile;
+  if (!trace_out_path.empty()) {
+    std::string error;
+    if (!write_chrome_trace(trace, set.phases, trace_out_path, &error,
+                            profile)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+    std::printf("trace-out:  %zu spans -> %s\n", trace.span_count(),
+                trace_out_path.c_str());
+  }
+  if (!spans_path.empty()) {
+    std::ofstream file(spans_path);
+    if (!file) {
+      std::fprintf(stderr, "cannot write %s\n", spans_path.c_str());
+      return 1;
+    }
+    file << trace.span_tree_text();
+    std::printf("spans:      %zu spans -> %s\n", trace.span_count(),
+                spans_path.c_str());
+  }
+  const EngineStats& engine = set.engine_total;
+  if (engine.trace_spans_dropped > 0) {
     std::fprintf(stderr,
-                 "--trace-out/--spans/--save-map need --replicas 1\n");
-    return 1;
+                 "warning: trace capacity hit (%llu spans dropped); raise "
+                 "--trace-cap\n",
+                 static_cast<unsigned long long>(engine.trace_spans_dropped));
   }
 
-  RunMetrics metrics;
-  EngineStats engine;
-  std::vector<EngineStats> replica_engine;
-  std::vector<std::uint64_t> digests;
-  MetricsRegistry observability;
-  RegionTelemetry regions;
-  PhaseProfiler profile;
-  const char* service_name = protocol_name(protocol);
-
-  if (replicas == 1) {
-    const double start = monotonic_now_sec();
-    const double build_begin = 0.0;
-    World world(cfg, protocol);
-    const double build_end = monotonic_now_sec() - start;
-    if (!save_map_path.empty()) {
-      std::string error;
-      if (!save_map_file(world.network(), save_map_path, &error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 1;
-      }
-      std::printf("map:        wrote %s\n", save_map_path.c_str());
-    }
-    TraceLog trace;
-    if (trace_cap > 0) trace.set_capacity(static_cast<std::size_t>(trace_cap));
-    if (tracing) world.attach_trace(&trace);
-
-    metrics = world.run();
-    const double run_end = monotonic_now_sec() - start;
-    engine = world.sim().engine_stats();
-    engine.wall_clock_sec = run_end;
-    // Process peak at sample time — with one replica this IS the run's peak
-    // (the multi-replica path had stamped fleet-wide peaks per replica; see
-    // run_replicas). The single-replica path used to leave it zero.
-    engine.peak_rss_bytes = process_peak_rss_bytes();
-    engine.table_bytes = world.service().service_stats().table_bytes;
-    engine.index_rebuilds = world.medium().index().rebuilds();
-    engine.density_recounts = world.medium().index().density_recounts();
-    digests.push_back(state_digest(world));
-    replica_engine.push_back(engine);
-    service_name = world.service().name();
-    observability = world.sim().observability();
-    regions = world.regions();
-    if (world.profiler() != nullptr) profile = *world.profiler();
-
-    if (!trace_out_path.empty()) {
-      const std::vector<WallSpan> wall = {
-          WallSpan{"build", 0, build_begin, build_end},
-          WallSpan{"run", 0, build_end, run_end},
-      };
-      std::string error;
-      if (!write_chrome_trace(trace, wall, trace_out_path, &error,
-                              profile.empty() ? nullptr : &profile)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 1;
-      }
-      std::printf("trace-out:  %zu spans -> %s\n", trace.span_count(),
-                  trace_out_path.c_str());
-    }
-    if (!spans_path.empty()) {
-      std::ofstream file(spans_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot write %s\n", spans_path.c_str());
-        return 1;
-      }
-      file << trace.span_tree_text();
-      std::printf("spans:      %zu spans -> %s\n", trace.span_count(),
-                  spans_path.c_str());
-    }
-    if (engine.trace_spans_dropped > 0) {
-      std::fprintf(stderr,
-                   "warning: trace capacity hit (%llu spans dropped); raise "
-                   "--trace-cap\n",
-                   static_cast<unsigned long long>(engine.trace_spans_dropped));
-    }
-  } else {
-    const ReplicaSet set = run_replicas(cfg, protocol, replicas,
-                                        static_cast<std::size_t>(threads));
-    metrics = set.merged;
-    engine = set.engine_total;
-    engine.peak_rss_bytes = set.peak_rss_bytes;
-    replica_engine = set.engine;
-    digests = set.digests;
-    observability = set.observability;
-    regions = set.regions;
-    profile = set.profile;
-  }
-
-  const RunMetrics& m = metrics;
-  std::printf("protocol:   %s\n", service_name);
+  const RunMetrics& m = set.merged;
+  std::printf("protocol:   %s\n", protocol_name(protocol));
   std::printf("scenario:   %d vehicles, %.0f m map, seed %llu, %s%s, "
               "%d replica%s\n",
               cfg.vehicles, cfg.map.size_m,
@@ -339,21 +289,21 @@ int main(int argc, char** argv) {
   std::printf("memory:     peak RSS %.1f MB, tables %.2f MB\n",
               static_cast<double>(engine.peak_rss_bytes) / 1e6,
               static_cast<double>(engine.table_bytes) / 1e6);
-  for (std::size_t i = 0; i < digests.size(); ++i) {
+  for (std::size_t i = 0; i < set.digests.size(); ++i) {
     std::printf("digest:     replica %zu = %016llx\n", i,
-                static_cast<unsigned long long>(digests[i]));
+                static_cast<unsigned long long>(set.digests[i]));
   }
-  if (regions.configured()) {
-    const RegionTelemetry::Imbalance imb = regions.load_imbalance();
+  if (set.regions.configured()) {
+    const RegionTelemetry::Imbalance imb = set.regions.load_imbalance();
     std::printf("regions:    %dx%d L3, load max/mean %.2f, cv %.2f\n",
-                regions.cols(), regions.rows(), imb.max_over_mean, imb.cv);
+                set.regions.cols(), set.regions.rows(), imb.max_over_mean,
+                imb.cv);
   }
 
   if (!obs_out_path.empty()) {
     std::string error;
-    if (!write_json_file(
-            obs_document(regions, profile.empty() ? nullptr : &profile),
-            obs_out_path, &error)) {
+    if (!write_json_file(obs_document(set.regions, profile), obs_out_path,
+                         &error)) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
@@ -361,35 +311,11 @@ int main(int argc, char** argv) {
   }
 
   if (!out_path.empty()) {
-    Directions directions;
-    JsonValue doc = run_report_json(protocol_name(protocol), cfg, metrics,
-                                    engine, directions);
-    doc.set("observability", registry_to_json(observability));
-    if (!profile.empty()) doc.set("profile", profile.to_json());
-    doc.set("schema", "hlsrg-run/v1");
-    doc.set("replicas", replicas);
-    doc.set("derived",
-            derived_metrics_json(metrics, cfg.service.active(),
-                                 static_cast<std::size_t>(replicas),
-                                 directions));
-    JsonValue per_replica = JsonValue::array();
-    for (const EngineStats& e : replica_engine) {
-      per_replica.push_back(engine_to_json(e, directions));
-    }
-    doc.set("replica_engine", std::move(per_replica));
-    // Per-replica end-state digests (hex), for re-baselining documentation:
-    // a code change that intends to shift digests records old/new from here.
-    JsonValue digest_array = JsonValue::array();
-    for (std::uint64_t d : digests) {
-      char hex[17];
-      std::snprintf(hex, sizeof hex, "%016llx",
-                    static_cast<unsigned long long>(d));
-      digest_array.push_back(JsonValue{std::string(hex)});
-    }
-    doc.set("digests", std::move(digest_array));
-    doc.set("directions", directions.json());
+    BenchReport report("scenario_cli", replicas);
+    report.begin_section("scenario", "run");
+    report.add_result("run", protocol_name(protocol), cfg, set);
     std::string error;
-    if (!write_json_file(doc, out_path, &error)) {
+    if (!report.write(out_path, &error)) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }

@@ -6,9 +6,10 @@ Usage:
                      [--include-engine] [--include-timing] [--verbose]
                      [--groups LIST]
 
-Reads two files produced by the bench binaries (schema "hlsrg-bench/v1",
-see docs/PROTOCOL.md) or by scenario_cli --out ("hlsrg-run/v1"), pairs up
-every (section, row, protocol) result, and compares the numeric fields.
+Reads two files produced by the bench binaries or by scenario_cli --out
+(schema "hlsrg-bench/v1", see docs/PROTOCOL.md; scenario_cli writes a
+one-result document), pairs up every (section, row, protocol) result, and
+compares the numeric fields.
 
 Which gate owns each field, and the direction in which it is better
 ("higher", "lower", or "unchanged": any move counts against it), come from
@@ -52,7 +53,8 @@ Improvements and sub-threshold drifts are reported in --verbose mode only.
 Exit status: 0 = no regression, 1 = regression(s), 2 = usage/schema error.
 
 The nested "observability" object (counters / histograms / time series from
-trace/metrics.h) is carried through reports untouched and never compared.
+trace/metrics.h) and the per-replica "digests" array are carried through
+reports untouched and never compared.
 """
 
 import argparse
@@ -85,7 +87,7 @@ def load(path):
     except (OSError, json.JSONDecodeError) as e:
         fail(f"cannot read {path}: {e}")
     schema = doc.get("schema", "")
-    if not schema.startswith(("hlsrg-bench/", "hlsrg-run/")):
+    if not schema.startswith("hlsrg-bench/"):
         fail(f"{path}: unrecognized schema {schema!r}")
     return doc
 
@@ -107,10 +109,7 @@ def load_directions(doc, path):
 
 
 def iter_results(doc):
-    """Yields ((section, row, protocol), result_dict) for both schemas."""
-    if doc.get("schema", "").startswith("hlsrg-run/"):
-        yield (("run", "run", doc.get("protocol", "?")), doc)
-        return
+    """Yields ((section, row, protocol), result_dict)."""
     for section in doc.get("sections", []):
         for row in section.get("rows", []):
             for result in row.get("results", []):

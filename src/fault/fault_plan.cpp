@@ -2,29 +2,12 @@
 
 #include <sstream>
 
+#include "util/fnv.h"
+
 namespace hlsrg {
 namespace {
 
 constexpr const char* kSchema = "hlsrg-fault/v1";
-
-// FNV-1a, matching harness/digest.cpp so plan digests compose with the run
-// state digest.
-struct Fnv {
-  std::uint64_t h = 14695981039346656037ull;
-  void mix_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_i64(std::int64_t v) { mix_u64(static_cast<std::uint64_t>(v)); }
-  void mix_double(double d) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    mix_u64(bits);
-  }
-};
 
 bool fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
@@ -128,7 +111,7 @@ std::uint64_t FaultPlan::digest() const {
   mix_opt_d(o.l3_expiry_sec);
   // An all-defaults plan hashes to 0 by definition of empty(); any schedule
   // content makes the digest nonzero via this final stir.
-  return f.h == 0 ? 1 : f.h;
+  return f.value() == 0 ? 1 : f.value();
 }
 
 JsonValue FaultPlan::to_json() const {

@@ -16,9 +16,6 @@ bool Partition::is_selected_boundary(RoadId road) const {
 
 namespace {
 
-// Minimum fraction of the map a road must span to be a boundary candidate.
-constexpr double kMinSpanFrac = 0.95;
-
 // Greedy single-axis selection (the paper's step 1+2: take main arteries,
 // then reject/add roads until grids are ~target sized).
 std::vector<BoundaryLine> select_axis(const RoadNetwork& net,
@@ -27,7 +24,7 @@ std::vector<BoundaryLine> select_axis(const RoadNetwork& net,
                                       const PartitionConfig& cfg) {
   // Candidates: roads of this orientation spanning the map, ascending coord.
   std::vector<BoundaryLine> candidates;
-  for (RoadId rid : net.spanning_roads(orient, kMinSpanFrac)) {
+  for (RoadId rid : net.spanning_roads(orient)) {
     const Road& r = net.road(rid);
     candidates.push_back(
         {r.coord, rid, r.cls == RoadClass::kMainArtery});

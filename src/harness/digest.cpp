@@ -1,6 +1,5 @@
 #include "harness/digest.h"
 
-#include <bit>
 #include <cstddef>
 
 #include "core/rsu_agent.h"
@@ -8,23 +7,15 @@
 #include "flood/flood_agent.h"
 #include "harness/world.h"
 #include "rlsmp/rlsmp_agent.h"
+#include "util/fnv.h"
 
 namespace hlsrg {
 
 namespace {
 
-// FNV-1a, 64-bit.
-class Fnv {
+// FNV-1a (util/fnv.h) plus the simulation types the state digest mixes.
+class StateHash : public Fnv {
  public:
-  void mix_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ = (hash_ ^ (v & 0xff)) * kPrime;
-      v >>= 8;
-    }
-  }
-  void mix_i64(std::int64_t v) { mix_u64(static_cast<std::uint64_t>(v)); }
-  void mix_double(double v) { mix_u64(std::bit_cast<std::uint64_t>(v)); }
-  void mix_bool(bool v) { mix_u64(v ? 1 : 0); }
   template <typename Coord>  // GridCoord or CellCoord
   void mix_coord(Coord c) {
     mix_i64(c.col);
@@ -35,23 +26,17 @@ class Fnv {
     mix_double(v.x);
     mix_double(v.y);
   }
-
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  static constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t hash_ = 14695981039346656037ULL;
 };
 
 // Mixes the RunMetrics counters of one digest group, in table order.
-void mix_group(Fnv& f, const RunMetrics& m, DigestGroup group) {
+void mix_group(StateHash& f, const RunMetrics& m, DigestGroup group) {
   RunMetrics::for_each_field(
       [&](const MetricSpec& spec, std::uint64_t RunMetrics::*field) {
         if (spec.digest == group) f.mix_u64(m.*field);
       });
 }
 
-void mix_metrics(Fnv& f, const RunMetrics& m) {
+void mix_metrics(StateHash& f, const RunMetrics& m) {
   mix_group(f, m, DigestGroup::kAlways);
   for (int k = 0; k < static_cast<int>(PacketLedger::kSlots); ++k) {
     f.mix_u64(m.channel.offered(k));
@@ -78,12 +63,12 @@ void mix_metrics(Fnv& f, const RunMetrics& m) {
 // insertion-and-erase history. mix_table mixes a table's size, then `mix`
 // over its records in key order.
 template <typename Table, typename Mix>
-void mix_table(Fnv& f, const Table& table, Mix mix) {
+void mix_table(StateHash& f, const Table& table, Mix mix) {
   f.mix_u64(table.size());
   for (const auto& rec : table.snapshot()) mix(rec);
 }
 
-void mix_hlsrg_tables(Fnv& f, const HlsrgService& svc,
+void mix_hlsrg_tables(StateHash& f, const HlsrgService& svc,
                       std::size_t vehicle_count) {
   for (std::size_t i = 0; i < vehicle_count; ++i) {
     const HlsrgVehicleAgent& agent = svc.vehicle_agent(VehicleId{i});
@@ -117,7 +102,8 @@ void mix_hlsrg_tables(Fnv& f, const HlsrgService& svc,
   }
 }
 
-void mix_rlsmp_tables(Fnv& f, RlsmpService& svc, std::size_t vehicle_count) {
+void mix_rlsmp_tables(StateHash& f, RlsmpService& svc,
+                      std::size_t vehicle_count) {
   const auto mix_cell = [&f](const CellRecord& rec) {
     f.mix_u64(rec.vehicle.value());
     f.mix_vec(rec.pos);
@@ -132,7 +118,8 @@ void mix_rlsmp_tables(Fnv& f, RlsmpService& svc, std::size_t vehicle_count) {
   }
 }
 
-void mix_flood_caches(Fnv& f, FloodService& svc, std::size_t vehicle_count) {
+void mix_flood_caches(StateHash& f, FloodService& svc,
+                      std::size_t vehicle_count) {
   for (std::size_t i = 0; i < vehicle_count; ++i) {
     mix_table(f, svc.vehicle_agent(VehicleId{i}).cache(),
               [&f](const FloodVehicleAgent::CacheEntry& e) {
@@ -143,7 +130,7 @@ void mix_flood_caches(Fnv& f, FloodService& svc, std::size_t vehicle_count) {
   }
 }
 
-void mix_beacon_tables(Fnv& f, const BeaconService& beacons) {
+void mix_beacon_tables(StateHash& f, const BeaconService& beacons) {
   for (const BeaconService::Table& table : beacons.tables()) {
     mix_table(f, table, [&f](const BeaconService::Neighbor& n) {
       f.mix_u64(n.id.value());
@@ -156,7 +143,7 @@ void mix_beacon_tables(Fnv& f, const BeaconService& beacons) {
 }  // namespace
 
 std::uint64_t state_digest(World& world) {
-  Fnv f;
+  StateHash f;
 
   const Simulator& sim = world.sim();
   f.mix_time(sim.now());

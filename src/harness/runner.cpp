@@ -43,22 +43,17 @@ std::uint64_t process_peak_rss_bytes() {
 #endif
 }
 
+// The same merged / n formula as derived_metrics_json's headline overheads.
 double ReplicaSet::mean_update_overhead() const {
   if (replicas.empty()) return 0.0;
-  double sum = 0.0;
-  for (const RunMetrics& m : replicas) {
-    sum += static_cast<double>(m.total_update_overhead());
-  }
-  return sum / static_cast<double>(replicas.size());
+  return static_cast<double>(merged.total_update_overhead()) /
+         static_cast<double>(replicas.size());
 }
 
 double ReplicaSet::mean_query_overhead() const {
   if (replicas.empty()) return 0.0;
-  double sum = 0.0;
-  for (const RunMetrics& m : replicas) {
-    sum += static_cast<double>(m.total_query_overhead());
-  }
-  return sum / static_cast<double>(replicas.size());
+  return static_cast<double>(merged.total_query_overhead()) /
+         static_cast<double>(replicas.size());
 }
 
 double ReplicaSet::mean_success_rate() const {
@@ -102,13 +97,13 @@ ReplicaSet run_replicas(const ScenarioConfig& cfg, Protocol protocol,
       world.attach_trace(trace_replica0);
     }
     const double build_end = since_epoch();
-    out.phases[i * 3] = EnginePhase{"build", rep, build_begin, build_end};
+    out.phases[i * 3] = WallSpan{"build", rep, build_begin, build_end};
     out.replicas[i] = world.run();
     const double stop = monotonic_now_sec();
     const double run_end = since_epoch();
-    out.phases[i * 3 + 1] = EnginePhase{"run", rep, build_end, run_end};
+    out.phases[i * 3 + 1] = WallSpan{"run", rep, build_end, run_end};
     out.digests[i] = state_digest(world);
-    out.phases[i * 3 + 2] = EnginePhase{"digest", rep, run_end, since_epoch()};
+    out.phases[i * 3 + 2] = WallSpan{"digest", rep, run_end, since_epoch()};
     out.engine[i] = world.sim().engine_stats();
     out.engine[i].wall_clock_sec = stop - start;
     // Process peak at sample time, NOT this replica's own footprint — see
@@ -137,14 +132,6 @@ ReplicaSet run_replicas(const ScenarioConfig& cfg, Protocol protocol,
   for (const RegionTelemetry& r : regions) out.regions.merge(r);
   for (const PhaseProfiler& p : profiles) out.profile.merge(p);
   return out;
-}
-
-Comparison run_comparison(const ScenarioConfig& cfg, int replicas,
-                          std::size_t threads) {
-  Comparison c;
-  c.hlsrg = run_replicas(cfg, Protocol::kHlsrg, replicas, threads);
-  c.rlsmp = run_replicas(cfg, Protocol::kRlsmp, replicas, threads);
-  return c;
 }
 
 }  // namespace hlsrg

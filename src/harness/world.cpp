@@ -14,24 +14,25 @@ namespace hlsrg {
 // on the paper's 2 km evaluation map.
 constexpr int kRlsmpClusterDim = 3;
 
+RoadNetwork build_scenario_map(const ScenarioConfig& cfg) {
+  if (!cfg.map_file.empty()) {
+    std::string error;
+    RoadNetwork net = load_map_file(cfg.map_file, &error);
+    HLSRG_CHECK_MSG(net.intersection_count() > 0, error.c_str());
+    return net;
+  }
+  MapConfig map_cfg = cfg.map;
+  if (map_cfg.irregular) map_cfg.seed = cfg.seed;
+  return build_manhattan_map(map_cfg);
+}
+
 World::World(const ScenarioConfig& cfg, Protocol protocol)
     : cfg_(cfg), protocol_(protocol), sim_(cfg.seed) {
   // Fault plan first: its protocol overrides must land in cfg_.hlsrg before
   // the service snapshots the config.
   resolve_fault_plan();
 
-  // Map: loaded from file when requested, generated otherwise. The
-  // generator's own randomness (irregular variant) keys off the scenario
-  // seed so replicas with different seeds get different irregular maps.
-  if (!cfg_.map_file.empty()) {
-    std::string error;
-    net_ = load_map_file(cfg_.map_file, &error);
-    HLSRG_CHECK_MSG(net_.intersection_count() > 0, error.c_str());
-  } else {
-    MapConfig map_cfg = cfg_.map;
-    if (map_cfg.irregular) map_cfg.seed = cfg_.seed;
-    net_ = build_manhattan_map(map_cfg);
-  }
+  net_ = build_scenario_map(cfg_);
 
   // Road-adapted partition and hierarchy (used by HLSRG; also handy context
   // for examples even under RLSMP).

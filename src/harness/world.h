@@ -29,6 +29,12 @@
 
 namespace hlsrg {
 
+// The scenario's road network: loaded from cfg.map_file when set, generated
+// from cfg.map otherwise. The irregular generator keys its randomness off
+// the scenario seed, so replicas with different seeds get different
+// irregular maps.
+[[nodiscard]] RoadNetwork build_scenario_map(const ScenarioConfig& cfg);
+
 class World {
  public:
   // Builds the world: map, partition, protocol agents, and vehicles at their

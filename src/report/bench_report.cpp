@@ -1,5 +1,7 @@
 #include "report/bench_report.h"
 
+#include <cstdio>
+
 #include "trace/metrics.h"
 #include "util/check.h"
 
@@ -52,6 +54,16 @@ void BenchReport::add_result(const std::string& label,
                     Better::kLower);
   }
   entry.set("derived", std::move(derived));
+  // Per-replica end-state digests (harness/digest.h) as hex strings, for
+  // documenting a change that intends to move them. Never gated.
+  JsonValue digests = JsonValue::array();
+  for (std::uint64_t d : set.digests) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(d));
+    digests.push_back(JsonValue{std::string(hex)});
+  }
+  entry.set("digests", std::move(digests));
   row->results.push_back(std::move(entry));
 }
 

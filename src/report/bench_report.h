@@ -16,7 +16,8 @@
 //               { "protocol": "HLSRG", "config": {...}, "metrics": {...},
 //                 "latency": {...}, "engine": {...},
 //                 "observability": {...},
-//                 "replica_engine": [ {...}, ... ], "derived": {...} },
+//                 "replica_engine": [ {...}, ... ], "derived": {...},
+//                 "digests": [ "<16 hex digits>", ... ] },
 //               ... ] },
 //           ... ] },
 //       ... ],

@@ -2,8 +2,8 @@
 // scenario configuration, protocol metrics, latency summary, engine
 // statistics and derived headline figures — plus the `directions` block that
 // tells scripts/bench_compare.py which way each key is better. Every bench
-// emits these inside its BENCH_<name>.json; scenario_cli emits one per
-// invocation. The schema is documented in docs/PROTOCOL.md ("Bench JSON
+// emits these inside its BENCH_<name>.json, and scenario_cli writes a
+// one-result bench document per invocation. The schema is documented in docs/PROTOCOL.md ("Bench JSON
 // reports") and versioned via kBenchSchema; the metric and engine fields
 // are the tables in sim/counters.h.
 #pragma once

@@ -219,8 +219,7 @@ bool RoadNetwork::is_connected() const {
   return visited == intersections_.size();
 }
 
-std::vector<RoadId> RoadNetwork::spanning_roads(Orientation orient,
-                                                double min_span_frac) const {
+std::vector<RoadId> RoadNetwork::spanning_roads(Orientation orient) const {
   const Aabb box = bounds();
   const double extent =
       orient == Orientation::kHorizontal ? box.width() : box.height();
@@ -228,7 +227,7 @@ std::vector<RoadId> RoadNetwork::spanning_roads(Orientation orient,
   for (std::size_t i = 0; i < roads_.size(); ++i) {
     const Road& r = roads_[i];
     if (r.orient != orient || r.fwd_segments.empty()) continue;
-    if (r.span_hi - r.span_lo >= min_span_frac * extent) {
+    if (r.span_hi - r.span_lo >= kMinSpanFrac * extent) {
       out.push_back(RoadId{i});
     }
   }

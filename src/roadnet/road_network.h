@@ -56,6 +56,10 @@ struct Road {
   std::vector<SegmentId> fwd_segments;
 };
 
+// Minimum fraction of the map extent a road must span to be a partition
+// boundary candidate (RoadNetwork::spanning_roads).
+inline constexpr double kMinSpanFrac = 0.95;
+
 class RoadNetwork {
  public:
   // --- construction -------------------------------------------------------
@@ -115,10 +119,9 @@ class RoadNetwork {
   // sense; our edges always come in directed pairs).
   [[nodiscard]] bool is_connected() const;
 
-  // Roads of the given orientation that span at least `min_span_frac` of the
+  // Roads of the given orientation that span at least kMinSpanFrac of the
   // map extent along their running axis — the partition's boundary candidates.
-  [[nodiscard]] std::vector<RoadId> spanning_roads(
-      Orientation orient, double min_span_frac = 0.95) const;
+  [[nodiscard]] std::vector<RoadId> spanning_roads(Orientation orient) const;
 
   [[nodiscard]] const std::vector<Intersection>& intersections() const {
     return intersections_;

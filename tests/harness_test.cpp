@@ -292,15 +292,5 @@ TEST(RunnerTest, MeansAreConsistent) {
   EXPECT_DOUBLE_EQ(set.mean_success_rate(), set.merged.success_rate());
 }
 
-TEST(RunnerTest, ComparisonRunsBothProtocols) {
-  ScenarioConfig cfg = paper_scenario(100, 44);
-  cfg.grace = SimTime::from_sec(30);
-  const Comparison c = run_comparison(cfg, 2, 2);
-  EXPECT_EQ(c.hlsrg.replicas.size(), 2u);
-  EXPECT_EQ(c.rlsmp.replicas.size(), 2u);
-  EXPECT_GT(c.hlsrg.merged.queries_issued, 0u);
-  EXPECT_GT(c.rlsmp.merged.queries_issued, 0u);
-}
-
 }  // namespace
 }  // namespace hlsrg

@@ -403,7 +403,7 @@ TEST(ObservabilityReportTest, RunReportCarriesObservabilityAndPercentiles) {
   ScenarioConfig cfg = paper_scenario(150, 75);
   const ReplicaSet set = run_replicas(cfg, Protocol::kHlsrg, 2, 2);
   EXPECT_EQ(set.phases.size(), 6u);  // build/run/digest per replica
-  for (const EnginePhase& p : set.phases) {
+  for (const WallSpan& p : set.phases) {
     EXPECT_GE(p.end_sec, p.begin_sec);
   }
 

@@ -10,13 +10,13 @@ namespace fixture {
 unsigned long long monotonic_now_ns();
 double monotonic_now_sec();
 
-struct EnginePhase {
+struct PhaseTiming {
   double begin_sec = 0.0;
   double end_sec = 0.0;
 };
 
-inline EnginePhase time_build_phase() {
-  EnginePhase phase;
+inline PhaseTiming time_build_phase() {
+  PhaseTiming phase;
   const double epoch = monotonic_now_sec();
   phase.begin_sec = 0.0;
   phase.end_sec = monotonic_now_sec() - epoch;

@@ -7,13 +7,13 @@
 
 namespace fixture {
 
-struct EnginePhase {
+struct PhaseTiming {
   double begin_sec = 0.0;
   double end_sec = 0.0;
 };
 
-inline EnginePhase time_build_phase() {
-  EnginePhase phase;
+inline PhaseTiming time_build_phase() {
+  PhaseTiming phase;
   const auto start = std::chrono::steady_clock::now();  // line 17
   phase.begin_sec = 0.0;
   phase.end_sec =
