@@ -1,23 +1,8 @@
 #include "trace/trace.h"
 
-#include <cstdio>
+#include <charconv>
 
 namespace hlsrg {
-namespace {
-
-// Fixed-precision float -> string that is byte-stable across platforms: the
-// C locale may use ',' as the decimal separator, so normalize it back to
-// '.' after formatting.
-std::string format_fixed(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  for (char* p = buf; *p != '\0'; ++p) {
-    if (*p == ',') *p = '.';
-  }
-  return buf;
-}
-
-}  // namespace
 
 const char* span_kind_name(SpanKind kind) {
   switch (kind) {
@@ -77,6 +62,9 @@ SpanId TraceLog::begin_span(Span span, SimTime begin) {
   span.begin = begin;
   span.end = begin;
   spans_.push_back(span);
+  if (span.query_id != kNoQuery) {
+    query_spans_[span.query_id].push_back(span.id);
+  }
   return span.id;
 }
 
@@ -94,14 +82,16 @@ void TraceLog::end_span(SpanId id, SimTime end, SpanStatus status,
 void TraceLog::end_open_spans_for_query(SpanId root, SimTime end,
                                         SpanStatus status) {
   if (root == kNoSpan || root > spans_.size()) return;
-  const std::uint32_t query_id = spans_[root - 1].query_id;
-  for (std::size_t i = root - 1; i < spans_.size(); ++i) {
-    Span& s = spans_[i];
-    if (s.query_id != query_id || s.status != SpanStatus::kOpen) continue;
+  const auto it = query_spans_.find(spans_[root - 1].query_id);
+  if (it == query_spans_.end()) return;
+  for (const SpanId id : it->second) {
+    Span& s = spans_[id - 1];
+    if (s.status != SpanStatus::kOpen) continue;
     s.status = status;
     s.end = end;
     s.end_pos = s.begin_pos;
   }
+  query_spans_.erase(it);
 }
 
 std::vector<Span> TraceLog::children_of(SpanId parent) const {
@@ -122,35 +112,52 @@ std::vector<Span> TraceLog::spans_for_query(std::uint32_t query_id) const {
 
 namespace {
 
+// Appends `v` with `precision` fixed decimals. std::to_chars formats as
+// printf does in the C locale, whatever the global locale, so the dump is
+// byte-stable across platforms; a simulated time (int64 microseconds) fits
+// the buffer.
+void append_fixed(std::string& out, double v, int precision) {
+  char buf[64];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::fixed, precision);
+  out.append(buf, r.ptr);
+}
+
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
+}
+
 void append_span_line(std::string& out, const Span& s, int depth) {
   out.append(static_cast<std::size_t>(depth) * 2, ' ');
   out += span_kind_name(s.kind);
   out += " [";
   out += span_status_name(s.status);
   out += "] ";
-  out += format_fixed(s.begin.sec(), 6);
+  append_fixed(out, s.begin.sec(), 6);
   out += "s -> ";
-  out += format_fixed(s.end.sec(), 6);
+  append_fixed(out, s.end.sec(), 6);
   out += 's';
   if (s.subject != kNoQuery) {
     out += " subject=";
-    out += std::to_string(s.subject);
+    append_int(out, s.subject);
   }
   if (s.other != kNoQuery) {
     out += " other=";
-    out += std::to_string(s.other);
+    append_int(out, s.other);
   }
   if (s.query_id != kNoQuery) {
     out += " query=";
-    out += std::to_string(s.query_id);
+    append_int(out, s.query_id);
   }
   if (s.level >= 0) {
     out += " level=";
-    out += std::to_string(s.level);
+    append_int(out, s.level);
   }
   if (s.value != 0) {
     out += " value=";
-    out += std::to_string(s.value);
+    append_int(out, s.value);
   }
   if (s.detail != nullptr) {
     out += " detail=";
@@ -159,32 +166,47 @@ void append_span_line(std::string& out, const Span& s, int depth) {
   out += '\n';
 }
 
-// Children lists indexed by parent id (kNoSpan holds the roots), each in
-// record order, which is begin order.
-using ChildLists = std::vector<std::vector<std::uint32_t>>;
+// Children of every span in one flat array, grouped by parent id
+// (kNoSpan holds the roots), each group in record order, which is begin
+// order: the children of parent p are child[first[p] .. first[p + 1]).
+struct ChildIndex {
+  std::vector<std::uint32_t> first;
+  std::vector<std::uint32_t> child;
+};
 
 void append_children(std::string& out, const std::vector<Span>& spans,
-                     const ChildLists& children, SpanId parent, int depth) {
-  for (const std::uint32_t i : children[parent]) {
+                     const ChildIndex& index, SpanId parent, int depth) {
+  for (std::uint32_t k = index.first[parent]; k < index.first[parent + 1];
+       ++k) {
+    const std::uint32_t i = index.child[k];
     append_span_line(out, spans[i], depth);
-    append_children(out, spans, children, i + 1, depth + 1);
+    append_children(out, spans, index, i + 1, depth + 1);
   }
 }
 
 }  // namespace
 
 std::string TraceLog::span_tree_text() const {
-  // Bucket the children by parent in one pass: the dump stays linear in
-  // the span count.
-  ChildLists children(spans_.size() + 1);
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
+  // Bucket the children by parent with a counting sort: the dump stays
+  // linear in the span count. A span whose parent is not in the log is
+  // left out, as is its subtree.
+  const std::size_t n = spans_.size();
+  ChildIndex index;
+  index.first.assign(n + 2, 0);
+  for (const Span& s : spans_) {
+    if (s.parent <= n) ++index.first[s.parent + 1];
+  }
+  for (std::size_t p = 0; p <= n; ++p) index.first[p + 1] += index.first[p];
+  index.child.resize(index.first[n + 1]);
+  std::vector<std::uint32_t> fill(index.first.begin(), index.first.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
     const SpanId parent = spans_[i].parent;
-    if (parent < children.size()) {
-      children[parent].push_back(static_cast<std::uint32_t>(i));
+    if (parent <= n) {
+      index.child[fill[parent]++] = static_cast<std::uint32_t>(i);
     }
   }
   std::string out;
-  append_children(out, spans_, children, kNoSpan, 0);
+  append_children(out, spans_, index, kNoSpan, 0);
   return out;
 }
 

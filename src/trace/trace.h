@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "geom/vec2.h"
@@ -47,9 +48,9 @@ class TraceLog {
 
   // Closes every still-open span carrying the query id of `root` (root +
   // in-flight legs) with the query's outcome — called when a query
-  // settles. Scans from `root` on, since no span of a query begins before
-  // its root; a kNoSpan root (dropped by the cap, which then drops every
-  // later span too) is a no-op.
+  // settles. Walks only that query's own spans, so a settle costs
+  // O(spans of the query), not O(log); a kNoSpan root (dropped by the cap,
+  // which then drops every later span too) is a no-op.
   void end_open_spans_for_query(SpanId root, SimTime end, SpanStatus status);
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
@@ -73,6 +74,9 @@ class TraceLog {
 
  private:
   std::vector<Span> spans_;
+  // Ids of the spans recorded under each query id, in record order; an
+  // entry is dropped when its query settles.
+  std::unordered_map<std::uint32_t, std::vector<SpanId>> query_spans_;
   std::size_t max_spans_ = kDefaultCap;
   std::uint64_t dropped_spans_ = 0;
 };
