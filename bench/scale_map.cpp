@@ -121,7 +121,8 @@ int main(int argc, char** argv) {
           {row.label,
            fmt_double(static_cast<double>(s.engine_total.table_bytes) / veh, 1),
            fmt_double(static_cast<double>(s.engine_total.table_bytes) / 1e6, 2),
-           fmt_double(static_cast<double>(s.peak_rss_bytes) / 1e6, 1),
+           fmt_double(
+               static_cast<double>(s.engine_total.peak_rss_bytes) / 1e6, 1),
            fmt_double(s.mean_success_rate(), 3)});
     }
     std::fputs(table.render().c_str(), stdout);

@@ -81,6 +81,17 @@ void ConservationAuditor::check(const AuditScope& scope,
     report->add("conservation", os.str());
   }
 
+  // Every abandoned GPSR route ends in exactly one way.
+  const std::uint64_t gpsr_causes =
+      m.gpsr_fail_no_neighbor + m.gpsr_fail_empty_disc +
+      m.gpsr_fail_face_loop + m.gpsr_fail_hop_cap + m.gpsr_fail_link_lost;
+  if (gpsr_causes != m.gpsr_failures) {
+    std::ostringstream os;
+    os << "GPSR failure causes sum to " << gpsr_causes
+       << " != gpsr_failures " << m.gpsr_failures;
+    report->add("conservation", os.str());
+  }
+
   if (m.queries_succeeded + m.queries_failed > m.queries_issued) {
     std::ostringstream os;
     os << "more queries settled than issued: " << m.queries_succeeded

@@ -9,6 +9,8 @@
 //    packets are pending events, so they live in the queue identity, not
 //    this one), with radio_drops + wired_drops equal to the ledger's total
 //    drops (every drop path is ledgered, frame paths included);
+//  - GPSR: the failure causes (no neighbor, empty delivery disc, face
+//    loop, hop cap, link lost) sum to gpsr_failures;
 //  - queries:  issued == succeeded + failed + outstanding.
 #pragma once
 

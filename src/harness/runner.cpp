@@ -119,7 +119,7 @@ ReplicaSet run_replicas(const ScenarioConfig& cfg, Protocol protocol,
     if (world.profiler() != nullptr) profiles[i] = *world.profiler();
   });
   // The run's true peak: sampled once, after every replica has finished.
-  out.peak_rss_bytes = process_peak_rss_bytes();
+  const std::uint64_t peak_rss = process_peak_rss_bytes();
   // Merge in replica order (not completion order) so the aggregate is a pure
   // function of the replica results regardless of thread interleaving.
   for (const RunMetrics& m : out.replicas) out.merged.merge(m);
@@ -127,7 +127,7 @@ ReplicaSet run_replicas(const ScenarioConfig& cfg, Protocol protocol,
   // engine_total's RSS is the run-level sample, not the max of the
   // per-replica process snapshots (same number in practice, but this one
   // has defined semantics).
-  out.engine_total.peak_rss_bytes = out.peak_rss_bytes;
+  out.engine_total.peak_rss_bytes = peak_rss;
   for (const MetricsRegistry& r : registries) out.observability.merge(r);
   for (const RegionTelemetry& r : regions) out.regions.merge(r);
   for (const PhaseProfiler& p : profiles) out.profile.merge(p);

@@ -23,13 +23,10 @@ struct ReplicaSet {
   // CAVEAT: each replica's peak_rss_bytes is the *process-wide* RSS
   // high-water mark at that replica's sample time — the kernel keeps no
   // per-thread peak, so with --threads > 1 a replica's number includes
-  // whatever its concurrently running siblings allocated. Use the run-level
-  // peak_rss_bytes below for anything quantitative; the per-replica field
-  // is only good for "how big had the process grown by then".
+  // whatever its concurrently running siblings allocated. Use
+  // engine_total.peak_rss_bytes for anything quantitative; the per-replica
+  // field is only good for "how big had the process grown by then".
   std::vector<EngineStats> engine;
-  // Process-wide peak RSS sampled exactly once, after every replica has
-  // finished — the run's true memory high-water mark.
-  std::uint64_t peak_rss_bytes = 0;
   // Per-replica end-state digests (harness/digest.h), same indexing. Pure
   // functions of (cfg, protocol, seed + i): any dependence on thread count
   // or run interleaving is a determinism bug.
@@ -37,7 +34,9 @@ struct ReplicaSet {
   // All replicas merged (counts summed, latencies pooled).
   RunMetrics merged;
   // Engine stats aggregated across replicas (counts/times summed, peak
-  // queue depth maxed).
+  // queue depth maxed). Its peak_rss_bytes is the process-wide peak sampled
+  // once, after every replica has finished: the run's memory high-water
+  // mark.
   EngineStats engine_total;
   // Wall-clock engine phases (build/run/digest per replica, track = replica
   // index), relative to the run_replicas entry time: the engine track of the

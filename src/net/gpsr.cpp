@@ -9,8 +9,9 @@
 
 namespace hlsrg {
 
-// Routing gives up after this many hops (covers perimeter loops on
-// disconnected topologies).
+// Routing gives up after this many hops. The empty-disc and face-loop rules
+// end the undeliverable routes GPSR can prove so; the cap bounds the rest
+// (positions heard from beacons, which may be stale, and moving nodes).
 constexpr int kMaxHops = 64;
 // A packet addressed to a position (no target node) is delivered to the
 // first node within this distance of the destination position.
@@ -26,6 +27,9 @@ struct GpsrRouter::RouteState {
   int hops = 0;
   bool perimeter = false;
   Vec2 perimeter_entry;  // position where perimeter mode was entered
+  // First edge of the current perimeter walk, for the face-loop rule.
+  NodeId face_from;
+  NodeId face_to;
   NodeId prev;           // previous hop, for the right-hand rule
   std::uint64_t* tx_counter = nullptr;
   DeliverFn deliver;
@@ -156,13 +160,7 @@ void GpsrRouter::route_step(NodeId current,
   }
 
   if (++st->hops > kMaxHops) {
-    Simulator& sim = medium_->sim();
-    sim.metrics().gpsr_failures++;
-    sim.end_span(st->span, SpanStatus::kFailed, cp, st->hops);
-    if (st->fail) {
-      SpanScope scope(sim, st->ctx);
-      st->fail();
-    }
+    fail_route(st, cp, &RunMetrics::gpsr_fail_hop_cap);
     return;
   }
 
@@ -180,6 +178,7 @@ void GpsrRouter::route_step(NodeId current,
     }
   }
 
+  bool perimeter_hop = false;
   if (!next.valid()) {
     // Perimeter exit rule: back to greedy once closer than the entry point.
     if (st->perimeter &&
@@ -189,29 +188,47 @@ void GpsrRouter::route_step(NodeId current,
     if (!st->perimeter) {
       next = greedy_next(cp, st->dest_pos, neighbors);
       if (!next.valid()) {
+        // Empty delivery disc: when the range covers the disc (triangle
+        // inequality), every node in it is a neighbor strictly closer to D
+        // than this node, which is outside the disc. Greedy found none, so
+        // the disc is empty. The relative margin keeps rounding from
+        // admitting a node the neighbor walk's distance² <= range² test
+        // would miss.
+        if (!st->dest_node.has_value() &&
+            d + st->delivery_radius <= medium_->range() * (1.0 - 1e-9)) {
+          fail_route(st, cp, &RunMetrics::gpsr_fail_empty_disc);
+          return;
+        }
         st->perimeter = true;
         st->perimeter_entry = cp;
         next = perimeter_next(cp, st->dest_pos, neighbors);
+        st->face_from = current;
+        st->face_to = next;
+        perimeter_hop = true;
       }
     } else {
       const Vec2 ref = st->prev.valid() ? registry_->position(st->prev)
                                         : st->dest_pos;
       next = perimeter_next(cp, ref, neighbors);
+      // Face loop (Karp & Kung): on a static planar graph the right-hand
+      // walk is periodic, and any node closer to D than the entry point
+      // would have ended perimeter mode. Taking the first edge again means
+      // the whole face was toured without one.
+      if (current == st->face_from && next == st->face_to) {
+        fail_route(st, cp, &RunMetrics::gpsr_fail_face_loop);
+        return;
+      }
+      perimeter_hop = true;
     }
   }
 
   if (!next.valid()) {
-    Simulator& sim = medium_->sim();
-    sim.metrics().gpsr_failures++;
-    sim.end_span(st->span, SpanStatus::kFailed, cp, st->hops);
-    if (st->fail) {
-      SpanScope scope(sim, st->ctx);
-      st->fail();
-    }
+    fail_route(st, cp, &RunMetrics::gpsr_fail_no_neighbor);
     return;
   }
 
   if (st->tx_counter != nullptr) ++*st->tx_counter;
+  if (perimeter_hop) medium_->sim().metrics().gpsr_perimeter_hops++;
   const NodeId from = current;
   // Hop spans nest under the route span, and the continuation comes back
   // with the route span active (the radio re-establishes the context it
@@ -224,16 +241,23 @@ void GpsrRouter::route_step(NodeId current,
         route_step(next, st);
       },
       /*on_lost=*/[this, st] {
-        Simulator& sim = medium_->sim();
-        sim.metrics().gpsr_failures++;
         const Vec2 where = st->prev.valid() ? registry_->position(st->prev)
                                             : st->dest_pos;
-        sim.end_span(st->span, SpanStatus::kFailed, where, st->hops);
-        if (st->fail) {
-          SpanScope fail_scope(sim, st->ctx);
-          st->fail();
-        }
+        fail_route(st, where, &RunMetrics::gpsr_fail_link_lost);
       });
+}
+
+void GpsrRouter::fail_route(const std::shared_ptr<RouteState>& st, Vec2 where,
+                            std::uint64_t RunMetrics::*cause) {
+  Simulator& sim = medium_->sim();
+  RunMetrics& m = sim.metrics();
+  m.gpsr_failures++;
+  ++(m.*cause);
+  sim.end_span(st->span, SpanStatus::kFailed, where, st->hops);
+  if (st->fail) {
+    SpanScope scope(sim, st->ctx);
+    st->fail();
+  }
 }
 
 }  // namespace hlsrg

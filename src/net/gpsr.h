@@ -5,6 +5,14 @@
 // geographic forwarding with perimeter-mode recovery over a Gabriel-graph
 // planarization of the neighbor set, using the right-hand rule. Packets hop
 // through the event queue, so every hop pays the radio's latency and loss.
+//
+// A route that cannot deliver ends early (DESIGN.md §2.3):
+//  - empty delivery disc: a position-addressed packet at a greedy local
+//    minimum whose radio range covers the whole delivery disc fails there,
+//    since every node in the disc would be a closer neighbor;
+//  - face loop: a perimeter walk about to take its first edge again has
+//    toured the whole face without getting closer, and fails.
+// A hop cap backs both up. RunMetrics counts each way a route fails.
 #pragma once
 
 #include <functional>
@@ -35,7 +43,8 @@ class GpsrRouter {
   //  - If `dest_node` is set, delivery happens only at that node.
   //  - Otherwise the packet is delivered to the first node encountered within
   //    `delivery_radius` (<=0 uses a default radius) of `dest_pos`.
-  // Routing gives up after a fixed hop cap (see gpsr.cpp).
+  // Routing gives up early when it cannot deliver (see above), and after a
+  // fixed hop cap (see gpsr.cpp).
   // Each hop transmission increments *tx_counter when provided. The packet
   // is handed to the receiving node's PacketSink on delivery, in addition to
   // the `deliver` callback.
@@ -54,6 +63,10 @@ class GpsrRouter {
   };
 
   void route_step(NodeId current, const std::shared_ptr<RouteState>& st);
+  // Abandons the route at `where`: counts the failure under `cause`, closes
+  // the route span and runs the fail callback.
+  void fail_route(const std::shared_ptr<RouteState>& st, Vec2 where,
+                  std::uint64_t RunMetrics::*cause);
   void gather_neighbors(NodeId current, std::vector<NeighborView>* out);
   // Greedy next hop: neighbor strictly closer to the destination; invalid id
   // if none exists (local minimum).

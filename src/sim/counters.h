@@ -247,6 +247,17 @@ struct EngineSpec {
   X(wired_messages, kSum, kAlways, kUnchanged)                           \
   /* unicast abandoned (no route) */                                     \
   X(gpsr_failures, kSum, kAlways, kLower)                                \
+  /* GPSR hops chosen by perimeter mode (right-hand rule) */             \
+  X(gpsr_perimeter_hops, kSum, kNone, kLower)                            \
+  /* how each abandoned unicast ended (ConservationAuditor: they sum */  \
+  /* to gpsr_failures): no neighbor at all; greedy minimum whose */      \
+  /* range covers the empty delivery disc; face toured back to its */    \
+  /* first edge; hop cap; hop lost after the MAC retries */              \
+  X(gpsr_fail_no_neighbor, kSum, kNone, kUnchanged)                      \
+  X(gpsr_fail_empty_disc, kSum, kNone, kUnchanged)                       \
+  X(gpsr_fail_face_loop, kSum, kNone, kUnchanged)                        \
+  X(gpsr_fail_hop_cap, kSum, kNone, kUnchanged)                          \
+  X(gpsr_fail_link_lost, kSum, kNone, kUnchanged)                        \
   /* --- fault + degradation accounting (src/fault) --- */               \
   /* wired sends lost: no path, cut link, or down endpoint */            \
   X(wired_drops, kSum, kFault, kLower)                                   \

@@ -228,17 +228,16 @@ TEST(RunnerTest, PeakRssIsThisProcessHighWaterMark) {
 
 TEST(RunnerTest, MemoryTelemetryIsStamped) {
   // Pins the peak_rss_bytes stamping fix: every replica's engine stats and
-  // the run-level sample must be populated, engine_total must carry the
-  // run-level RSS (defined semantics), and table_bytes must reflect the
+  // the run-level sample in engine_total must be populated, no replica's
+  // snapshot may exceed the run's peak, and table_bytes must reflect the
   // protocol tables + registry of one replica.
   ScenarioConfig cfg = paper_scenario(100, 44);
   cfg.grace = SimTime::from_sec(30);
   const ReplicaSet set = run_replicas(cfg, Protocol::kHlsrg, 2, 1);
-  EXPECT_GT(set.peak_rss_bytes, 0u);
-  EXPECT_EQ(set.engine_total.peak_rss_bytes, set.peak_rss_bytes);
+  EXPECT_GT(set.engine_total.peak_rss_bytes, 0u);
   for (const EngineStats& e : set.engine) {
     EXPECT_GT(e.peak_rss_bytes, 0u);
-    EXPECT_LE(e.peak_rss_bytes, set.peak_rss_bytes);
+    EXPECT_LE(e.peak_rss_bytes, set.engine_total.peak_rss_bytes);
     EXPECT_GT(e.table_bytes, 0u);
   }
   // engine_total merges table_bytes by max over replicas.

@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <numbers>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -872,6 +873,148 @@ TEST(GpsrTest, PerimeterModeRoutesAroundAVoid) {
             [&](NodeId) { delivered = true; });
   sim.run_until(SimTime::from_sec(5));
   EXPECT_TRUE(delivered);
+}
+
+TEST(GpsrTest, EmptyDeliveryDiscFailsAtTheLocalMinimum) {
+  // Twelve nodes on a ring of radius 300 m around D (integer offsets, so
+  // every distance to D is exactly 300) leave D's 150 m disc empty. The
+  // first ring node is a greedy local minimum whose 500 m range covers the
+  // whole disc: the route fails there instead of circling the ring.
+  Simulator sim(9);
+  StaticNet net(sim, lossless());
+  const Vec2 dest{1000, 1000};
+  const NodeId src = net.add({1000, 500});
+  const Vec2 ring[] = {{300, 0},     {240, 180},  {180, 240}, {0, 300},
+                       {-180, 240},  {-240, 180}, {-300, 0},  {-240, -180},
+                       {-180, -240}, {0, -300},   {180, -240}, {240, -180}};
+  for (const Vec2 offset : ring) net.add(dest + offset);
+  GpsrRouter gpsr(net.medium(), net.registry());
+  int delivered = 0;
+  int failed = 0;
+  std::uint64_t tx = 0;
+  gpsr.send(src, dest, std::nullopt, make_test_packet(), &tx,
+            [&](NodeId) { ++delivered; }, [&] { ++failed; },
+            /*delivery_radius=*/150.0);
+  sim.run_until(SimTime::from_sec(5));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(tx, 1u);  // the greedy hop onto the ring
+  const RunMetrics& m = sim.metrics();
+  EXPECT_EQ(m.gpsr_perimeter_hops, 0u);
+  EXPECT_EQ(m.gpsr_fail_empty_disc, 1u);
+  EXPECT_EQ(m.gpsr_failures, 1u);
+}
+
+TEST(GpsrTest, PositionAddressedPerimeterRoutesAroundAVoid) {
+  // D = (1000, 0) with a 150 m disc. The tip is a greedy local minimum
+  // 370 m from D: 370 + 150 is just over the 500 m range, so the disc is
+  // not covered (the node in it is 515 m from the tip) and the empty-disc
+  // rule must not fire. Perimeter mode carries the packet over the detour
+  // north of the gap; greedy takes over once closer than the tip.
+  Simulator sim(7);
+  StaticNet net(sim, lossless());
+  const NodeId src = net.add({230, 0});
+  net.add({630, 0});     // tip: the greedy local minimum
+  net.add({750, 420});   // detour, 489 m from D
+  net.add({1100, 350});  // 364 m from D: back to greedy
+  const NodeId in_disc = net.add({1145, 0});
+  GpsrRouter gpsr(net.medium(), net.registry());
+  int delivered = 0;
+  int failed = 0;
+  gpsr.send(src, {1000, 0}, std::nullopt, make_test_packet(), nullptr,
+            [&](NodeId at) {
+              ++delivered;
+              EXPECT_EQ(at, in_disc);
+            },
+            [&] { ++failed; }, /*delivery_radius=*/150.0);
+  sim.run_until(SimTime::from_sec(5));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(sim.metrics().gpsr_perimeter_hops, 2u);
+  EXPECT_EQ(net.sink(in_disc).received.size(), 1u);
+}
+
+TEST(GpsrTest, FaceLoopEndsAfterOneTourOfTheFace) {
+  // A hexagon of 400 m sides (non-adjacent corners are 693 m apart, so the
+  // ring is the whole graph) and a target node 1600 m beyond its nearest
+  // corner. The source is that corner, a greedy local minimum; the
+  // perimeter walk tours the six-edge face and fails when it is about to
+  // take its first edge again, not at the 64-hop cap.
+  Simulator sim(10);
+  StaticNet net(sim, lossless());
+  const Vec2 center{1000, 1000};
+  std::vector<NodeId> ring;
+  for (int k = 0; k < 6; ++k) {
+    const double a = k * std::numbers::pi / 3.0;
+    ring.push_back(
+        net.add(center + Vec2{400 * std::cos(a), 400 * std::sin(a)}));
+  }
+  const NodeId dst = net.add({3000, 1000});
+  GpsrRouter gpsr(net.medium(), net.registry());
+  int delivered = 0;
+  int failed = 0;
+  std::uint64_t tx = 0;
+  gpsr.send(ring[0], net.registry().position(dst), dst, make_test_packet(),
+            &tx, [&](NodeId) { ++delivered; }, [&] { ++failed; });
+  sim.run_until(SimTime::from_sec(5));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(failed, 1);
+  EXPECT_GT(tx, 0u);
+  EXPECT_LE(tx, ring.size());  // no more hops than the face has edges
+  const RunMetrics& m = sim.metrics();
+  EXPECT_EQ(m.gpsr_fail_face_loop, 1u);
+  EXPECT_EQ(m.gpsr_perimeter_hops, tx);
+  EXPECT_EQ(m.gpsr_failures, 1u);
+}
+
+TEST(GpsrTest, EmptyDiscDropsPassABruteForceOracle) {
+  // The paper's density (500 vehicles on 2 km x 2 km), placed on a
+  // Manhattan grid of roads 500 m apart, so block interiors hold empty
+  // discs. One position-addressed send at a
+  // time toward every point of a 100 m lattice, with the 150 m center
+  // radius: every route that ends on the empty-disc rule must have had no
+  // node at all within that radius of its destination.
+  Simulator sim(31);
+  StaticNet net(sim, lossless());
+  Rng rng(31);
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 500; ++i) {
+    const double road = 500.0 * static_cast<double>(rng.uniform_u64(5));
+    const double along = rng.uniform(0.0, 2000.0);
+    nodes.push_back(
+        net.add(i % 2 == 0 ? Vec2{along, road} : Vec2{road, along}));
+  }
+  GpsrRouter gpsr(net.medium(), net.registry());
+  constexpr double kRadius = 150.0;
+  int drops = 0;
+  int delivered = 0;
+  for (int gx = 0; gx <= 20; ++gx) {
+    for (int gy = 0; gy <= 20; ++gy) {
+      const Vec2 dest{gx * 100.0, gy * 100.0};
+      const NodeId src = nodes[rng.uniform_u64(nodes.size())];
+      const std::uint64_t before = sim.metrics().gpsr_fail_empty_disc;
+      int settled = 0;
+      gpsr.send(src, dest, std::nullopt, make_test_packet(), nullptr,
+                [&](NodeId) {
+                  ++settled;
+                  ++delivered;
+                },
+                [&] { ++settled; }, kRadius);
+      sim.run_until(sim.now() + SimTime::from_sec(5));
+      ASSERT_EQ(settled, 1);
+      if (sim.metrics().gpsr_fail_empty_disc == before) continue;
+      ++drops;
+      for (std::size_t i = 0; i < net.registry().count(); ++i) {
+        const Vec2 p = net.registry().position(NodeId{i});
+        EXPECT_GT(distance(p, dest), kRadius)
+            << "node " << i << " lies in the disc of (" << dest.x << ", "
+            << dest.y << ")";
+      }
+    }
+  }
+  // Both outcomes occur, so the oracle is not vacuous.
+  EXPECT_GT(drops, 0);
+  EXPECT_GT(delivered, 0);
 }
 
 // --- Geocast ----------------------------------------------------------------------
