@@ -46,7 +46,7 @@ std::vector<double> sweep_rates() {
 ScenarioConfig base_scenario(int vehicles) {
   ScenarioConfig cfg = paper_scenario(vehicles, 41);
   cfg.map.size_m = 1200.0;
-  // The open-loop generator is the sole load source: zero closed-loop
+  // The open-loop generator is the sole load source: zero scenario-workload
   // sources keeps the sweep purely rate-driven.
   cfg.workload = ScenarioConfig::WorkloadKind::kOneShot;
   cfg.source_fraction = 0.0;

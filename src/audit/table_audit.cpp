@@ -104,19 +104,8 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
     if (agent.level() == GridLevel::kL2 && !agent.l3_table().empty()) {
       report->add("table", where + " holds an L3 table");
     }
-    if (agent.level() == GridLevel::kL3 && !agent.l2_table().empty()) {
-      report->add("table", where + " holds an L2 table");
-    }
 
     // Each table's location string, built once per table.
-    const std::string l2_where = where + " l2_table";
-    for (const L2Summary& s : agent.l2_table().snapshot()) {
-      check_entry(ctx, l2_where, s.vehicle, s.time, l2_max);
-      if (!coord_in_range(ctx, s.l1, GridLevel::kL1)) {
-        violation(ctx, l2_where, s.vehicle,
-                  "references out-of-range L1 grid " + coord_str(s.l1));
-      }
-    }
     const std::string l3_where = where + " l3_table";
     for (const L3Summary& s : agent.l3_table().snapshot()) {
       check_entry(ctx, l3_where, s.vehicle, s.time, l3_max);
@@ -132,7 +121,6 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
     }
 
     const bool at_l2 = agent.level() == GridLevel::kL2;
-    const SimTime full_expiry = at_l2 ? cfg.l2_expiry : cfg.l3_expiry;
     const SimTime full_max = at_l2 ? l2_max : l3_max;
     const std::string full_where = where + " full_table";
     for (const L1Record& rec : agent.full_table().snapshot()) {
@@ -141,27 +129,17 @@ void TableAuditor::check(const AuditScope& scope, AuditReport* report) const {
         violation(ctx, full_where, rec.vehicle,
                   "references out-of-range L1 grid " + coord_str(rec.l1));
       }
-      // Summarization: full and thinned tables are written together
+      // Summarization at L3: full and summary tables are written together
       // (newest-wins), so a fresh full record implies a summary at least as
       // new. Stale full records may outlive their summary between purges.
-      if (ctx.now - rec.time <= full_expiry) {
-        SimTime summary_time = SimTime::max();
-        bool summarized = false;
-        if (at_l2) {
-          if (const L2Summary* s = agent.l2_table().find(rec.vehicle)) {
-            summarized = true;
-            summary_time = s->time;
-          }
-        } else {
-          if (const L3Summary* s = agent.l3_table().find(rec.vehicle)) {
-            summarized = true;
-            summary_time = s->time;
-          }
-        }
-        if (!summarized) {
+      // An L2 RSU's summaries are its full records thinned, so the law
+      // holds there by construction.
+      if (!at_l2 && ctx.now - rec.time <= cfg.l3_expiry) {
+        const L3Summary* s = agent.l3_table().find(rec.vehicle);
+        if (s == nullptr) {
           violation(ctx, full_where, rec.vehicle,
                     "is fresh but has no summary-table entry");
-        } else if (summary_time < rec.time) {
+        } else if (s->time < rec.time) {
           violation(ctx, full_where, rec.vehicle,
                     "is newer than its summary-table entry");
         }

@@ -10,9 +10,11 @@
 //  - tables live only where their level does (no L3 summaries on an L2 RSU
 //    and vice versa; grid-center L1 tables only while the vehicle holds
 //    center duty);
-//  - summarization: a fresh full record cached at an RSU always has a
+//  - summarization: a fresh full record cached at an L3 RSU always has a
 //    summary-table entry at least as new (full and thinned tables are
-//    written together, newest-wins).
+//    written together, newest-wins). An L2 RSU keeps no summary table: its
+//    summaries are its full records thinned, so the law holds by
+//    construction there.
 //
 // Deliberately NOT checked, because radio overhearing makes them unsound:
 // that a summary's L1/L2 grid is a child of the recording RSU's cell (RSUs

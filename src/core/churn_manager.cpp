@@ -283,7 +283,7 @@ std::shared_ptr<RoleHandoffPayload> ChurnManager::snapshot_role(RsuId role) {
   // byte-identical to the old sorted-snapshot path (pinned by
   // tests/churn_test.cpp HandoffPayloadOrderIsSemanticallyInert).
   payload->full_records = agent.full_table().unsorted_records();
-  payload->l2_records = agent.l2_table().unsorted_records();
+  payload->l2_records = agent.l2_summaries();
   payload->l3_records = agent.l3_table().unsorted_records();
   return payload;
 }

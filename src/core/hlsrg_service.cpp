@@ -185,10 +185,8 @@ ServiceStats HlsrgService::service_stats() const {
     s.table_bytes += agent.table().bytes();
   }
   for (const auto& agent : rsu_agents_) {
-    s.table_records += agent.l2_table().size() + agent.l3_table().size() +
-                       agent.full_table().size();
-    s.table_bytes += agent.l2_table().bytes() + agent.l3_table().bytes() +
-                     agent.full_table().bytes();
+    s.table_records += agent.l3_table().size() + agent.full_table().size();
+    s.table_bytes += agent.l3_table().bytes() + agent.full_table().bytes();
   }
   s.table_bytes += registry_->bytes();
   return s;
@@ -209,8 +207,7 @@ void HlsrgService::sample_region_stats(
   for (const RsuGrid::Rsu& rsu : rsus_->all()) {
     const HlsrgRsuAgent& agent = rsu_agents_[rsu.id.index()];
     const auto r = static_cast<std::size_t>(regions.region_of(rsu.pos));
-    table_records[r] += agent.l2_table().size() + agent.l3_table().size() +
-                        agent.full_table().size();
+    table_records[r] += agent.l3_table().size() + agent.full_table().size();
     queue_depth[r] += agent.pending_batches();
   }
 }

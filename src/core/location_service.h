@@ -81,7 +81,8 @@ class QueryTracker {
 // RunMetrics (Simulator::metrics()), not here.
 struct ServiceStats {
   // Location-table entries currently held across the protocol's servers
-  // (vehicles + RSUs); 0 for protocols that keep no tables.
+  // (vehicles + RSUs), each record once per table holding it; 0 for
+  // protocols that keep no tables.
   std::size_t table_records = 0;
   // Heap bytes behind those tables plus the node registry's SoA arrays —
   // the protocol-state footprint (container capacities, not malloc

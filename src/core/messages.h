@@ -47,7 +47,7 @@ struct TablePayload final : PayloadBase {
   std::vector<L1Record> records;
 };
 
-// L2 table entry schema.
+// L2 summary schema: an L2 RSU's full record, thinned for the L3 push.
 struct L2Summary {
   VehicleId vehicle;
   SimTime time;
@@ -119,6 +119,7 @@ struct RoleHandoffPayload final : PayloadBase {
   RsuId role;            // logical role whose tables are being handed off
   GridLevel level = GridLevel::kL2;
   std::vector<L1Record> full_records;
+  // At an L2 role: full_records thinned. At an L3 role: empty.
   std::vector<L2Summary> l2_records;
   std::vector<L3Summary> l3_records;
 

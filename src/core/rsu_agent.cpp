@@ -33,6 +33,17 @@ bool HlsrgRsuAgent::cache_fresh(VehicleId dst) {
   return cache_.probe(dst, svc_->sim().now()) != nullptr;
 }
 
+std::vector<L2Summary> HlsrgRsuAgent::l2_summaries() const {
+  std::vector<L2Summary> out;
+  if (level_ != GridLevel::kL2) return out;
+  const std::vector<L1Record> records = full_table_.unsorted_records();
+  out.reserve(records.size());
+  for (const L1Record& r : records) {
+    out.push_back(L2Summary{r.vehicle, r.time, r.l1});
+  }
+  return out;
+}
+
 void HlsrgRsuAgent::set_up(bool up) {
   if (!up && up_) {
     // Crash mid-window: every pending batch dies with the RSU. Cancel the
@@ -54,7 +65,6 @@ void HlsrgRsuAgent::set_up(bool up) {
     // dedup set resets so re-issued requests get served, not swallowed.
     // release() rather than clear(): the rebuilt tables re-grow to their
     // working size, and a unit that stays down returns its capacity.
-    l2_table_.release();
     l3_table_.release();
     full_table_.release();
     queries_ = QueryState{};
@@ -91,23 +101,17 @@ void HlsrgRsuAgent::on_receive(const Packet& packet, NodeId /*from*/) {
       const auto& u = payload_as<UpdatePayload>(packet);
       full_table_.record(u.record);
       invalidate_cache(u.record.vehicle, u.record.time);
-      if (level_ == GridLevel::kL2) {
-        l2_table_.record(
-            L2Summary{u.record.vehicle, u.record.time, u.record.l1});
-      } else {
+      if (level_ == GridLevel::kL3) {
         const GridCoord l2 = GridHierarchy::parent(u.record.l1, GridLevel::kL2);
         l3_table_.record(L3Summary{u.record.vehicle, u.record.time, l2, coord_});
       }
       return;
     }
     case PacketKind::kTablePush: {
-      // Grid-center table arriving at this L2 RSU: thin to the L2 schema.
+      // Grid-center table arriving at this L2 RSU.
       if (level_ != GridLevel::kL2) return;
       const auto& t = payload_as<TablePayload>(packet);
-      for (const L1Record& r : t.records) {
-        l2_table_.record(L2Summary{r.vehicle, r.time, r.l1});
-        invalidate_cache(r.vehicle, r.time);
-      }
+      for (const L1Record& r : t.records) invalidate_cache(r.vehicle, r.time);
       full_table_.merge(t.records);
       return;
     }
@@ -164,13 +168,12 @@ void HlsrgRsuAgent::on_receive(const Packet& packet, NodeId /*from*/) {
       // elected successor (radio) or the absorbing parent/sibling on
       // degradation (wired). Merge level-appropriately; every carried
       // record counts as delivered — thinning changes schema, not custody.
+      // An L2 role's handoff comes only from its own previous host, whose
+      // l2_records are its full records thinned: the full records alone
+      // restock the table they were thinned from.
       const auto& h = payload_as<RoleHandoffPayload>(packet);
       if (level_ == GridLevel::kL2) {
         full_table_.merge(h.full_records);
-        l2_table_.merge(h.l2_records);
-        for (const L1Record& r : h.full_records) {
-          l2_table_.record(L2Summary{r.vehicle, r.time, r.l1});
-        }
         for (const L2Summary& r : h.l2_records) {
           invalidate_cache(r.vehicle, r.time);
         }
@@ -345,12 +348,11 @@ void HlsrgRsuAgent::push_summary_to_l3() {
     svc_->sim().schedule_after(kL2PushPeriod, [this] { push_summary_to_l3(); });
     return;
   }
-  l2_table_.purge(svc_->sim().now(), svc_->cfg().l2_expiry);
   full_table_.purge(svc_->sim().now(), svc_->cfg().l2_expiry);
-  if (!l2_table_.empty()) {
+  if (!full_table_.empty()) {
     auto payload = std::make_shared<L2SummaryPayload>();
     payload->l2 = coord_;
-    payload->records = l2_table_.unsorted_records();
+    payload->records = l2_summaries();
     const GridCoord parent{coord_.col / 2, coord_.row / 2};
     const NodeId l3 = svc_->rsus()->node_at(parent, GridLevel::kL3);
     svc_->metrics().aggregation_packets++;
@@ -394,26 +396,13 @@ void HlsrgRsuAgent::gossip_to_neighbors() {
 // Query service (paper 2.3.2, Level-2 and Level-3 cases)
 // ---------------------------------------------------------------------------
 
-void HlsrgRsuAgent::forward_down_to_l1(const QueryPayload& query,
-                                       GridCoord l1) {
-  auto q = std::make_shared<QueryPayload>(query);
-  q->from_l3 = false;
-  const Vec2 center = svc_->hierarchy().center_pos(l1, GridLevel::kL1);
-  svc_->gpsr().send(node_, center, std::nullopt,
-                    svc_->make_packet(PacketKind::kQueryRequest, node_, q),
-                    &svc_->metrics().query_transmissions,
-                    /*deliver=*/{}, /*fail=*/{},
-                    /*delivery_radius=*/svc_->cfg().center_radius_m);
-}
-
 void HlsrgRsuAgent::handle_query_l2(const QueryPayload& query) {
-  l2_table_.purge(svc_->sim().now(), svc_->cfg().l2_expiry);
   full_table_.purge(svc_->sim().now(), svc_->cfg().l2_expiry);
   const Vec2 here = svc_->registry().position(node_);
   if (const L1Record* found = full_table_.find(query.target)) {
     // A copy: find() pointers do not outlive an insert into the table.
     const L1Record rec = *found;
-    // Case (1a): the RSU holds the fresh detail itself — "the RSU will ...
+    // Case (1): the RSU holds the fresh detail itself — "the RSU will ...
     // act as the location server of this request".
     svc_->metrics().rsu_lookup_hits++;
     svc_->sim().count_region_served(here);
@@ -423,17 +412,6 @@ void HlsrgRsuAgent::handle_query_l2(const QueryPayload& query) {
     cache_.fill(rec, svc_->sim().now());
     send_cache_fill(rec, query);
     svc_->send_notification(node_, rec, query);
-    return;
-  }
-  if (const L2Summary* s = l2_table_.find(query.target)) {
-    // Case (1b): known by summary only — down to the L1 grid center that has
-    // the detail.
-    svc_->metrics().rsu_lookup_hits++;
-    svc_->sim().count_region_served(here);
-    svc_->sim().instant_span(SpanKind::kTableLookup, SpanStatus::kOk,
-                             node_.value(), query.target.value(), here,
-                             query.query_id, 2, "l2_summary");
-    forward_down_to_l1(query, s->l1);
     return;
   }
   // Service tier: before climbing the hierarchy, try the hot-destination

@@ -1,14 +1,16 @@
 // RSU-side HLSRG behaviour (paper 2.2.2 collection + 2.3.2 service).
 //
-// L2 RSUs hold {vehicle, time, sender L1 grid} summaries fed by grid-center
-// table pushes and answer requests by forwarding down to the right L1 center
-// or up (wired) to their L3 RSU. L3 RSUs hold {vehicle, time, sender L2,
-// owner L3} summaries fed by periodic L2 pushes and by gossip with their
-// wired L3 neighbors, and resolve requests across regions over the wired
-// mesh.
+// L2 RSUs hold the full records of grid-center table pushes and the update
+// broadcasts they hear, serve requests from them, and send the rest up
+// (wired) to their L3 RSU. Their {vehicle, time, sender L1 grid} summaries
+// are those records thinned at each periodic push. L3 RSUs hold {vehicle,
+// time, sender L2, owner L3} summaries fed by periodic L2 pushes and by
+// gossip with their wired L3 neighbors, and resolve requests across regions
+// over the wired mesh.
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "core/location_table.h"
 #include "core/messages.h"
@@ -54,13 +56,14 @@ class HlsrgRsuAgent final : public PacketSink {
 
   [[nodiscard]] GridLevel level() const { return level_; }
   [[nodiscard]] GridCoord coord() const { return coord_; }
-  [[nodiscard]] const L2Table& l2_table() const { return l2_table_; }
   [[nodiscard]] const L3Table& l3_table() const { return l3_table_; }
   [[nodiscard]] const L1Table& full_table() const { return full_table_; }
+  // An L2 RSU's {vehicle, time, sender L1 grid} summaries: its full records
+  // thinned, in the full table's dense order. Empty at an L3 RSU.
+  [[nodiscard]] std::vector<L2Summary> l2_summaries() const;
 
   // Mutable table access for tests only: the audit tests corrupt entries in
   // place to prove the auditors catch them. Protocol code must not use these.
-  [[nodiscard]] L2Table& mutable_l2_table() { return l2_table_; }
   [[nodiscard]] L3Table& mutable_l3_table() { return l3_table_; }
   [[nodiscard]] L1Table& mutable_full_table() { return full_table_; }
 
@@ -71,8 +74,6 @@ class HlsrgRsuAgent final : public PacketSink {
   void handle_query_l3(const QueryPayload& query);
   void push_summary_to_l3();
   void gossip_to_neighbors();
-  // Forwards a request down to the L1 grid center holding the detail.
-  void forward_down_to_l1(const QueryPayload& query, GridCoord l1);
   // Wired-plane failover: when the backhaul send failed, escalate the
   // request over the radio — to the nearest reachable L3 RSU (L2 side) or
   // straight to `target` (L3 side).
@@ -104,13 +105,12 @@ class HlsrgRsuAgent final : public PacketSink {
   GridCoord coord_;
   NodeId node_;
   bool up_ = true;
-  L2Table l2_table_;
   L3Table l3_table_;
-  // Full-record cache at L2 RSUs. The pushed tables carry full records and
-  // RSUs have "unlimited storage"; keeping them lets the RSU "act as the
-  // location server of this request" (paper 2.3.2) instead of bouncing the
-  // query back to a possibly-empty grid center. The thinned l2_table_ is
-  // what flows upward.
+  // Full-record table. The pushed tables carry full records and RSUs have
+  // "unlimited storage"; keeping them lets the RSU "act as the location
+  // server of this request" (paper 2.3.2) instead of bouncing the query
+  // back to a possibly-empty grid center. At an L2 RSU it is the only
+  // table: its thinning, l2_summaries(), is what flows upward.
   L1Table full_table_;
   // Requests already processed here, keyed by QueryPayload::dedup_key()
   // (duplicate suppression across the mesh, per attempt).

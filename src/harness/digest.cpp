@@ -1,6 +1,8 @@
 #include "harness/digest.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "core/rsu_agent.h"
 #include "core/vehicle_agent.h"
@@ -60,12 +62,17 @@ void mix_metrics(StateHash& f, const RunMetrics& m) {
 
 // Tables are hashed through snapshot() — the canonical key-sorted view —
 // so the digest is a function of table *contents*, not of the arena's
-// insertion-and-erase history. mix_table mixes a table's size, then `mix`
-// over its records in key order.
+// insertion-and-erase history. mix_records mixes a record count, then `mix`
+// over the records (key-sorted by the caller).
+template <typename Rec, typename Mix>
+void mix_records(StateHash& f, const std::vector<Rec>& records, Mix mix) {
+  f.mix_u64(records.size());
+  for (const Rec& rec : records) mix(rec);
+}
+
 template <typename Table, typename Mix>
 void mix_table(StateHash& f, const Table& table, Mix mix) {
-  f.mix_u64(table.size());
-  for (const auto& rec : table.snapshot()) mix(rec);
+  mix_records(f, table.snapshot(), mix);
 }
 
 void mix_hlsrg_tables(StateHash& f, const HlsrgService& svc,
@@ -83,7 +90,13 @@ void mix_hlsrg_tables(StateHash& f, const HlsrgService& svc,
   for (const auto& rsu : svc.rsu_agents()) {
     f.mix_i64(static_cast<int>(rsu.level()));
     f.mix_coord(rsu.coord());
-    mix_table(f, rsu.l2_table(), [&f](const L2Summary& s) {
+    // An L2 RSU's summaries (none at L3), in key order.
+    std::vector<L2Summary> l2 = rsu.l2_summaries();
+    std::sort(l2.begin(), l2.end(),
+              [](const L2Summary& a, const L2Summary& b) {
+                return a.vehicle < b.vehicle;
+              });
+    mix_records(f, l2, [&f](const L2Summary& s) {
       f.mix_u64(s.vehicle.value());
       f.mix_time(s.time);
       f.mix_coord(s.l1);

@@ -65,7 +65,7 @@ class World {
   // Null unless the scenario carries a non-empty fault plan.
   [[nodiscard]] const FaultInjector* fault() const { return fault_.get(); }
 
-  // The single query-issuance seam: closed-loop workload, the open-loop
+  // The single query-issuance seam: the scenario workload, the open-loop
   // generator, and fault-retry admission all pass through here (see
   // service/admission.h). Always constructed, even when the tier is
   // disabled — with the default config submit() is a plain issue_query.

@@ -1,6 +1,6 @@
 // QueryAdmission: the single entry point for query issuance.
 //
-// Every query submission — the closed-loop requester, the open-loop
+// Every query submission — the scenario workload, the open-loop
 // generator, and (via LocationService::admission()) the protocol's
 // ACK-timeout retry path — funnels through one object so offered load,
 // shedding, and the cached-serve fast path are accounted in exactly one

@@ -1,17 +1,16 @@
 // Open-loop Poisson workload generator (service tier).
 //
-// The scenario's closed-loop requester issues a query, waits for it to
-// settle, and only its retry cadence applies back-pressure — it cannot push
-// a protocol past its saturation knee, because a slow service slows the
-// offered load down with it. The open-loop generator has no such feedback:
-// arrivals follow a (possibly ramped) Poisson process whether or not any
-// earlier query ever settled, which is what exposes the knee that
-// bench/load_knee sweeps for.
+// The scenario workload (World::schedule_workload) schedules every submit
+// up front from the workload stream — one-shot queries at uniform times, or
+// Poisson arrivals at a fixed rate — and never waits for an earlier query
+// to settle. This generator is an open loop as well; what it adds is a rate
+// that can ramp, which is how bench/load_knee sweeps offered load past a
+// protocol's saturation knee.
 //
 // Arrivals are scheduled one at a time (no precomputed arrival list, so
 // memory is O(1) in the horizon) by thinning against the peak rate of the
 // ramp, drawing exclusively from Simulator::open_loop_rng — enabling the
-// generator never perturbs the mobility, radio, protocol, or closed-loop
+// generator never perturbs the mobility, radio, protocol, or scenario
 // workload streams.
 #pragma once
 

@@ -1,14 +1,13 @@
 // Configuration for the heavy-traffic serving tier (src/service).
 //
 // The tier layers four mechanisms over a protocol's query plane: an
-// open-loop Poisson workload generator (arrivals keep coming whether or not
-// earlier queries finished — the closed-loop requester model cannot push a
-// protocol past its knee), a batching window at L2/L3 RSUs that aggregates
-// co-destined queries into one wired lookup, a hot-destination record cache
-// at RSUs, and admission control that sheds load once too many queries are
-// outstanding. Each mechanism is on when its own setting is, and all
-// default OFF: a default-constructed config leaves a run event-for-event
-// identical to a tier-unaware build.
+// open-loop Poisson workload generator with a rate that can ramp (the load
+// bench/load_knee sweeps past a protocol's knee), a batching window at
+// L2/L3 RSUs that aggregates co-destined queries into one wired lookup, a
+// hot-destination record cache at RSUs, and admission control that sheds
+// load once too many queries are outstanding. Each mechanism is on when
+// its own setting is, and all default OFF: a default-constructed config
+// leaves a run event-for-event identical to a tier-unaware build.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +21,7 @@ struct ServiceTierConfig {
   // Poisson arrival rate at the start of the query window; 0 disables the
   // generator. Arrivals are scheduled on the fly from a dedicated RNG
   // stream (Simulator::open_loop_rng), so replicas stay deterministic and
-  // the closed-loop workload draws are untouched.
+  // the scenario workload draws are untouched.
   double open_loop_rate_per_sec = 0.0;
   // Linear rate ramp: rate(t) = open_loop_rate_per_sec + ramp * (t - start).
   // Negative ramps are clamped at zero.

@@ -28,7 +28,7 @@ enum class RngStreamId : std::uint64_t {
   kMobility = 1,  // vehicle trajectories (turns, speeds, spawn jitter)
   kRadio = 2,     // per-reception loss draws
   kProtocol = 3,  // protocol back-off and election jitter
-  kWorkload = 4,  // closed-loop query generation
+  kWorkload = 4,  // scenario query schedule (World::schedule_workload)
   kFault = 5,     // fault-plan window edge jitter (src/fault)
   kOpenLoop = 6,  // open-loop Poisson arrivals (src/service)
 };

@@ -25,7 +25,7 @@ class Simulator {
   // protocol changes leave mobility trajectories identical, fault injection
   // (src/fault) draws from its own stream so a scripted fault plan cannot
   // shift radio/mobility/workload draw order, and the open-loop generator
-  // (src/service) is decoupled from the closed-loop workload stream so
+  // (src/service) is decoupled from the scenario workload stream so
   // enabling it never re-times the paper-scenario queries.
   explicit Simulator(std::uint64_t seed)
       : root_rng_(seed),

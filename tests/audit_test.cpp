@@ -55,17 +55,27 @@ class AuditWorldTest : public ::testing::Test {
     ADD_FAILURE() << "no RSU at level " << static_cast<int>(level);
     return svc.rsu_agent(RsuId{std::size_t{0}});
   }
-  // A vehicle id with no entry in the given RSU's summary tables.
+  // A vehicle id with no entry in the given RSU's tables.
   VehicleId absent_vehicle(const HlsrgRsuAgent& rsu) {
     for (std::size_t i = 0; i < world_.mobility().vehicle_count(); ++i) {
       const VehicleId v{i};
-      if (rsu.l2_table().find(v) == nullptr &&
+      if (rsu.full_table().find(v) == nullptr &&
           rsu.l3_table().find(v) == nullptr) {
         return v;
       }
     }
-    ADD_FAILURE() << "every vehicle is summarized";
+    ADD_FAILURE() << "every vehicle is recorded";
     return VehicleId{};
+  }
+  // A well-formed full record for `v`, stamped `time`.
+  L1Record full_record(VehicleId v, SimTime time) {
+    L1Record rec;
+    rec.vehicle = v;
+    rec.pos = world_.mobility().position(v);
+    rec.dir = Vec2{1.0, 0.0};
+    rec.time = time;
+    rec.l1 = world_.hierarchy().l1_at(rec.pos);
+    return rec;
   }
   // Violations from one specific auditor against the current world state.
   AuditReport run_auditor(const Auditor& auditor) {
@@ -150,9 +160,8 @@ TEST(GridAuditTest, DetectsCoverageGap) {
 
 TEST_F(AuditWorldTest, DetectsFutureTimestamp) {
   HlsrgRsuAgent& rsu = rsu_at_level(GridLevel::kL2);
-  rsu.mutable_l2_table().record(
-      L2Summary{VehicleId{0u}, world_.sim().now() + SimTime::from_sec(100.0),
-                GridCoord{0, 0}});
+  rsu.mutable_full_table().record(full_record(
+      VehicleId{0u}, world_.sim().now() + SimTime::from_sec(100.0)));
 
   const AuditReport report = run_auditor(TableAuditor{});
   ASSERT_FALSE(report.ok());
@@ -166,8 +175,9 @@ TEST_F(AuditWorldTest, DetectsFutureTimestamp) {
 
 TEST_F(AuditWorldTest, DetectsOutOfRangeGridCoord) {
   HlsrgRsuAgent& rsu = rsu_at_level(GridLevel::kL2);
-  rsu.mutable_l2_table().record(
-      L2Summary{absent_vehicle(rsu), world_.sim().now(), GridCoord{1000, 1000}});
+  L1Record rec = full_record(absent_vehicle(rsu), world_.sim().now());
+  rec.l1 = GridCoord{1000, 1000};
+  rsu.mutable_full_table().record(rec);
 
   const AuditReport report = run_auditor(TableAuditor{});
   ASSERT_FALSE(report.ok());
@@ -188,15 +198,10 @@ TEST_F(AuditWorldTest, DetectsNonexistentVehicleKey) {
 }
 
 TEST_F(AuditWorldTest, DetectsOrphanFreshFullRecord) {
-  HlsrgRsuAgent& rsu = rsu_at_level(GridLevel::kL2);
-  const VehicleId v = absent_vehicle(rsu);
-  L1Record rec;
-  rec.vehicle = v;
-  rec.pos = world_.mobility().position(v);
-  rec.dir = Vec2{1.0, 0.0};
-  rec.time = world_.sim().now();
-  rec.l1 = world_.hierarchy().l1_at(rec.pos);
-  rsu.mutable_full_table().record(rec);
+  // The law lives at L3, where full records and summaries are two tables.
+  HlsrgRsuAgent& rsu = rsu_at_level(GridLevel::kL3);
+  rsu.mutable_full_table().record(
+      full_record(absent_vehicle(rsu), world_.sim().now()));
 
   const AuditReport report = run_auditor(TableAuditor{});
   ASSERT_FALSE(report.ok());
@@ -211,8 +216,8 @@ TEST_F(AuditWorldTest, DetectsNegativeAndStaleTimestamp) {
   // staleness law (l2 bound: expiry + two push periods = 152 s; age here is
   // 75 s - (-100 s) = 175 s). The key must be absent: record() is
   // newest-wins and would silently drop an old entry for a live vehicle.
-  rsu.mutable_l2_table().record(L2Summary{
-      absent_vehicle(rsu), SimTime::from_sec(-100.0), GridCoord{0, 0}});
+  rsu.mutable_full_table().record(
+      full_record(absent_vehicle(rsu), SimTime::from_sec(-100.0)));
 
   const AuditReport report = run_auditor(TableAuditor{});
   ASSERT_FALSE(report.ok());
@@ -226,12 +231,7 @@ TEST_F(AuditWorldTest, DetectsTableWithoutCenterDuty) {
   for (std::size_t i = 0; i < world_.mobility().vehicle_count(); ++i) {
     HlsrgVehicleAgent& agent = service().vehicle_agent(VehicleId{i});
     if (agent.in_center()) continue;
-    L1Record rec;
-    rec.vehicle = VehicleId{i};
-    rec.pos = world_.mobility().position(VehicleId{i});
-    rec.time = world_.sim().now();
-    rec.l1 = world_.hierarchy().l1_at(rec.pos);
-    agent.mutable_table().record(rec);
+    agent.mutable_table().record(full_record(VehicleId{i}, world_.sim().now()));
 
     const AuditReport report = run_auditor(TableAuditor{});
     ASSERT_FALSE(report.ok());

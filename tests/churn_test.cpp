@@ -40,7 +40,7 @@ TEST(RsuRebootTest, RebootWipesTablesAndRebuildsFromBeacons) {
   HlsrgRsuAgent* rsu = nullptr;
   for (std::size_t i = 0; i < svc.rsu_agents().size(); ++i) {
     HlsrgRsuAgent& agent = svc.rsu_agent(RsuId{i});
-    if (agent.level() == GridLevel::kL2 && agent.l2_table().size() > 0) {
+    if (agent.level() == GridLevel::kL2 && agent.full_table().size() > 0) {
       rsu = &agent;
       break;
     }
@@ -49,13 +49,12 @@ TEST(RsuRebootTest, RebootWipesTablesAndRebuildsFromBeacons) {
 
   rsu->set_up(false);
   rsu->set_up(true);
-  EXPECT_EQ(rsu->l2_table().size(), 0u);
   EXPECT_EQ(rsu->l3_table().size(), 0u);
   EXPECT_EQ(rsu->full_table().size(), 0u);
 
   // The periodic update traffic alone restocks the reborn agent.
   world.run_until(SimTime::from_sec(95.0));
-  EXPECT_GT(rsu->l2_table().size(), 0u);
+  EXPECT_GT(rsu->full_table().size(), 0u);
   EXPECT_TRUE(world.audit_now().ok()) << world.audit_now().to_string();
 }
 

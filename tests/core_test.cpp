@@ -242,16 +242,6 @@ TEST(L1TableTest, EraseAndClear) {
   EXPECT_EQ(t.size(), 0u);
 }
 
-TEST(L2TableTest, SchemaAndExpiry) {
-  L2Table t;
-  t.record(L2Summary{VehicleId{1u}, SimTime::from_sec(10), {2, 3}});
-  t.record(L2Summary{VehicleId{1u}, SimTime::from_sec(4), {9, 9}});  // stale
-  ASSERT_NE(t.find(VehicleId{1u}), nullptr);
-  EXPECT_EQ(t.find(VehicleId{1u})->l1, (GridCoord{2, 3}));
-  t.purge(SimTime::from_sec(200), SimTime::from_min(2.2));
-  EXPECT_EQ(t.size(), 0u);
-}
-
 TEST(L3TableTest, SchemaAndMerge) {
   L3Table t;
   t.record(L3Summary{VehicleId{1u}, SimTime::from_sec(10), {0, 1}, {0, 0}});

@@ -153,9 +153,7 @@ TEST(HlsrgIntegrationTest, RsuTablesThinUpward) {
   std::size_t l2_entries = 0, l3_entries = 0;
   for (const auto& rsu : svc.rsu_agents()) {
     if (rsu.level() == GridLevel::kL2) {
-      l2_entries += rsu.l2_table().size();
-      // The thinned summary table tracks the full cache.
-      EXPECT_GE(rsu.l2_table().size() + 5, rsu.full_table().size());
+      l2_entries += rsu.l2_summaries().size();
     } else {
       l3_entries += rsu.l3_table().size();
     }

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <numbers>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -1301,6 +1302,116 @@ TEST_P(GpsrDensitySweep, DeliversOnConnectedRandomPlacements) {
 
 INSTANTIATE_TEST_SUITE_P(Density, GpsrDensitySweep,
                          ::testing::Values(150, 300, 600));
+
+// --- 1D geodesic oracle -------------------------------------------------------
+//
+// n nodes uniform on a segment of length L, lossless radio of range r. In 1D
+// the unit-disk graph connects the leftmost node to the rightmost one exactly
+// when no gap between neighbors exceeds r, and greedy forwarding to the
+// neighbor nearest the destination (the farthest one ahead) is a geodesic.
+// So GPSR must deliver exactly when a BFS connects the pair, in exactly the
+// BFS hop count, and the connected fraction over many placements must match
+// the closed form of Knight et al., "Counting Geodesic Paths in 1D VANETs"
+// (arXiv 1610.01630):
+//   P(connected) = sum_{k=0}^{n-1} (-1)^k C(n-1, k) max(0, 1 - k r / L)^n.
+
+struct Line1d {
+  int n;
+  double length_m;
+};
+
+void PrintTo(const Line1d& line, std::ostream* os) {
+  *os << "n " << line.n << ", L " << line.length_m << " m";
+}
+
+// The closed form above.
+double connected_probability(int n, double range_m, double length_m) {
+  double sum = 0.0;
+  double binom = 1.0;  // C(n-1, k)
+  for (int k = 0; k < n; ++k) {
+    const double gap = 1.0 - k * range_m / length_m;
+    if (gap <= 0.0) break;
+    sum += (k % 2 == 0 ? 1.0 : -1.0) * binom * std::pow(gap, n);
+    binom = binom * (n - 1 - k) / (k + 1);
+  }
+  return sum;
+}
+
+// Hops of a shortest path from nodes[from] to nodes[to] in the unit-disk
+// graph over `xs` (distance <= range_m), or -1 when they are disconnected.
+int bfs_hops(const std::vector<double>& xs, std::size_t from, std::size_t to,
+             double range_m) {
+  std::vector<int> hops(xs.size(), -1);
+  std::vector<std::size_t> frontier{from};
+  hops[from] = 0;
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const std::size_t u = frontier[head];
+    for (std::size_t v = 0; v < xs.size(); ++v) {
+      if (hops[v] < 0 && std::abs(xs[v] - xs[u]) <= range_m) {
+        hops[v] = hops[u] + 1;
+        frontier.push_back(v);
+      }
+    }
+  }
+  return hops[to];
+}
+
+class GpsrLineOracle : public ::testing::TestWithParam<Line1d> {};
+
+TEST_P(GpsrLineOracle, DeliversExactlyOnBfsGeodesics) {
+  const Line1d line = GetParam();
+  const RadioConfig radio = lossless();
+  constexpr int kSeeds = 200;
+  int connected = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    Simulator sim(static_cast<std::uint64_t>(seed));
+    StaticNet net(sim, radio);
+    Rng rng(static_cast<std::uint64_t>(seed));
+    std::vector<double> xs;
+    for (int i = 0; i < line.n; ++i) {
+      xs.push_back(rng.uniform(0.0, line.length_m));
+      net.add({xs.back(), 0.0});
+    }
+    const auto left = static_cast<std::size_t>(
+        std::min_element(xs.begin(), xs.end()) - xs.begin());
+    const auto right = static_cast<std::size_t>(
+        std::max_element(xs.begin(), xs.end()) - xs.begin());
+    const int expected_hops = bfs_hops(xs, left, right, radio.range_m);
+    connected += expected_hops >= 0 ? 1 : 0;
+
+    GpsrRouter gpsr(net.medium(), net.registry());
+    const NodeId dst{right};
+    std::uint64_t tx = 0;
+    int delivered = 0, failed = 0;
+    gpsr.send(NodeId{left}, {xs[right], 0.0}, dst, make_test_packet(), &tx,
+              [&](NodeId at) {
+                ++delivered;
+                EXPECT_EQ(at, dst);
+              },
+              [&] { ++failed; });
+    sim.run_until(SimTime::from_sec(10));
+    ASSERT_EQ(delivered + failed, 1) << "seed " << seed;
+    EXPECT_EQ(delivered == 1, expected_hops >= 0) << "seed " << seed;
+    if (delivered == 1) {
+      EXPECT_EQ(tx, static_cast<std::uint64_t>(expected_hops))
+          << "seed " << seed;
+    }
+  }
+  // The connected fraction within 4 binomial sigma of the closed form.
+  const double p = connected_probability(line.n, radio.range_m, line.length_m);
+  const double sigma = std::sqrt(p * (1.0 - p) / kSeeds);
+  EXPECT_NEAR(static_cast<double>(connected) / kSeeds, p, 4.0 * sigma)
+      << "n " << line.n << ", L " << line.length_m << " m";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Knight1d, GpsrLineOracle,
+    ::testing::Values(Line1d{10, 2000.0}, Line1d{30, 4100.0},
+                      Line1d{100, 10200.0}),
+    [](const ::testing::TestParamInfo<Line1d>& param) {
+      return "n" + std::to_string(param.param.n) + "_L" +
+             std::to_string(static_cast<int>(param.param.length_m));
+    });
 
 }  // namespace
 }  // namespace hlsrg

@@ -18,8 +18,8 @@ std::size_t count_spans(const TraceLog& trace, SpanKind kind) {
 }
 
 TEST(RsuBehaviorTest, L2TablesCarryTheRecordsGrid) {
-  // Every L2 summary must reference the L1 grid the *record* was made in —
-  // that is what the query path descends to.
+  // Every L2 summary an RSU pushes to its L3 must reference the L1 grid the
+  // *record* was made in, and be its full record thinned.
   ScenarioConfig cfg = paper_scenario(400, 81);
   World world(cfg, Protocol::kHlsrg);
   world.run_until(SimTime::from_sec(120));
@@ -27,7 +27,13 @@ TEST(RsuBehaviorTest, L2TablesCarryTheRecordsGrid) {
   const auto& h = world.hierarchy();
   for (const auto& rsu : svc.rsu_agents()) {
     if (rsu.level() != GridLevel::kL2) continue;
-    for (const L2Summary& summary : rsu.l2_table().snapshot()) {
+    const std::vector<L2Summary> summaries = rsu.l2_summaries();
+    EXPECT_EQ(summaries.size(), rsu.full_table().size());
+    for (const L2Summary& summary : summaries) {
+      const L1Record* full = rsu.full_table().find(summary.vehicle);
+      ASSERT_NE(full, nullptr);
+      EXPECT_EQ(summary.time, full->time);
+      EXPECT_EQ(summary.l1, full->l1);
       EXPECT_GE(summary.l1.col, 0);
       EXPECT_LT(summary.l1.col, h.cols(GridLevel::kL1));
       EXPECT_GE(summary.l1.row, 0);

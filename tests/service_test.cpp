@@ -29,7 +29,8 @@ ScenarioConfig tier_scenario(std::uint64_t seed = 41) {
   cfg.query_window = SimTime::from_sec(15.0);
   cfg.grace = SimTime::from_sec(20.0);
   // Open-loop arrivals are the only load: the sweep-style assertions below
-  // reason about offered counts, and closed-loop sources would blur them.
+  // reason about offered counts, and scenario-workload sources would blur
+  // them.
   cfg.workload = ScenarioConfig::WorkloadKind::kOneShot;
   cfg.source_fraction = 0.0;
   cfg.hotspot_targets = 3;
