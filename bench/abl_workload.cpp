@@ -3,7 +3,9 @@
 // The paper evaluates a one-shot workload (each source queries once). Real
 // fleets re-query continuously and skew toward popular targets. This bench
 // compares both protocols under the paper's workload, Poisson arrivals, and
-// a hotspot (dispatcher-style) pattern on the same worlds.
+// a hotspot (dispatcher-style) pattern on the same worlds. The last two are
+// the service tier's open-loop generator at 1 arrival/s with no tier
+// mechanism on: uniform destinations, or every destination in the hot set.
 #include <cstdio>
 
 #include "common.h"
@@ -16,12 +18,13 @@ int main(int argc, char** argv) {
 
   struct Row {
     const char* label;
-    ScenarioConfig::WorkloadKind kind;
+    double rate_per_sec;  // 0 = the paper's one-shot workload
+    double hotspot_fraction;
   };
   const Row kinds[] = {
-      {"one-shot (paper)", ScenarioConfig::WorkloadKind::kOneShot},
-      {"poisson 1/s", ScenarioConfig::WorkloadKind::kPoisson},
-      {"hotspot 1/s", ScenarioConfig::WorkloadKind::kHotspot},
+      {"one-shot (paper)", 0.0, 0.0},
+      {"poisson 1/s", 1.0, 0.0},
+      {"hotspot 1/s", 1.0, 1.0},
   };
 
   bench::SweepDriver driver(opts);
@@ -33,7 +36,11 @@ int main(int argc, char** argv) {
                  "query tx"});
   for (const Row& row : kinds) {
     ScenarioConfig cfg = paper_scenario(500, 9500);
-    cfg.workload = row.kind;
+    if (row.rate_per_sec > 0.0) {
+      cfg.source_fraction = 0.0;
+      cfg.service.open_loop_rate_per_sec = row.rate_per_sec;
+      cfg.service.hotspot_fraction = row.hotspot_fraction;
+    }
     for (Protocol protocol : {Protocol::kHlsrg, Protocol::kRlsmp}) {
       const ReplicaSet s = driver.run(row.label, cfg, protocol);
       table.add_row({

@@ -48,7 +48,6 @@ ScenarioConfig base_scenario(int vehicles) {
   cfg.map.size_m = 1200.0;
   // The open-loop generator is the sole load source: zero scenario-workload
   // sources keeps the sweep purely rate-driven.
-  cfg.workload = ScenarioConfig::WorkloadKind::kOneShot;
   cfg.source_fraction = 0.0;
   cfg.hotspot_targets = 5;
   cfg.warmup = SimTime::from_sec(40.0);

@@ -58,8 +58,10 @@ int main(int argc, char** argv) {
   args.add_double("--warmup", "S", "warmup seconds", &warmup);
   args.add_double("--window", "S", "query-window seconds", &window);
   args.add_double("--grace", "S", "grace seconds", &grace);
-  args.add_choice("--workload", "query workload", {"oneshot", "poisson", "hotspot"},
-                  &workload_str);
+  args.add_choice("--workload",
+                  "query workload (poisson and hotspot run the open-loop "
+                  "generator at --open-loop-rate, 1/s when not given)",
+                  {"oneshot", "poisson", "hotspot"}, &workload_str);
   args.add_flag("--no-rsus", "HLSRG without infrastructure", &no_rsus);
   args.add_flag("--irregular", "jittered map with normal-road dropout",
                 &irregular);
@@ -112,9 +114,9 @@ int main(int argc, char** argv) {
                 "disable the role table-handoff protocol (churn control: "
                 "successors rebuild from beacons only)",
                 &no_handoff);
+  double open_loop_rate = -1.0;  // < 0: flag not given
   args.add_double("--open-loop-rate", "R",
-                  "open-loop Poisson arrivals per second",
-                  &cfg.service.open_loop_rate_per_sec);
+                  "open-loop Poisson arrivals per second", &open_loop_rate);
   args.add_double("--open-loop-ramp", "R",
                   "open-loop rate ramp in arrivals/s^2",
                   &cfg.service.open_loop_ramp_per_sec2);
@@ -133,11 +135,14 @@ int main(int argc, char** argv) {
   Protocol protocol = Protocol::kHlsrg;
   if (protocol_str == "rlsmp") protocol = Protocol::kRlsmp;
   if (protocol_str == "flood") protocol = Protocol::kFlood;
-  cfg.workload = ScenarioConfig::WorkloadKind::kOneShot;
-  if (workload_str == "poisson") {
-    cfg.workload = ScenarioConfig::WorkloadKind::kPoisson;
-  } else if (workload_str == "hotspot") {
-    cfg.workload = ScenarioConfig::WorkloadKind::kHotspot;
+  // poisson / hotspot: no one-shot sources; the open-loop generator issues
+  // every query, to uniform or to hot destinations.
+  const bool one_shot = workload_str == "oneshot";
+  if (open_loop_rate < 0.0) open_loop_rate = one_shot ? 0.0 : 1.0;
+  cfg.service.open_loop_rate_per_sec = open_loop_rate;
+  if (!one_shot) {
+    cfg.source_fraction = 0.0;
+    cfg.service.hotspot_fraction = workload_str == "hotspot" ? 1.0 : 0.0;
   }
   cfg.warmup = SimTime::from_sec(warmup);
   cfg.query_window = SimTime::from_sec(window);

@@ -57,15 +57,15 @@ struct ScenarioConfig {
   int vehicles = 300;
 
   // --- query workload -------------------------------------------------------
-  // kOneShot reproduces the paper: `source_fraction` of vehicles each issue
+  // The paper's one-shot workload: `source_fraction` of vehicles each issue
   // one query for a random distinct destination at a uniform time inside the
-  // query window. kPoisson issues arrivals at `poisson_rate_per_sec` with
-  // random src/dst pairs. kHotspot is Poisson with destinations drawn from a
-  // small popular set (`hotspot_targets`) — a dispatcher/fleet-style skew.
-  enum class WorkloadKind { kOneShot, kPoisson, kHotspot };
-  WorkloadKind workload = WorkloadKind::kOneShot;
+  // query window. Every other arrival pattern is the service tier's
+  // open-loop generator (service/open_loop.h): Poisson arrivals are
+  // `source_fraction = 0` with `service.open_loop_rate_per_sec = r` and
+  // `service.hotspot_fraction = 0`; hotspot arrivals are the same with
+  // `hotspot_fraction = 1`. Hot destinations are the first
+  // `hotspot_targets` vehicles (the generator clamps the set to [1, n-1]).
   double source_fraction = 0.1;
-  double poisson_rate_per_sec = 1.0;
   int hotspot_targets = 5;
   SimTime warmup = SimTime::from_sec(60.0);
   SimTime query_window = SimTime::from_sec(30.0);

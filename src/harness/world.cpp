@@ -1,6 +1,5 @@
 #include "harness/world.h"
 
-#include <cmath>
 #include <vector>
 
 #include "core/churn_manager.h"
@@ -122,11 +121,13 @@ World::World(const ScenarioConfig& cfg, Protocol protocol)
   // RNG nor schedules events, so seed-level behavior matches older builds.
   service_->configure_tier(cfg_.service);
   admission_ = std::make_unique<QueryAdmission>(sim_, *service_, cfg_.service);
-  if (cfg_.service.open_loop_rate_per_sec > 0.0 ||
-      cfg_.service.open_loop_ramp_per_sec2 > 0.0) {
+  // The generator needs a source and a distinct destination, as the
+  // one-shot workload does: a one-vehicle world runs with no queries.
+  if (cfg_.vehicles >= 2 && (cfg_.service.open_loop_rate_per_sec > 0.0 ||
+                             cfg_.service.open_loop_ramp_per_sec2 > 0.0)) {
     open_loop_ = std::make_unique<OpenLoopGenerator>(
-        sim_, *admission_, cfg_.service, cfg_.vehicles,
-        std::max(1, std::min(cfg_.hotspot_targets, cfg_.vehicles - 1)));
+        sim_, *admission_, cfg_.service,
+        static_cast<std::size_t>(cfg_.vehicles), cfg_.hotspot_targets);
   }
 
   // Beacon-based neighbor discovery must start after every node (vehicles
@@ -208,34 +209,6 @@ void World::schedule_workload() {
   const int n = cfg_.vehicles;
   if (n < 2) return;
   Rng& rng = sim_.workload_rng();
-
-  if (cfg_.workload != ScenarioConfig::WorkloadKind::kOneShot) {
-    // Poisson arrivals across the query window; hotspot skews destinations
-    // toward a small popular set.
-    const bool hotspot =
-        cfg_.workload == ScenarioConfig::WorkloadKind::kHotspot;
-    const int hot = std::max(1, std::min(cfg_.hotspot_targets, n - 1));
-    double t = cfg_.warmup.sec();
-    const double end = (cfg_.warmup + cfg_.query_window).sec();
-    while (true) {
-      // Exponential inter-arrival via inverse transform.
-      t += -std::log(1.0 - rng.uniform()) / cfg_.poisson_rate_per_sec;
-      if (t >= end) break;
-      const VehicleId src{
-          static_cast<std::uint32_t>(rng.uniform_int(0, n - 1))};
-      VehicleId dst;
-      do {
-        dst = hotspot ? VehicleId{static_cast<std::uint32_t>(
-                            rng.uniform_int(0, hot - 1))}
-                      : VehicleId{static_cast<std::uint32_t>(
-                            rng.uniform_int(0, n - 1))};
-      } while (dst == src);
-      sim_.schedule_at(SimTime::from_sec(t),
-                       [this, src, dst] { admission_->submit(src, dst); });
-      ++planned_queries_;
-    }
-    return;
-  }
 
   const int sources = std::max(
       0, static_cast<int>(cfg_.source_fraction * n + 0.5));

@@ -75,7 +75,8 @@ class World {
     return open_loop_.get();
   }
 
-  // Number of queries the workload will issue.
+  // Number of one-shot queries the scenario workload will issue (open-loop
+  // arrivals are drawn on the fly; see open_loop()->generated()).
   [[nodiscard]] int planned_queries() const { return planned_queries_; }
 
   // Attaches an event trace (see sim/trace.h); pass nullptr to detach. The

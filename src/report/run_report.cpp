@@ -7,18 +7,6 @@ namespace hlsrg {
 
 namespace {
 
-const char* workload_name(ScenarioConfig::WorkloadKind kind) {
-  switch (kind) {
-    case ScenarioConfig::WorkloadKind::kOneShot:
-      return "oneshot";
-    case ScenarioConfig::WorkloadKind::kPoisson:
-      return "poisson";
-    case ScenarioConfig::WorkloadKind::kHotspot:
-      return "hotspot";
-  }
-  return "oneshot";
-}
-
 const char* better_name(Better better) {
   switch (better) {
     case Better::kHigher:
@@ -52,9 +40,7 @@ JsonValue scenario_to_json(const ScenarioConfig& cfg) {
   if (!cfg.map_file.empty()) o.set("map_file", cfg.map_file);
   o.set("partition_target_m", cfg.partition.target_size);
   o.set("radio_range_m", cfg.radio.range_m);
-  o.set("workload", workload_name(cfg.workload));
   o.set("source_fraction", cfg.source_fraction);
-  o.set("poisson_rate_per_sec", cfg.poisson_rate_per_sec);
   o.set("hotspot_targets", cfg.hotspot_targets);
   o.set("warmup_sec", cfg.warmup.sec());
   o.set("query_window_sec", cfg.query_window.sec());

@@ -10,12 +10,14 @@ namespace hlsrg {
 OpenLoopGenerator::OpenLoopGenerator(Simulator& sim, QueryAdmission& admission,
                                      const ServiceTierConfig& cfg,
                                      std::size_t vehicles,
-                                     std::size_t hotspot_targets)
+                                     int hotspot_targets)
     : sim_(&sim),
       admission_(&admission),
       cfg_(cfg),
       vehicles_(vehicles),
-      hotspot_targets_(std::min(hotspot_targets, vehicles)) {
+      hot_set_size_(static_cast<std::size_t>(std::max<std::int64_t>(
+          1, std::min<std::int64_t>(
+                 hotspot_targets, static_cast<std::int64_t>(vehicles) - 1)))) {
   HLSRG_CHECK(vehicles_ >= 2);
 }
 
@@ -57,13 +59,14 @@ void OpenLoopGenerator::schedule_next(SimTime from) {
 void OpenLoopGenerator::fire() {
   Rng& rng = sim_->open_loop_rng();
   const auto src = VehicleId{rng.uniform_u64(vehicles_)};
-  VehicleId dst;
-  if (hotspot_targets_ > 0 && rng.chance(cfg_.hotspot_fraction)) {
-    dst = VehicleId{rng.uniform_u64(hotspot_targets_)};
-  } else {
-    dst = VehicleId{rng.uniform_u64(vehicles_)};
+  const bool hot = rng.chance(cfg_.hotspot_fraction);
+  const std::size_t pool = hot ? hot_set_size_ : vehicles_;
+  auto dst = VehicleId{rng.uniform_u64(pool)};
+  // A self-draw steps to the next vehicle of the set it came from, so a hot
+  // draw stays hot; a hot set of one has no other member, so it steps out.
+  if (dst == src) {
+    dst = VehicleId{(dst.value() + 1) % (pool >= 2 ? pool : vehicles_)};
   }
-  if (dst == src) dst = VehicleId{(dst.value() + 1) % vehicles_};
   ++generated_;
   admission_->submit(src, dst);
   schedule_next(sim_->now());

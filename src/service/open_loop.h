@@ -1,11 +1,13 @@
-// Open-loop Poisson workload generator (service tier).
+// Open-loop Poisson workload generator: the one arrival process besides the
+// paper's one-shot workload.
 //
-// The scenario workload (World::schedule_workload) schedules every submit
-// up front from the workload stream — one-shot queries at uniform times, or
-// Poisson arrivals at a fixed rate — and never waits for an earlier query
-// to settle. This generator is an open loop as well; what it adds is a rate
-// that can ramp, which is how bench/load_knee sweeps offered load past a
-// protocol's saturation knee.
+// The scenario's one-shot workload (World::schedule_workload) schedules
+// each source's single submit up front. Every other arrival pattern comes
+// from here: constant-rate Poisson arrivals (a scenario with
+// `source_fraction = 0` and `hotspot_fraction = 0`), hotspot arrivals (the
+// same with `hotspot_fraction = 1`), or a rate that ramps, which is how
+// bench/load_knee sweeps offered load past a protocol's saturation knee.
+// Neither process waits for an earlier query to settle.
 //
 // Arrivals are scheduled one at a time (no precomputed arrival list, so
 // memory is O(1) in the horizon) by thinning against the peak rate of the
@@ -24,11 +26,12 @@ namespace hlsrg {
 
 class OpenLoopGenerator {
  public:
-  // `vehicles` is the fleet size; sources are uniform over it, destinations
-  // follow the hotspot skew over the first `hotspot_targets` vehicles.
+  // `vehicles` is the fleet size (at least 2); sources are uniform over it.
+  // Destinations follow the hotspot skew over the hot set, the first
+  // `hotspot_targets` vehicles clamped to [1, vehicles - 1].
   OpenLoopGenerator(Simulator& sim, QueryAdmission& admission,
                     const ServiceTierConfig& cfg, std::size_t vehicles,
-                    std::size_t hotspot_targets);
+                    int hotspot_targets);
 
   // Starts the arrival process over [begin, end). No-op when the configured
   // base rate is zero.
@@ -47,7 +50,7 @@ class OpenLoopGenerator {
   QueryAdmission* admission_;
   ServiceTierConfig cfg_;
   std::size_t vehicles_;
-  std::size_t hotspot_targets_;
+  std::size_t hot_set_size_;
   SimTime begin_;
   SimTime end_;
   double peak_rate_ = 0.0;

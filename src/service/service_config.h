@@ -1,8 +1,10 @@
 // Configuration for the heavy-traffic serving tier (src/service).
 //
 // The tier layers four mechanisms over a protocol's query plane: an
-// open-loop Poisson workload generator with a rate that can ramp (the load
-// bench/load_knee sweeps past a protocol's knee), a batching window at
+// open-loop Poisson workload generator with a rate that can ramp (the one
+// arrival process besides the paper's one-shot workload: constant-rate
+// Poisson and hotspot scenarios run through it, and bench/load_knee sweeps
+// it past a protocol's knee), a batching window at
 // L2/L3 RSUs that aggregates co-destined queries into one wired lookup, a
 // hot-destination record cache at RSUs, and admission control that sheds
 // load once too many queries are outstanding. Each mechanism is on when
@@ -26,8 +28,10 @@ struct ServiceTierConfig {
   // Linear rate ramp: rate(t) = open_loop_rate_per_sec + ramp * (t - start).
   // Negative ramps are clamped at zero.
   double open_loop_ramp_per_sec2 = 0.0;
-  // Destinations are drawn from the first `hotspot_targets` vehicles with
-  // this probability (the existing hotspot skew); the rest are uniform.
+  // Destinations are drawn from the hot set (the first
+  // ScenarioConfig::hotspot_targets vehicles) with this probability; the
+  // rest are uniform over the fleet. 0 gives plain Poisson arrivals, 1 a
+  // pure hotspot workload.
   double hotspot_fraction = 0.8;
 
   // --- RSU serving capacity -------------------------------------------------

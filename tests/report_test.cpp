@@ -168,10 +168,10 @@ TEST(RunReportTest, JsonRoundTripFieldEquality) {
   cfg.map.irregular = true;
   cfg.partition.target_size = 400.0;
   cfg.radio.range_m = 450.0;
-  cfg.workload = ScenarioConfig::WorkloadKind::kHotspot;
   cfg.source_fraction = 0.2;
-  cfg.poisson_rate_per_sec = 2.5;
   cfg.hotspot_targets = 7;
+  cfg.service.open_loop_rate_per_sec = 2.5;
+  cfg.service.hotspot_fraction = 1.0;
   cfg.warmup = SimTime::from_sec(45.0);
   cfg.query_window = SimTime::from_sec(20.0);
   cfg.grace = SimTime::from_sec(30.0);
@@ -209,11 +209,12 @@ TEST(RunReportTest, JsonRoundTripFieldEquality) {
   EXPECT_DOUBLE_EQ(c.at("partition_target_m").as_double(),
                    cfg.partition.target_size);
   EXPECT_DOUBLE_EQ(c.at("radio_range_m").as_double(), cfg.radio.range_m);
-  EXPECT_EQ(c.at("workload").as_string(), "hotspot");
   EXPECT_DOUBLE_EQ(c.at("source_fraction").as_double(), cfg.source_fraction);
-  EXPECT_DOUBLE_EQ(c.at("poisson_rate_per_sec").as_double(),
-                   cfg.poisson_rate_per_sec);
   EXPECT_EQ(c.at("hotspot_targets").as_int(), cfg.hotspot_targets);
+  EXPECT_DOUBLE_EQ(c.at("open_loop_rate_per_sec").as_double(),
+                   cfg.service.open_loop_rate_per_sec);
+  EXPECT_DOUBLE_EQ(c.at("hotspot_fraction").as_double(),
+                   cfg.service.hotspot_fraction);
   EXPECT_DOUBLE_EQ(c.at("warmup_sec").as_double(), cfg.warmup.sec());
   EXPECT_DOUBLE_EQ(c.at("query_window_sec").as_double(),
                    cfg.query_window.sec());

@@ -135,9 +135,11 @@ TEST(RlsmpServiceTest, SpiralBatchingSharesHops) {
   // With batching, many simultaneous cache-miss queries ride shared spiral
   // packets: per-query transmissions fall as query volume rises. Compare a
   // burst of queries against sequential ones on the same world seed.
+  // Poisson arrivals: the open-loop generator with uniform destinations.
   ScenarioConfig burst = paper_scenario(300, 45);
-  burst.workload = ScenarioConfig::WorkloadKind::kPoisson;
-  burst.poisson_rate_per_sec = 3.0;  // dense window: batches form
+  burst.source_fraction = 0.0;
+  burst.service.hotspot_fraction = 0.0;
+  burst.service.open_loop_rate_per_sec = 3.0;  // dense window: batches form
   World wb(burst, Protocol::kRlsmp);
   const RunMetrics& mb = wb.run();
   ASSERT_GT(mb.queries_issued, 20u);
@@ -145,9 +147,8 @@ TEST(RlsmpServiceTest, SpiralBatchingSharesHops) {
       static_cast<double>(mb.query_transmissions) /
       static_cast<double>(mb.queries_issued);
 
-  ScenarioConfig sparse = paper_scenario(300, 45);
-  sparse.workload = ScenarioConfig::WorkloadKind::kPoisson;
-  sparse.poisson_rate_per_sec = 0.2;  // one at a time: no batching
+  ScenarioConfig sparse = burst;
+  sparse.service.open_loop_rate_per_sec = 0.2;  // one at a time: no batching
   World ws(sparse, Protocol::kRlsmp);
   const RunMetrics& ms = ws.run();
   ASSERT_GT(ms.queries_issued, 2u);

@@ -31,7 +31,6 @@ ScenarioConfig tier_scenario(std::uint64_t seed = 41) {
   // Open-loop arrivals are the only load: the sweep-style assertions below
   // reason about offered counts, and scenario-workload sources would blur
   // them.
-  cfg.workload = ScenarioConfig::WorkloadKind::kOneShot;
   cfg.source_fraction = 0.0;
   cfg.hotspot_targets = 3;
   cfg.service.open_loop_rate_per_sec = 12.0;

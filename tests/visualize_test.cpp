@@ -90,40 +90,70 @@ TEST(PercentileTest, MergePoolsPercentiles) {
 
 // --- workloads ------------------------------------------------------------------
 
+// Poisson and hotspot arrivals come from the service tier's open-loop
+// generator: no one-shot sources, a constant rate, and every destination
+// uniform (hotspot_fraction 0) or in the hot set (hotspot_fraction 1).
+ScenarioConfig open_loop_scenario(int vehicles, std::uint64_t seed,
+                                  double rate, double hotspot_fraction) {
+  ScenarioConfig cfg = paper_scenario(vehicles, seed);
+  cfg.source_fraction = 0.0;
+  cfg.service.open_loop_rate_per_sec = rate;
+  cfg.service.hotspot_fraction = hotspot_fraction;
+  return cfg;
+}
+
 TEST(WorkloadTest, PoissonIssuesArrivals) {
-  ScenarioConfig cfg = paper_scenario(100, 74);
-  cfg.workload = ScenarioConfig::WorkloadKind::kPoisson;
-  cfg.poisson_rate_per_sec = 2.0;
-  World world(cfg, Protocol::kHlsrg);
-  // ~2/s over a 30 s window: expect a few dozen arrivals.
-  EXPECT_GT(world.planned_queries(), 25);
-  EXPECT_LT(world.planned_queries(), 120);
+  World world(open_loop_scenario(100, 74, 2.0, 0.0), Protocol::kHlsrg);
   world.run();
-  EXPECT_EQ(world.metrics().queries_issued,
-            static_cast<std::uint64_t>(world.planned_queries()));
+  // ~2/s over a 30 s window: expect a few dozen arrivals, all issued (no
+  // tier mechanism sheds or serves from a cache).
+  const RunMetrics& m = world.metrics();
+  EXPECT_GT(m.queries_offered, 25u);
+  EXPECT_LT(m.queries_offered, 120u);
+  EXPECT_EQ(m.queries_issued, m.queries_offered);
 }
 
 TEST(WorkloadTest, HotspotTargetsOnlyHotVehicles) {
-  ScenarioConfig cfg = paper_scenario(100, 75);
-  cfg.workload = ScenarioConfig::WorkloadKind::kHotspot;
-  cfg.hotspot_targets = 3;
-  cfg.poisson_rate_per_sec = 1.5;
-  World world(cfg, Protocol::kHlsrg);
-  TraceLog trace;
-  world.attach_trace(&trace);
-  world.run();
-  for (const Span& s : trace.spans()) {
-    if (s.kind != SpanKind::kQuery) continue;
-    EXPECT_LT(s.other, 3u);
+  struct Case {
+    int vehicles;
+    int hot_set_size;
+  };
+  // In a 3-vehicle world a hot source often draws itself: with a hot set of
+  // two the draw must step within the set, and with a hot set of one (its
+  // sole member cannot query itself) it steps to vehicle 1.
+  for (const Case& c : {Case{100, 3}, Case{3, 2}, Case{3, 1}}) {
+    ScenarioConfig cfg = open_loop_scenario(c.vehicles, 75, 1.5, 1.0);
+    cfg.hotspot_targets = c.hot_set_size;
+    World world(cfg, Protocol::kHlsrg);
+    TraceLog trace;
+    world.attach_trace(&trace);
+    world.run();
+    int stepped_out = 0;
+    for (const Span& s : trace.spans()) {
+      if (s.kind != SpanKind::kQuery) continue;
+      EXPECT_NE(s.subject, s.other);
+      if (c.hot_set_size == 1 && s.subject == 0) {
+        ++stepped_out;
+        continue;
+      }
+      EXPECT_LT(s.other, static_cast<std::uint32_t>(c.hot_set_size))
+          << c.vehicles;
+    }
+    if (c.hot_set_size == 1) {
+      EXPECT_GT(stepped_out, 0);
+    }
   }
 }
 
 TEST(WorkloadTest, WorkloadsAreDeterministicPerSeed) {
-  ScenarioConfig cfg = paper_scenario(100, 76);
-  cfg.workload = ScenarioConfig::WorkloadKind::kPoisson;
+  const ScenarioConfig cfg = open_loop_scenario(100, 76, 1.0, 0.0);
   World a(cfg, Protocol::kHlsrg);
   World b(cfg, Protocol::kHlsrg);
-  EXPECT_EQ(a.planned_queries(), b.planned_queries());
+  const SimTime window_end = cfg.warmup + cfg.query_window;
+  a.run_until(window_end);
+  b.run_until(window_end);
+  EXPECT_GT(a.open_loop()->generated(), 0u);
+  EXPECT_EQ(a.open_loop()->generated(), b.open_loop()->generated());
 }
 
 }  // namespace
