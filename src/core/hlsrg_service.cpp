@@ -146,15 +146,20 @@ void HlsrgService::configure_tier(const ServiceTierConfig& cfg) {
 // The mark horizon H covers the whole retry schedule plus the longest RSU
 // lookup queueing; it is unbounded when no admission bound caps that queue
 // (DESIGN.md §15).
-std::int64_t HlsrgService::mark_epoch() const {
+SimTime HlsrgService::mark_horizon() const {
   SimTime h;
   for (int k = 1; k <= cfg_.max_attempts; ++k) h += retry_timeout(cfg_, k);
   if (tier_.rsu_lookup_time > SimTime{}) {
-    if (tier_.max_outstanding == 0) return 0;
+    if (tier_.max_outstanding == 0) return SimTime{};
     h += SimTime::from_us(tier_.rsu_lookup_time.us() *
                           static_cast<std::int64_t>(tier_.max_outstanding));
   }
-  return QueryState::epoch(sim_->now(), h);
+  return h;
+}
+
+std::int64_t HlsrgService::mark_epoch() const {
+  const SimTime h = mark_horizon();
+  return h > SimTime{} ? QueryState::epoch(sim_->now(), h) : 0;
 }
 
 std::optional<QueryTracker::QueryId> HlsrgService::serve_cached(

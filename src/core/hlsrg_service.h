@@ -88,7 +88,10 @@ class HlsrgService final : public LocationService, public MovementListener {
   // current admission-control regime; RSU/vehicle agents consult both.
   [[nodiscard]] const ServiceTierConfig& tier() const { return tier_; }
   [[nodiscard]] bool overloaded() const { return overloaded_; }
-  // Epoch of the agents' one-shot query marks (core/query_state.h).
+  // Horizon H of the agents' one-shot query marks (core/query_state.h);
+  // zero when unbounded, and the marks then never rotate.
+  [[nodiscard]] SimTime mark_horizon() const;
+  // Epoch of those marks.
   [[nodiscard]] std::int64_t mark_epoch() const;
 
   // True while `v` is on grid-center duty: within center_radius_m of its

@@ -9,8 +9,9 @@
 // high byte, in one of two sorted generations. Sim time is cut into epochs
 // of the protocol's mark horizon H; an access in the next epoch makes the
 // current generation the previous one, an access two or more epochs later
-// drops both. A mark thus lives at least H and at most 2H, with no event
-// and no timestamp of its own. Each protocol derives H so that no copy of
+// drops both. A mark thus answers for at least H and at most 2H, with no
+// event and no timestamp of its own; its memory goes at the agent's next
+// access or `expire`. Each protocol derives H so that no copy of
 // a marked key can arrive after it; within H a mark answers exactly as an
 // insert-only set would.
 #pragma once
@@ -71,6 +72,11 @@ class QueryState {
   std::optional<EventHandle> settle_election(std::uint64_t key,
                                              std::int64_t epoch) {
     mark(Mark::kSettled, key, epoch);
+    return disarm_election(key);
+  }
+  // Forgets the election's timer without marking it settled; returns the
+  // timer, when one was armed, to cancel.
+  std::optional<EventHandle> disarm_election(std::uint64_t key) {
     return disarm(tag(kElection, key));
   }
 
@@ -97,6 +103,7 @@ class QueryState {
     auto it = std::lower_bound(cur_.begin(), cur_.end(), k);
     if (it != cur_.end() && *it == k) return false;
     cur_.insert(it, k);
+    ++marks_set_;
     return true;
   }
 
@@ -107,8 +114,16 @@ class QueryState {
            std::binary_search(prev_.begin(), prev_.end(), k);
   }
 
+  // Drops the marks that are dead in `epoch`, as the next access would.
+  // Answers do not change; an agent that stops taking part in queries
+  // just stops holding them.
+  void expire(std::int64_t epoch) { rotate(epoch); }
+
   // Marks held in both generations.
   [[nodiscard]] std::size_t marks() const { return cur_.size() + prev_.size(); }
+  // Marks ever set. A mark set more than 2H ago is dead, so the marks held
+  // by agents that keep expiring never exceed those set in the last 2H.
+  [[nodiscard]] std::uint64_t marks_set() const { return marks_set_; }
 
  private:
   enum Timer : std::uint8_t { kElection, kRetry };
@@ -162,6 +177,7 @@ class QueryState {
   std::vector<std::uint64_t> cur_;
   std::vector<std::uint64_t> prev_;
   std::int64_t epoch_ = 0;
+  std::uint64_t marks_set_ = 0;
 };
 
 }  // namespace hlsrg

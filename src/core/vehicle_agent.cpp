@@ -1,6 +1,7 @@
 #include "core/vehicle_agent.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -128,6 +129,10 @@ void HlsrgVehicleAgent::handle_intersection_pass(IntersectionId node,
                                                  SegmentId out_seg) {
   const UpdateDecision d = svc_->rules().evaluate(node, in_seg, out_seg);
   if (d.send) send_update(d, node, out_seg);
+  // A vehicle that no longer takes part in queries (an ex-center, a past
+  // target) would hold its dead marks for the rest of the run; crossings
+  // are its one regular touch.
+  queries_.expire(svc_->mark_epoch());
 }
 
 void HlsrgVehicleAgent::send_update(const UpdateDecision& decision,
@@ -219,11 +224,15 @@ void HlsrgVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
       handle_center_request(packet);
       return;
     case PacketKind::kServerClaim: {
+      // Every vehicle within radio range hears the claim, but only centers
+      // take part in elections. Off duty it only cancels a back-off armed
+      // while on duty, and keeps no settled mark.
       const auto& c = payload_as<ServerClaimPayload>(packet);
-      if (auto timer =
-              queries_.settle_election(c.dedup_key(), svc_->mark_epoch())) {
-        svc_->sim().cancel(*timer);
-      }
+      const std::optional<EventHandle> timer =
+          in_center()
+              ? queries_.settle_election(c.dedup_key(), svc_->mark_epoch())
+              : queries_.disarm_election(c.dedup_key());
+      if (timer) svc_->sim().cancel(*timer);
       return;
     }
     case PacketKind::kNotification: {
@@ -251,6 +260,13 @@ void HlsrgVehicleAgent::on_receive(const Packet& packet, NodeId /*from*/) {
 void HlsrgVehicleAgent::handle_center_request(const Packet& packet) {
   if (!in_center()) return;
   const auto& q = payload_as<QueryPayload>(packet);
+  // Only the L1 grid the source addressed acts on its request (paper 2.3.2;
+  // LAR's request zone). send_request picks that center from l1_at(src_pos),
+  // so the payload already names it. Centers of neighbouring grids hear the
+  // 500 m relay too; without this check each of them relays again, runs its
+  // own election and forwards a miss to its own L2 RSU, and the request
+  // cascades from center to center across the map.
+  if (svc_->hierarchy().l1_at(q.src_pos) != center_cell_) return;
   const std::int64_t epoch = svc_->mark_epoch();
   if (!queries_.election_open(q.dedup_key(), epoch)) return;
   // First receiver relays the request once within the intersection so every

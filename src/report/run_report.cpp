@@ -151,6 +151,15 @@ JsonValue derived_metrics_json(const RunMetrics& merged, bool service_tier,
   put("query_overhead", static_cast<double>(merged.total_query_overhead()) / n,
       Better::kLower);
   put("success_rate", merged.success_rate(), Better::kHigher);
+  // Server table lookups per issued query: HLSRG's level-1 center
+  // elections (RLSMP's LSCs and FLOOD's caches count in the same rows).
+  put("l1_lookups_per_query",
+      merged.queries_issued == 0
+          ? 0.0
+          : static_cast<double>(merged.server_lookup_hits +
+                                merged.server_lookup_misses) /
+                static_cast<double>(merged.queries_issued),
+      Better::kLower);
   put("mean_query_latency_ms", merged.query_latency.mean_ms(), Better::kLower);
   put("query_delay_p50_ms", merged.query_latency.p50_ms(), Better::kLower);
   put("query_delay_p90_ms", merged.query_latency.p90_ms(), Better::kLower);

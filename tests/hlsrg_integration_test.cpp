@@ -177,6 +177,18 @@ TEST(HlsrgIntegrationTest, TablesExpireWithoutTraffic) {
             world.metrics().queries_issued);
 }
 
+// Exact work count: a request is handled only at the L1 center its source
+// addressed, so each attempt that reaches a center costs one election there.
+// When every center that heard the 500 m relay acted on it, a 2 km world at
+// twice the paper's density made 11 level-1 lookups per query.
+TEST(HlsrgIntegrationTest, AtMostTwoCenterLookupsPerQuery) {
+  World world(paper_scenario(1000, 3), Protocol::kHlsrg);
+  const RunMetrics& m = world.run();
+  ASSERT_GT(m.queries_issued, 0u);
+  EXPECT_LE(m.server_lookup_hits + m.server_lookup_misses,
+            2 * m.queries_issued);
+}
+
 // --- ablations -----------------------------------------------------------------
 
 TEST(HlsrgAblationTest, NoRsusStillRuns) {

@@ -432,6 +432,15 @@ TEST(ObservabilityReportTest, RunReportCarriesObservabilityAndPercentiles) {
     EXPECT_GE(derived.at(key).as_double(), 0.0);
     EXPECT_EQ(directions.json().at("derived").at(key).as_string(), "lower");
   }
+  // And level-1 lookups per query, from the exact lookup counters.
+  ASSERT_GT(set.merged.queries_issued, 0u);
+  EXPECT_DOUBLE_EQ(derived.at("l1_lookups_per_query").as_double(),
+                   static_cast<double>(set.merged.server_lookup_hits +
+                                       set.merged.server_lookup_misses) /
+                       static_cast<double>(set.merged.queries_issued));
+  EXPECT_EQ(directions.json().at("derived").at("l1_lookups_per_query")
+                .as_string(),
+            "lower");
 }
 
 }  // namespace

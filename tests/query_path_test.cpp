@@ -224,5 +224,57 @@ TEST(QueryPathTest, AckCarriesQueryIdBackToSource) {
   (void)server;
 }
 
+// Only the L1 grid a request is addressed to acts on it (paper 2.3.2): the
+// source sends to its own grid's center, and the payload's src_pos names that
+// grid. A center of the next grid hears the addressed center's 500 m relay;
+// it must not relay the request again, arm an election or claim the server
+// role, or the request cascades from center to center.
+TEST(QueryPathTest, CenterIgnoresRequestsAddressedToAnotherGrid) {
+  HandcraftedWorld w;
+  const Vec2 a = w.hierarchy_.center_pos(GridCoord{0, 0}, GridLevel::kL1);
+  const Vec2 b = w.hierarchy_.center_pos(GridCoord{1, 0}, GridLevel::kL1);
+  ASSERT_FALSE(w.hierarchy_.l1_at(a) == w.hierarchy_.l1_at(b));
+  const VehicleId center_b = w.park_at(b);
+  // Off duty, 250 m from B's center: it hears B's relay and claim.
+  const VehicleId bystander = w.park_at({b.x + 250.0, b.y});
+  // Source and target sit far from both grids, out of radio range.
+  const VehicleId source = w.park_at({1750, 1750});
+  const VehicleId target = w.park_at({1750, 1500});
+  w.finish();
+  w.sim_.run_until(SimTime::from_sec(10));
+  HlsrgVehicleAgent& agent = w.service_->vehicle_agent(center_b);
+  ASSERT_TRUE(agent.in_center());
+
+  const auto request_from = [&](Vec2 src_pos) {
+    auto q = std::make_shared<QueryPayload>();
+    q->query_id = w.service_->tracker().issue(source, target);
+    q->src_vehicle = source;
+    q->src_node = w.service_->node_of(source);
+    q->src_pos = src_pos;
+    q->target = target;
+    return w.service_->make_packet(PacketKind::kQueryRequest, q->src_node, q);
+  };
+  const RunMetrics& m = w.sim_.metrics();
+  const std::uint64_t tx = m.query_transmissions;
+
+  // Addressed to grid A: no relay, no election, so no lookup and no claim.
+  agent.on_receive(request_from(a), NodeId{});
+  EXPECT_EQ(m.query_transmissions, tx);
+  EXPECT_EQ(agent.query_state().marks(), 0u);
+  w.sim_.run_until(w.sim_.now() + SimTime::from_ms(50));
+  EXPECT_EQ(m.query_transmissions, tx);
+  EXPECT_EQ(m.server_lookup_hits + m.server_lookup_misses, 0u);
+
+  // The same request addressed to grid B is relayed, elected and claimed.
+  agent.on_receive(request_from(b), NodeId{});
+  EXPECT_EQ(m.query_transmissions, tx + 1);
+  w.sim_.run_until(w.sim_.now() + SimTime::from_ms(50));
+  EXPECT_EQ(m.server_lookup_hits + m.server_lookup_misses, 1u);
+  EXPECT_GE(m.query_transmissions, tx + 2);
+  // A vehicle off center duty takes no part, so the claim leaves it no mark.
+  ASSERT_FALSE(w.service_->vehicle_agent(bystander).in_center());
+  EXPECT_EQ(w.service_->vehicle_agent(bystander).query_state().marks(), 0u);
+}
+
 }  // namespace
 }  // namespace hlsrg
